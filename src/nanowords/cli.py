@@ -13,7 +13,7 @@ import sys
 from .classify import FAMILIES, classify
 from .errors import NanowordError
 from .fingerprint import compute_fingerprint, format_fingerprint
-from .groups import SubgroupOfPi, format_ring, parse_pi
+from .groups import SubgroupOfPi, parse_pi
 from .interlacement import covering, letter_classes
 from .keis import char_sequence, format_charseq
 from .lambdainv import lambda_invariant, lambda_split, psi_expand
@@ -45,7 +45,7 @@ def _parse_beta(alphabet, text: str):
     return frozenset(text.replace(",", " ").split())
 
 
-def _parse_units(alphabet, text: str):
+def _parse_units(text: str):
     out = {}
     for item in text.replace(",", " ").split():
         name, _, val = item.partition("=")
@@ -121,8 +121,7 @@ def cmd_covering(args, out: _Out) -> int:
     h = SubgroupOfPi(rec.alphabet, gens)
     v = covering(w, h).canonical()
     classes = letter_classes(w.canonical())
-    from .groups import format_pi
-    lines = [f"classes: " + "  ".join(f"[{x}]={format_pi(c)}"
+    lines = [f"classes: " + "  ".join(f"[{x}]={c.format()}"
                                       for x, c in sorted(classes.items())),
              f"covering: {format_nanoword(v)}"]
     out.emit({"covering": format_nanoword(v)}, lines)
@@ -135,8 +134,8 @@ def cmd_colorings(args, out: _Out) -> int:
     if args.tricolor:
         spec = ColoringSpec.tricoloring(rec.alphabet, beta)
     else:
-        p = _parse_units(rec.alphabet, args.p) if args.p else None
-        pb = _parse_units(rec.alphabet, args.pb) if args.pb else None
+        p = _parse_units(args.p) if args.p else None
+        pb = _parse_units(args.pb) if args.pb else None
         spec = ColoringSpec.make(rec.alphabet, beta, args.mod, p, pb)
     counts = count_colorings(w, spec)
     lines = [" ".join(str(c) for c in row) for row in counts]
@@ -148,21 +147,20 @@ def cmd_nabla(args, out: _Out) -> int:
     rec, w = _load_nanoword(args.input)
     beta = _parse_beta(rec.alphabet, args.beta)
     val = nabla(w, beta, args.sign)
-    out.emit({"nabla": format_ring(val)}, [format_ring(val)])
+    out.emit({"nabla": val.format()}, [val.format()])
     return 0
 
 
 def cmd_lambda(args, out: _Out) -> int:
     rec, w = _load_nanoword(args.input)
     lam = lambda_invariant(w)
-    lines = [f"lambda = {format_ring(lam)}"]
+    lines = [f"lambda = {lam.format()}"]
     for (i, j), part in sorted(lambda_split(lam).items()):
-        lines.append(f"lambda_{i}{j} = {format_ring(part)}")
-    from .groups import format_pi_word
+        lines.append(f"lambda_{i}{j} = {part.format()}")
     for (x, y), c in sorted(psi_expand(lam).items(),
                             key=lambda t: (t[0][0].sort_key(), t[0][1].sort_key())):
-        lines.append(f"psi ({format_pi_word(x)}) (x) ({format_pi_word(y)}) : {c}")
-    out.emit({"lambda": format_ring(lam)}, lines)
+        lines.append(f"psi ({x.format()}) (x) ({y.format()}) : {c}")
+    out.emit({"lambda": lam.format()}, lines)
     return 0
 
 
@@ -206,10 +204,10 @@ def cmd_verify_cert(args, out: _Out) -> int:
     data = HomotopyData(rec.alphabet)
     moves = []
     with open(args.cert, encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if line:
-                moves.append(parse_move(line))
+        for num, raw in enumerate(fh, start=1):
+            text = raw.split("#", 1)[0].strip()
+            if text:
+                moves.append(parse_move(text, line=num))
     if args.target:
         _, target = _load_nanoword(args.target)
     else:
@@ -227,8 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="homotopy invariants and certificate search for words "
                     "and nanowords over an involuted alphabet")
     top.add_argument("--format", choices=("text", "json-lines"), default="text")
-    top.add_argument("--deterministic", action="store_true",
-                     help="force single-threaded deterministic search (the default)")
     sub = top.add_subparsers(dest="command", required=True)
 
     def budgets(p, states=200000):

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .groups import format_pi_word, format_pi_tilde, format_ring
 from .interlacement import gamma, gamma_prime, gamma_tilde, mu
 from .keis import char_sequence, format_charseq
 from .lambdainv import lambda_invariant, lambda_split, psi_expand
@@ -134,9 +133,9 @@ def compute_fingerprint(w: Nanoword, betas=None, coloring_specs=None,
 def format_fingerprint(fp: Fingerprint) -> list[str]:
     w = fp.nanoword
     lines = []
-    lines.append(f"gamma:  {format_pi_word(fp.fields['gamma'][0])}")
-    lines.append(f"gamma': {format_pi_word(fp.fields['gamma_prime'][0])}")
-    lines.append(f"gamma~: {format_pi_tilde(fp.fields['gamma_tilde'][0])}")
+    lines.append(f"gamma:  {fp.fields['gamma'][0].format()}")
+    lines.append(f"gamma': {fp.fields['gamma_prime'][0].format()}")
+    lines.append(f"gamma~: {fp.fields['gamma_tilde'][0].format()}")
     m = fp.fields["mu"][0]
     al = w.alphabet
     mu_cells = []
@@ -150,22 +149,21 @@ def format_fingerprint(fp: Fingerprint) -> list[str]:
     lines.append(f"rho:    {fp.fields['rho'][0]}")
     for (a, x), c in sorted(fp.fields["rho_ax"][0].items(),
                             key=lambda t: (t[0][0], t[0][1].sort_key())):
-        from .groups import format_pi
-        lines.append(f"        rho_({a},{format_pi(x)}) = {c}")
+        lines.append(f"        rho_({a},{x.format()}) = {c}")
     lines.append("primitive pairing over s " + " ".join(str(x) for x in prim.letters) + ":")
     for row in prim.matrix_rows():
         lines.append("        " + "  ".join(row))
     lam = fp.fields["lambda"][0]
-    lines.append(f"lambda: {format_ring(lam)}")
+    lines.append(f"lambda: {lam.format()}")
     for (i, j), part in sorted(lambda_split(lam).items()):
-        lines.append(f"        lambda_{i}{j} = {format_ring(part)}")
+        lines.append(f"        lambda_{i}{j} = {part.format()}")
     psi_tab = psi_expand(lam)
-    cells = [f"({format_pi_word(x)}) (x) ({format_pi_word(y)}): {c}"
+    cells = [f"({x.format()}) (x) ({y.format()}): {c}"
              for (x, y), c in sorted(psi_tab.items(),
                                      key=lambda t: (t[0][0].sort_key(), t[0][1].sort_key()))]
     lines.append("psi:    " + "; ".join(cells))
     for (beta, eps), val in sorted(fp.fields["nabla"][0].items()):
-        lines.append(f"nabla{eps}_[{' '.join(beta) or 'empty'}] = {format_ring(val)}")
+        lines.append(f"nabla{eps}_[{' '.join(beta) or 'empty'}] = {val.format()}")
     for key, mat in sorted(fp.fields["colorings"][0].items()):
         beta = " ".join(key[0])
         lines.append(f"colorings mod {key[1]} beta=[{beta}]: " +

@@ -10,13 +10,16 @@ Five groups appear:
 * ``Psi``     -- generators a, a. with a a. = a. a and a tau(a) = a. tau(a). = 1;
                  a free product of one abelian block (Z^2 or (Z/2)^2) per orbit.
 
-Group-ring elements over any of them are finite integer-coefficient maps.
-Everything is stored on the orientation basis: a generator outside alpha0
-enters as exponent -1 (respectively bit 1) of its orbit representative.
+Each element stores its normal form in ``nf``; equal normal forms over one
+alphabet are equal elements.  Group-ring elements over any of them are
+finite integer-coefficient maps.  Everything is stored on the orientation
+basis: a generator outside alpha0 enters as exponent -1 (respectively bit 1)
+of its orbit representative.
 """
 
 from __future__ import annotations
 
+from operator import add
 from typing import Iterable, Mapping
 
 from .errors import AlphabetMismatch
@@ -29,25 +32,94 @@ def _check_same(x, y):
         raise AlphabetMismatch("operands live over different alphabets")
 
 
+def _sign(alphabet: Alphabet, a: str) -> int:
+    """Exponent of the generator ``a`` on its orbit representative.
+
+    A fixed letter is its own representative, so it gets +1.
+    """
+    return 1 if alphabet.rep(a) == a else -1
+
+
+def _power(name: str, e: int) -> str:
+    return name if e == 1 else f"{name}^{e}"
+
+
+def _psi_letters(r: str, e: int, eb: int) -> list[str]:
+    """Printed factors r^e r.^eb of one orbit block of Psi."""
+    return ([_power(r, e)] if e else []) + ([_power(f"{r}.", eb)] if eb else [])
+
+
+def _reduce(syllables, torsion) -> tuple:
+    """Free-product normal form of syllables ``(orbit, *exponents)``.
+
+    Adjacent syllables in one orbit merge by adding exponents, mod 2 for the
+    orbits in ``torsion``; a syllable whose exponents all vanish drops out.
+    """
+    out: list[tuple] = []
+    for syl in syllables:
+        orbit = syl[0]
+        if out and out[-1][0] == orbit:
+            syl = (orbit, *map(add, out.pop()[1:], syl[1:]))
+        if orbit in torsion:
+            syl = (orbit, *[e % 2 for e in syl[1:]])
+        if any(syl[1:]):
+            out.append(tuple(syl))
+    return tuple(out)
+
+
+class _Element:
+    """Group element given by its normal form ``nf`` over ``alphabet``.
+
+    Subclasses set ``nf`` and supply ``identity``, ``__mul__``, ``inverse``
+    and ``format``.
+    """
+
+    __slots__ = ("alphabet", "nf")
+
+    def is_identity(self) -> bool:
+        return self.nf == self.identity(self.alphabet).nf
+
+    def __pow__(self, n: int):
+        base = self if n >= 0 else self.inverse()
+        out = self * self.inverse()  # the identity of self's own group (Pi or Pi')
+        for _ in range(abs(n)):
+            out = out * base
+        return out
+
+    def sort_key(self):
+        return self.nf
+
+    def __eq__(self, other):
+        return (type(other) is type(self) and self.nf == other.nf
+                and self.alphabet == other.alphabet)
+
+    def __hash__(self):
+        return hash(self.nf)
+
+    def __repr__(self):
+        return f"{self._name}[{self.format()}]"
+
+
 # ---------------------------------------------------------------------------
 # pi: the abelian quotient
 
 
-class PiElement:
+class PiElement(_Element):
     """Element of pi on the orientation basis: one exponent per orbit.
 
     Free orbits carry a Z exponent, fixed points a Z/2 bit.
     """
 
-    __slots__ = ("alphabet", "exps")
+    __slots__ = ()
+    _name = "pi"
 
     def __init__(self, alphabet: Alphabet, exps: Iterable[int]):
         self.alphabet = alphabet
         norm = []
         for i, e in enumerate(exps):
             norm.append(e % 2 if alphabet.orbit_is_fixed(i) else e)
-        self.exps = tuple(norm)
-        assert len(self.exps) == len(alphabet.orbits)
+        self.nf = tuple(norm)
+        assert len(self.nf) == len(alphabet.orbits)
 
     @classmethod
     def identity(cls, alphabet: Alphabet) -> "PiElement":
@@ -56,53 +128,33 @@ class PiElement:
     @classmethod
     def generator(cls, alphabet: Alphabet, a: str) -> "PiElement":
         exps = [0] * len(alphabet.orbits)
-        i = alphabet.orbit_index(a)
-        exps[i] = 1 if (alphabet.rep(a) == a or alphabet.is_fixed(a)) else -1
+        exps[alphabet.orbit_index(a)] = _sign(alphabet, a)
         return cls(alphabet, exps)
 
     def __mul__(self, other: "PiElement") -> "PiElement":
         _check_same(self, other)
-        return PiElement(self.alphabet, [x + y for x, y in zip(self.exps, other.exps)])
+        return PiElement(self.alphabet, [x + y for x, y in zip(self.nf, other.nf)])
 
     def inverse(self) -> "PiElement":
-        return PiElement(self.alphabet, [-x for x in self.exps])
+        return PiElement(self.alphabet, [-x for x in self.nf])
 
     def __pow__(self, n: int) -> "PiElement":
-        return PiElement(self.alphabet, [n * x for x in self.exps])
+        return PiElement(self.alphabet, [n * x for x in self.nf])
 
     def bar(self) -> "PiElement":
         """The involution sending every element to its inverse (= tau_*)."""
         return self.inverse()
 
     def is_identity(self) -> bool:
-        return not any(self.exps)
+        return not any(self.nf)
 
     def degree(self) -> int:
         """Word length in the generators {a}: |free exponents| + fixed bits."""
-        return sum(abs(e) for e in self.exps)
+        return sum(abs(e) for e in self.nf)
 
-    def sort_key(self):
-        return self.exps
-
-    def __eq__(self, other):
-        return isinstance(other, PiElement) and self.exps == other.exps \
-            and self.alphabet == other.alphabet
-
-    def __hash__(self):
-        return hash(self.exps)
-
-    def __repr__(self):
-        return f"pi[{format_pi(self)}]"
-
-
-def format_pi(x: PiElement) -> str:
-    parts = []
-    for i, e in enumerate(x.exps):
-        if not e:
-            continue
-        r = x.alphabet.orbit_rep(i)
-        parts.append(r if e == 1 else f"{r}^{e}")
-    return " ".join(parts) or "1"
+    def format(self) -> str:
+        parts = [_power(self.alphabet.orbit_rep(i), e) for i, e in enumerate(self.nf) if e]
+        return " ".join(parts) or "1"
 
 
 def parse_pi(alphabet: Alphabet, text: str) -> PiElement:
@@ -126,7 +178,7 @@ def parse_pi(alphabet: Alphabet, text: str) -> PiElement:
 # Pi and Pi': free products
 
 
-class PiWord:
+class PiWord(_Element):
     """Reduced word in Pi (or Pi' when ``primed``) as alternating syllables.
 
     A syllable (orbit, e) means z_r^e for the orientation representative r of
@@ -134,37 +186,23 @@ class PiWord:
     an involution, so all exponents are 1.
     """
 
-    __slots__ = ("alphabet", "syllables", "primed")
+    __slots__ = ("primed",)
 
     def __init__(self, alphabet: Alphabet, syllables: Iterable[tuple[int, int]] = (),
                  primed: bool = False):
         self.alphabet = alphabet
         self.primed = primed
-        self.syllables = self._reduce(tuple(syllables))
+        self.nf = _reduce(syllables, self._torsion)
 
-    def _torsion(self, orbit: int) -> bool:
-        return self.primed or self.alphabet.orbit_is_fixed(orbit)
+    @property
+    def _name(self):
+        return "Pi~prime" if self.primed else "Pi"
 
-    def _reduce(self, syllables):
-        out: list[list[int]] = []
-        for orbit, e in syllables:
-            e = e % 2 if self._torsion(orbit) else e
-            if not e:
-                continue
-            while out and out[-1][0] == orbit:
-                if self._torsion(orbit):
-                    e = (out[-1][1] + e) % 2
-                else:
-                    e = out[-1][1] + e
-                out.pop()
-                if not e:
-                    break
-            else:
-                out.append([orbit, e])
-                continue
-            if e:
-                out.append([orbit, e])
-        return tuple((o, e) for o, e in out)
+    @property
+    def _torsion(self):
+        """The orbits whose generator is an involution."""
+        al = self.alphabet
+        return range(len(al.orbits)) if self.primed else al.fixed_orbit_indices
 
     @classmethod
     def identity(cls, alphabet: Alphabet, primed: bool = False) -> "PiWord":
@@ -172,74 +210,50 @@ class PiWord:
 
     @classmethod
     def generator(cls, alphabet: Alphabet, a: str, primed: bool = False) -> "PiWord":
-        i = alphabet.orbit_index(a)
-        e = 1 if (alphabet.rep(a) == a or alphabet.is_fixed(a)) else -1
-        return cls(alphabet, ((i, e),), primed)
+        return cls(alphabet, ((alphabet.orbit_index(a), _sign(alphabet, a)),), primed)
 
     def __mul__(self, other: "PiWord") -> "PiWord":
         _check_same(self, other)
         if self.primed != other.primed:
             raise AlphabetMismatch("cannot mix Pi and Pi' words")
-        return PiWord(self.alphabet, self.syllables + other.syllables, self.primed)
+        return PiWord(self.alphabet, self.nf + other.nf, self.primed)
 
     def inverse(self) -> "PiWord":
-        inv = tuple((o, e if self._torsion(o) else -e) for o, e in reversed(self.syllables))
-        return PiWord(self.alphabet, inv, self.primed)
-
-    def __pow__(self, n: int) -> "PiWord":
-        base = self if n >= 0 else self.inverse()
-        out = PiWord.identity(self.alphabet, self.primed)
-        for _ in range(abs(n)):
-            out = out * base
-        return out
+        return PiWord(self.alphabet, reversed(self.tau_star().nf), self.primed)
 
     def tau_star(self) -> "PiWord":
         """The automorphism z_a -> z_tau(a)."""
-        return PiWord(self.alphabet,
-                      tuple((o, e if self._torsion(o) else -e) for o, e in self.syllables),
+        torsion = self._torsion
+        return PiWord(self.alphabet, [(o, e if o in torsion else -e) for o, e in self.nf],
                       self.primed)
 
     def to_prime(self) -> "PiWord":
-        return PiWord(self.alphabet, self.syllables, primed=True)
+        return PiWord(self.alphabet, self.nf, primed=True)
 
     def abelianized(self) -> PiElement:
         """Image in pi = Pi / [Pi, Pi]."""
         exps = [0] * len(self.alphabet.orbits)
-        for o, e in self.syllables:
+        for o, e in self.nf:
             exps[o] += e
         return PiElement(self.alphabet, exps)
 
-    def is_identity(self) -> bool:
-        return not self.syllables
-
-    def sort_key(self):
-        return self.syllables
-
     def __eq__(self, other):
-        return (isinstance(other, PiWord) and self.primed == other.primed
-                and self.syllables == other.syllables and self.alphabet == other.alphabet)
+        return super().__eq__(other) and self.primed == other.primed
 
     def __hash__(self):
-        return hash((self.primed, self.syllables))
+        return hash((self.primed, self.nf))
 
-    def __repr__(self):
-        return f"Pi{'~prime' if self.primed else ''}[{format_pi_word(self)}]"
-
-
-def format_pi_word(x: PiWord) -> str:
-    parts = []
-    for o, e in x.syllables:
-        r = x.alphabet.orbit_rep(o)
-        parts.append(f"z_{r}" if e == 1 else f"z_{r}^{e}")
-    return " ".join(parts) or "1"
+    def format(self) -> str:
+        al = self.alphabet
+        return " ".join(_power(f"z_{al.orbit_rep(o)}", e) for o, e in self.nf) or "1"
 
 
 # ---------------------------------------------------------------------------
 # Pi~: the central extension
 
 
-class PiTildeElement:
-    """Element of Pi~ as (central vector over orbits, reduced Pi word).
+class PiTildeElement(_Element):
+    """Element of Pi~ with ``nf = (central vector over orbits, Pi syllables)``.
 
     Multiplication reduces the base words in Pi and adds one central unit per
     cancelled pair z_a z_tau(a) (and per collapse z_a z_a = 1 at a fixed
@@ -248,13 +262,13 @@ class PiTildeElement:
     property tests since the construction is ours, not the source theory's.
     """
 
-    __slots__ = ("alphabet", "central", "word")
+    __slots__ = ()
+    _name = "Pi~"
 
     def __init__(self, alphabet: Alphabet, central: Iterable[int], word: PiWord):
         self.alphabet = alphabet
-        self.central = tuple(central)
-        self.word = word
-        assert not word.primed and len(self.central) == len(alphabet.orbits)
+        self.nf = (tuple(central), word.nf)
+        assert not word.primed and len(self.nf[0]) == len(alphabet.orbits)
 
     @classmethod
     def identity(cls, alphabet: Alphabet) -> "PiTildeElement":
@@ -267,9 +281,9 @@ class PiTildeElement:
     def __mul__(self, other: "PiTildeElement") -> "PiTildeElement":
         _check_same(self, other)
         al = self.alphabet
-        central = [x + y for x, y in zip(self.central, other.central)]
-        stack = [list(s) for s in self.word.syllables]
-        for orbit, e in other.word.syllables:
+        central = [x + y for x, y in zip(self.nf[0], other.nf[0])]
+        stack = [list(s) for s in self.nf[1]]
+        for orbit, e in other.nf[1]:
             while stack and stack[-1][0] == orbit:
                 o, e0 = stack.pop()
                 if al.orbit_is_fixed(orbit):
@@ -289,54 +303,33 @@ class PiTildeElement:
             if e:
                 stack.append([orbit, e])
         word = PiWord(al, tuple((o, e) for o, e in stack))
-        assert word.syllables == tuple((o, e) for o, e in stack), "base was already reduced"
+        assert word.nf == tuple((o, e) for o, e in stack), "base was already reduced"
         return PiTildeElement(al, central, word)
 
     def inverse(self) -> "PiTildeElement":
         # s(x) s(x^-1) = c^L(x) with L counting letters per orbit
         length = [0] * len(self.alphabet.orbits)
-        for o, e in self.word.syllables:
+        for o, e in self.nf[1]:
             length[o] += abs(e)
-        central = [-c - l for c, l in zip(self.central, length)]
-        return PiTildeElement(self.alphabet, central, self.word.inverse())
+        central = [-c - l for c, l in zip(self.nf[0], length)]
+        return PiTildeElement(self.alphabet, central, self.project().inverse())
 
     def project(self) -> PiWord:
-        return self.word
+        return PiWord(self.alphabet, self.nf[1])
 
-    def is_identity(self) -> bool:
-        return self.word.is_identity() and not any(self.central)
-
-    def sort_key(self):
-        return (self.central, self.word.syllables)
-
-    def __eq__(self, other):
-        return (isinstance(other, PiTildeElement) and self.central == other.central
-                and self.word == other.word)
-
-    def __hash__(self):
-        return hash((self.central, self.word))
-
-    def __repr__(self):
-        return f"Pi~[{format_pi_tilde(self)}]"
-
-
-def format_pi_tilde(x: PiTildeElement) -> str:
-    parts = []
-    for i, c in enumerate(x.central):
-        if c:
-            r = x.alphabet.orbit_rep(i)
-            parts.append(f"c_{r}" if c == 1 else f"c_{r}^{c}")
-    base = format_pi_word(x.word)
-    if base != "1":
-        parts.append(base)
-    return " ".join(parts) or "1"
+    def format(self) -> str:
+        al = self.alphabet
+        parts = [_power(f"c_{al.orbit_rep(i)}", c) for i, c in enumerate(self.nf[0]) if c]
+        if self.nf[1]:
+            parts.append(self.project().format())
+        return " ".join(parts) or "1"
 
 
 # ---------------------------------------------------------------------------
 # Psi and its abelianization
 
 
-class PsiElement:
+class PsiElement(_Element):
     """Reduced word in Psi: alternating syllables (orbit, e, e_bullet).
 
     Each orbit contributes an abelian block generated by r and r. (bullet);
@@ -345,30 +338,12 @@ class PsiElement:
     orbits.
     """
 
-    __slots__ = ("alphabet", "syllables")
+    __slots__ = ()
+    _name = "Psi"
 
     def __init__(self, alphabet: Alphabet, syllables: Iterable[tuple[int, int, int]] = ()):
         self.alphabet = alphabet
-        out: list[list[int]] = []
-        for orbit, e, eb in syllables:
-            if alphabet.orbit_is_fixed(orbit):
-                e, eb = e % 2, eb % 2
-            if not (e or eb):
-                continue
-            while out and out[-1][0] == orbit:
-                o, e0, eb0 = out.pop()
-                if alphabet.orbit_is_fixed(orbit):
-                    e, eb = (e0 + e) % 2, (eb0 + eb) % 2
-                else:
-                    e, eb = e0 + e, eb0 + eb
-                if not (e or eb):
-                    break
-            else:
-                out.append([orbit, e, eb])
-                continue
-            if e or eb:
-                out.append([orbit, e, eb])
-        self.syllables = tuple((o, e, eb) for o, e, eb in out)
+        self.nf = _reduce(syllables, alphabet.fixed_orbit_indices)
 
     @classmethod
     def identity(cls, alphabet: Alphabet) -> "PsiElement":
@@ -376,78 +351,46 @@ class PsiElement:
 
     @classmethod
     def generator(cls, alphabet: Alphabet, a: str, bullet: bool = False) -> "PsiElement":
-        i = alphabet.orbit_index(a)
-        e = 1 if (alphabet.rep(a) == a or alphabet.is_fixed(a)) else -1
+        i, e = alphabet.orbit_index(a), _sign(alphabet, a)
         return cls(alphabet, ((i, 0, e) if bullet else (i, e, 0),))
 
     def __mul__(self, other: "PsiElement") -> "PsiElement":
         _check_same(self, other)
-        return PsiElement(self.alphabet, self.syllables + other.syllables)
+        return PsiElement(self.alphabet, self.nf + other.nf)
 
     def inverse(self) -> "PsiElement":
-        return PsiElement(self.alphabet,
-                          tuple((o, -e, -eb) for o, e, eb in reversed(self.syllables)))
-
-    def __pow__(self, n: int) -> "PsiElement":
-        base = self if n >= 0 else self.inverse()
-        out = PsiElement.identity(self.alphabet)
-        for _ in range(abs(n)):
-            out = out * base
-        return out
+        return PsiElement(self.alphabet, reversed(self.tau_sharp().nf))
 
     def reverse(self) -> "PsiElement":
         """Anti-automorphism reading the monomial right to left (iota)."""
-        return PsiElement(self.alphabet, tuple(reversed(self.syllables)))
+        return PsiElement(self.alphabet, reversed(self.nf))
 
     def kappa(self) -> "PsiElement":
         """Anti-automorphism swapping a <-> a. letterwise."""
-        return PsiElement(self.alphabet,
-                          tuple((o, eb, e) for o, e, eb in reversed(self.syllables)))
+        return PsiElement(self.alphabet, tuple((o, eb, e) for o, e, eb in reversed(self.nf)))
 
     def tau_sharp(self) -> "PsiElement":
         """Automorphism a -> tau(a), a. -> tau(a). ."""
-        return PsiElement(self.alphabet,
-                          tuple((o, -e, -eb) for o, e, eb in self.syllables))
+        return PsiElement(self.alphabet, tuple((o, -e, -eb) for o, e, eb in self.nf))
 
     def deg(self) -> int:
         """Occurrences of bullet-free generators, with multiplicity."""
-        return sum(abs(e) for _, e, _ in self.syllables)
+        return sum(abs(e) for _, e, _ in self.nf)
 
     def deg_bullet(self) -> int:
-        return sum(abs(eb) for _, _, eb in self.syllables)
+        return sum(abs(eb) for _, _, eb in self.nf)
 
-    def is_identity(self) -> bool:
-        return not self.syllables
-
-    def sort_key(self):
-        return self.syllables
-
-    def __eq__(self, other):
-        return isinstance(other, PsiElement) and self.syllables == other.syllables \
-            and self.alphabet == other.alphabet
-
-    def __hash__(self):
-        return hash(self.syllables)
-
-    def __repr__(self):
-        return f"Psi[{format_psi(self)}]"
+    def format(self, sep: str = " ") -> str:
+        al = self.alphabet
+        return sep.join(p for o, e, eb in self.nf
+                        for p in _psi_letters(al.orbit_rep(o), e, eb)) or "1"
 
 
-def format_psi(x: PsiElement, sep: str = " ") -> str:
-    parts = []
-    for o, e, eb in x.syllables:
-        r = x.alphabet.orbit_rep(o)
-        if e:
-            parts.append(r if e == 1 else f"{r}^{e}")
-        if eb:
-            parts.append(f"{r}." if eb == 1 else f"{r}.^{eb}")
-    return sep.join(parts) or "1"
-
-
-class PsiAbElement:
+class PsiAbElement(_Element):
     """Monomial of the commutative quotient Psi^ab: exponent pairs per orbit."""
 
-    __slots__ = ("alphabet", "exps")
+    __slots__ = ()
+    _name = "Psi^ab"
 
     def __init__(self, alphabet: Alphabet, exps: Iterable[tuple[int, int]]):
         self.alphabet = alphabet
@@ -456,7 +399,7 @@ class PsiAbElement:
             if alphabet.orbit_is_fixed(i):
                 e, eb = e % 2, eb % 2
             norm.append((e, eb))
-        self.exps = tuple(norm)
+        self.nf = tuple(norm)
 
     @classmethod
     def identity(cls, alphabet: Alphabet) -> "PsiAbElement":
@@ -465,22 +408,20 @@ class PsiAbElement:
     @classmethod
     def generator(cls, alphabet: Alphabet, a: str, bullet: bool = False) -> "PsiAbElement":
         exps = [[0, 0] for _ in alphabet.orbits]
-        i = alphabet.orbit_index(a)
-        e = 1 if (alphabet.rep(a) == a or alphabet.is_fixed(a)) else -1
-        exps[i][1 if bullet else 0] = e
-        return cls(alphabet, [tuple(p) for p in exps])
+        exps[alphabet.orbit_index(a)][1 if bullet else 0] = _sign(alphabet, a)
+        return cls(alphabet, exps)
 
     def __mul__(self, other: "PsiAbElement") -> "PsiAbElement":
         _check_same(self, other)
         return PsiAbElement(self.alphabet,
                             [(e1 + e2, b1 + b2)
-                             for (e1, b1), (e2, b2) in zip(self.exps, other.exps)])
+                             for (e1, b1), (e2, b2) in zip(self.nf, other.nf)])
 
     def inverse(self) -> "PsiAbElement":
-        return PsiAbElement(self.alphabet, [(-e, -b) for e, b in self.exps])
+        return PsiAbElement(self.alphabet, [(-e, -b) for e, b in self.nf])
 
     def __pow__(self, n: int) -> "PsiAbElement":
-        return PsiAbElement(self.alphabet, [(n * e, n * b) for e, b in self.exps])
+        return PsiAbElement(self.alphabet, [(n * e, n * b) for e, b in self.nf])
 
     def bar(self) -> "PsiAbElement":
         return self.inverse()
@@ -491,39 +432,20 @@ class PsiAbElement:
         return self  # reversal is trivial in a commutative quotient
 
     def is_identity(self) -> bool:
-        return not any(e or b for e, b in self.exps)
+        return not any(e or b for e, b in self.nf)
 
-    def sort_key(self):
-        return self.exps
-
-    def __eq__(self, other):
-        return isinstance(other, PsiAbElement) and self.exps == other.exps \
-            and self.alphabet == other.alphabet
-
-    def __hash__(self):
-        return hash(self.exps)
-
-    def __repr__(self):
-        return f"Psi^ab[{format_psi_ab(self)}]"
-
-
-def format_psi_ab(x: PsiAbElement) -> str:
-    parts = []
-    for i, (e, eb) in enumerate(x.exps):
-        r = x.alphabet.orbit_rep(i)
-        if e:
-            parts.append(r if e == 1 else f"{r}^{e}")
-        if eb:
-            parts.append(f"{r}." if eb == 1 else f"{r}.^{eb}")
-    return " ".join(parts) or "1"
+    def format(self) -> str:
+        al = self.alphabet
+        return " ".join(p for i, (e, eb) in enumerate(self.nf)
+                        for p in _psi_letters(al.orbit_rep(i), e, eb)) or "1"
 
 
 def psi_abelianize(x: PsiElement) -> PsiAbElement:
     exps = [[0, 0] for _ in x.alphabet.orbits]
-    for o, e, eb in x.syllables:
+    for o, e, eb in x.nf:
         exps[o][0] += e
         exps[o][1] += eb
-    return PsiAbElement(x.alphabet, [tuple(p) for p in exps])
+    return PsiAbElement(x.alphabet, exps)
 
 
 # ---------------------------------------------------------------------------
@@ -606,6 +528,24 @@ class GroupRingElement:
         return tuple((g.sort_key(), c) for g, c in
                      sorted(self.terms.items(), key=lambda t: t[0].sort_key()))
 
+    def format(self) -> str:
+        """Signed sum in lexicographic term order, e.g. ``2·b^-1 - b``."""
+        parts = []
+        for g in self.support():
+            c = self.terms[g]
+            mono = g.format()
+            if mono == "1":
+                body = str(abs(c))
+            elif abs(c) == 1:
+                body = mono
+            else:
+                body = f"{abs(c)}·{mono}"
+            if not parts:
+                parts.append(body if c > 0 else f"-{body}")
+            else:
+                parts.append(f"+ {body}" if c > 0 else f"- {body}")
+        return " ".join(parts) or "0"
+
     def __eq__(self, other):
         return isinstance(other, GroupRingElement) and self.terms == other.terms \
             and self.alphabet == other.alphabet
@@ -614,36 +554,7 @@ class GroupRingElement:
         return hash(frozenset(self.terms.items()))
 
     def __repr__(self):
-        return f"Ring[{format_ring(self)}]"
-
-
-def ring_one(alphabet: Alphabet, identity) -> GroupRingElement:
-    return GroupRingElement.of(identity)
-
-
-def format_ring(x: GroupRingElement, fmt=None) -> str:
-    """Signed sum in lexicographic term order, e.g. ``2·b^-1 - b``."""
-    if x.is_zero():
-        return "0"
-    if fmt is None:
-        sample = next(iter(x.terms))
-        fmt = {PiElement: format_pi, PiWord: format_pi_word,
-               PsiElement: format_psi, PsiAbElement: format_psi_ab}[type(sample)]
-    parts = []
-    for g in x.support():
-        c = x.terms[g]
-        mono = fmt(g)
-        if mono == "1":
-            body = str(abs(c))
-        elif abs(c) == 1:
-            body = mono
-        else:
-            body = f"{abs(c)}·{mono}"
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(parts)
+        return f"Ring[{self.format()}]"
 
 
 # ---------------------------------------------------------------------------
@@ -664,7 +575,7 @@ class SubgroupOfPi:
             if g.alphabet != alphabet:
                 raise AlphabetMismatch("subgroup generator over a different alphabet")
         n = len(alphabet.orbits)
-        cols = [list(g.exps) for g in self.generators]
+        cols = [list(g.nf) for g in self.generators]
         for i in alphabet.fixed_orbit_indices:
             col = [0] * n
             col[i] = 2
@@ -685,10 +596,10 @@ class SubgroupOfPi:
             raise AlphabetMismatch("membership test across alphabets")
         if not self._matrix or not self._matrix[0]:
             return x.is_identity()
-        return solve_integer(self._matrix, list(x.exps))
+        return solve_integer(self._matrix, list(x.nf))
 
     def __repr__(self):
-        gens = ", ".join(format_pi(g) for g in self.generators) or "1"
+        gens = ", ".join(g.format() for g in self.generators) or "1"
         return f"SubgroupOfPi<{gens}>"
 
 

@@ -158,7 +158,7 @@ _PI0 = Alphabet(["x", "y"])  # free product of two involutions
 
 def _power_of_xyxy(word: PiWord) -> int:
     """Exponent m with word = (xyxy)^m in (x, y | x^2 = y^2 = 1)."""
-    syl = word.syllables
+    syl = word.nf
     if not syl:
         return 0
     if len(syl) % 4:
@@ -183,11 +183,7 @@ def mu(w: Nanoword) -> MuMatrix:
         for j in range(n):
             if i == j:
                 continue
-            proj = PiWord.identity(_PI0, primed=False)
-            for o, e in g.syllables:
-                if o == i:
-                    proj = proj * (PiWord.generator(_PI0, "x") ** e)
-                elif o == j:
-                    proj = proj * (PiWord.generator(_PI0, "y") ** e)
+            # orbit i maps to x (orbit 0 of Pi0), orbit j to y (orbit 1)
+            proj = PiWord(_PI0, [(0 if o == i else 1, e) for o, e in g.nf if o in (i, j)])
             entries[(i, j)] = _power_of_xyxy(proj)
     return MuMatrix(al, entries)

@@ -19,7 +19,7 @@ sequence; its term sum recovers the path-sum invariant.
 from __future__ import annotations
 
 from .errors import TauHasFixedPoint
-from .groups import GroupRingElement, PsiElement, format_psi
+from .groups import GroupRingElement, PsiElement
 from .words import Alphabet, Nanoword
 
 
@@ -65,7 +65,7 @@ class FElement:
         return hash(self.letters)
 
     def __repr__(self):
-        body = " ".join(("" if s > 0 else "~") + f"[{format_psi(p)}]"
+        body = " ".join(("" if s > 0 else "~") + f"[{p.format()}]"
                         for p, s in self.letters)
         return f"F<{body or '1'}>"
 
@@ -114,9 +114,6 @@ class CharSeq:
     def from_f(cls, x: FElement) -> "CharSeq":
         return cls(x.alphabet, tuple((sign, psi) for psi, sign in x.letters))
 
-    def to_f(self) -> FElement:
-        return FElement(self.alphabet, tuple((psi, sign) for sign, psi in self.terms))
-
     def term_sum(self) -> GroupRingElement:
         """Sum of the signed terms in the Psi group ring (equals lam'(w))."""
         out = GroupRingElement.zero(self.alphabet)
@@ -140,7 +137,7 @@ class CharSeq:
 def format_charseq(cs: CharSeq) -> str:
     if not cs.terms:
         return "(empty)"
-    return ", ".join(("+" if s > 0 else "-") + format_psi(p, sep="") for s, p in cs.terms)
+    return ", ".join(("+" if s > 0 else "-") + p.format(sep="") for s, p in cs.terms)
 
 
 def char_sequence(w: Nanoword) -> CharSeq:

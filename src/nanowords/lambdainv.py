@@ -138,15 +138,8 @@ def psi_expand(x: GroupRingElement) -> dict[tuple[PiWord, PiWord], int]:
     al = x.alphabet
     out: dict[tuple[PiWord, PiWord], int] = {}
     for g, c in x.terms.items():
-        left = PiWord.identity(al)
-        right = PiWord.identity(al)
-        for orbit, e, eb in g.syllables:
-            rep = al.orbit_rep(orbit)
-            if e:
-                left = left * (PiWord.generator(al, rep) ** e)
-            if eb:
-                right = right * (PiWord.generator(al, rep) ** eb)
-        key = (left, right)
+        key = (PiWord(al, [(o, e) for o, e, _ in g.nf]),
+               PiWord(al, [(o, eb) for o, _, eb in g.nf]))
         out[key] = out.get(key, 0) + c
         if not out[key]:
             del out[key]
@@ -157,11 +150,8 @@ def _pi_image(x: GroupRingElement, plain_exp, bullet_exp) -> GroupRingElement:
     al = x.alphabet
     out: dict = {}
     for g, c in x.terms.items():
-        word = PiWord.identity(al)
-        for orbit, e, eb in g.syllables:
-            rep = al.orbit_rep(orbit)
-            word = word * (PiWord.generator(al, rep) ** plain_exp(e)) \
-                        * (PiWord.generator(al, rep) ** bullet_exp(eb))
+        word = PiWord(al, [s for o, e, eb in g.nf
+                           for s in ((o, plain_exp(e)), (o, bullet_exp(eb)))])
         out[word] = out.get(word, 0) + c
     return GroupRingElement(al, out)
 

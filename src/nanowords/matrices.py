@@ -40,10 +40,6 @@ class WeightedMatrix:
     def entry(self, i: int, j: int) -> GroupRingElement:
         return self.entries.get((i, j), GroupRingElement.zero(self.alphabet))
 
-    def negate_weights(self) -> "WeightedMatrix":
-        return WeightedMatrix(self.alphabet, self.rows, self.cols, self.entries,
-                              (self.weights[0] * -1, self.weights[1] * -1))
-
 
 def is_tau_invariant(alphabet: Alphabet, beta) -> bool:
     beta = set(beta)
@@ -147,7 +143,9 @@ def _det(alphabet, entries: dict, size: int) -> GroupRingElement:
         memo[key] = total
         return total
 
-    return rec(0, frozenset(range(size)))
+    det = rec(0, frozenset(range(size)))
+    memo.clear()  # rec's closure is a reference cycle: free the minors now, not at the next gc
+    return det
 
 
 def nabla(w: Nanoword, beta, epsilon: str) -> GroupRingElement:
@@ -211,12 +209,6 @@ class ColoringSpec:
         return cls.make(alphabet, beta, 3,
                         {a: 1 for a in alphabet.letters},
                         {a: 2 for a in alphabet.letters})
-
-    def p_of(self, a):
-        return dict(self.p)[a]
-
-    def pb_of(self, a):
-        return dict(self.p_bullet)[a]
 
     def key(self):
         return (tuple(sorted(self.beta)), self.modulus, self.p, self.p_bullet)

@@ -24,7 +24,7 @@ import heapq
 import itertools
 from dataclasses import dataclass
 
-from .errors import BudgetInvalid, PreconditionViolated
+from .errors import BudgetInvalid, ParseError, PreconditionViolated
 from .words import Alphabet, Nanoword
 
 # ---------------------------------------------------------------------------
@@ -83,18 +83,40 @@ class Move:
         return out
 
 
-def parse_move(text: str) -> Move:
+def parse_move(text: str, line: int | None = None) -> Move:
+    """Parse one certificate line, e.g. ``M2+ @pos=(3,7) insert=(a)``.
+
+    Raises ParseError, carrying ``line`` when given, on any malformed text.
+    """
     parts = text.split()
-    head = parts[0]
-    kind, sign = head[:-1], head[-1]
-    if kind not in PAIR_KINDS + TRIPLE_KINDS or sign not in "+-":
-        raise ValueError(f"bad move {text!r}")
-    fields = dict(p.split("=", 1) for p in parts[1:])
-    pos = fields["@pos"].strip("()")
-    positions = tuple(int(p) - 1 for p in pos.split(","))
+    if not parts:
+        raise ParseError("empty move", line)
+    kind, sign = parts[0][:-1], parts[0][-1]
+    if kind not in PAIR_KINDS + TRIPLE_KINDS or sign not in ("+", "-"):
+        raise ParseError(f"bad move {text!r}", line)
+    fields = {}
+    for part in parts[1:]:
+        if "=" not in part:
+            raise ParseError(f"expected 'key=value', got {part!r}", line)
+        key, _, value = part.partition("=")
+        fields[key] = value
+    if "@pos" not in fields:
+        raise ParseError(f"missing @pos in {text!r}", line)
+    not_positive = ParseError(f"positions must be positive integers in {text!r}", line)
+    try:
+        positions = tuple(int(p) - 1 for p in fields["@pos"].strip("()").split(","))
+    except ValueError:
+        raise not_positive from None
+    if min(positions) < 0:
+        raise not_positive
+    arity = 1 if kind == "M1" else 2 if kind in PAIR_KINDS else 3
+    if len(positions) != arity:
+        raise ParseError(f"{kind} takes {arity} position(s), got {len(positions)}", line)
     values = ()
     if "insert" in fields:
         values = tuple(v for v in fields["insert"].strip("()").split(",") if v)
+    if sign == "+" and kind in PAIR_KINDS and len(values) != 1:
+        raise ParseError(f"{parts[0]} needs exactly one insert value", line)
     return Move(kind, sign, positions, values)
 
 

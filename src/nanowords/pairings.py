@@ -13,7 +13,7 @@ import itertools
 from math import factorial
 
 from .errors import PreconditionViolated
-from .groups import GroupRingElement, PiElement, format_pi
+from .groups import GroupRingElement, PiElement
 from .selflinking import SelfLinkSection
 from .words import Alphabet, Letter, Nanoword
 from .interlacement import interlacement
@@ -119,7 +119,7 @@ class AlphaPairing:
 
     def matrix_rows(self):
         elems = self.elements()
-        return [[format_pi(self.b(x, y)) for y in elems] for x in elems]
+        return [[self.b(x, y).format() for y in elems] for x in elems]
 
     def __repr__(self):
         elems = self.elements()

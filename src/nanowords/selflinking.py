@@ -9,7 +9,7 @@ half the minimal length in the homotopy class.
 
 from __future__ import annotations
 
-from .groups import GroupRingElement, PiElement, format_ring, format_pi
+from .groups import GroupRingElement, PiElement
 from .words import Nanoword
 from .interlacement import letter_classes
 
@@ -52,7 +52,7 @@ class SelfLinkSection:
 
 def format_section_line(u: SelfLinkSection, a: str) -> str:
     suffix = " (mod 2)" if u.alphabet.is_fixed(a) else ""
-    return f"u({a}) = {format_ring(u.values[a], format_pi)}{suffix}"
+    return f"u({a}) = {u.values[a].format()}{suffix}"
 
 
 def _normalize(alphabet, a, val: GroupRingElement) -> GroupRingElement:
@@ -93,7 +93,7 @@ def _partial(alphabet, x: GroupRingElement, b: str, torsion: bool) -> int:
     bi = alphabet.orbit_index(b)
     total = 0
     for g, c in x.terms.items():
-        total += c * g.exps[bi]
+        total += c * g.nf[bi]
     return total % 2 if torsion else total
 
 

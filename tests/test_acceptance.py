@@ -19,7 +19,7 @@ from nanowords import (Alphabet, ColoringSpec, GroupRingElement, Nanoword,
                        norm_lower_bound, opposite, pairings_isomorphic,
                        product, rho, self_link_function, verify_certificate)
 from nanowords.fingerprint import FIELD_ORDER
-from nanowords.groups import format_pi_word, parse_pi
+from nanowords.groups import parse_pi
 from nanowords.keis import format_charseq
 from nanowords.matrices import count_colorings_prime
 from nanowords.moves import (HomotopyData, certificate_from_states,
@@ -59,7 +59,7 @@ def _ring(al, *monomials):
 def test_c01_gamma_values():
     def body():
         w = nanoword_from_pattern(AL_FREE2, "ABAB", {"A": "a", "B": "b"})
-        assert format_pi_word(gamma(w)) == "z_a z_b z_a^-1 z_b^-1"
+        assert gamma(w).format() == "z_a z_b z_a^-1 z_b^-1"
         za = PiWord.generator(AL_FREE2, "a", primed=True)
         zb = PiWord.generator(AL_FREE2, "b", primed=True)
         for m in range(1, 5):

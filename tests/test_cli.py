@@ -1,9 +1,12 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nanowords.cli import main
 from nanowords.errors import ParseError
+from nanowords.moves import PAIR_KINDS, TRIPLE_KINDS, parse_move
 from nanowords.records import parse_record
 
 ABAB_FREE = """\
@@ -200,3 +203,45 @@ def test_cli_error_exit(tmp_path, capsys):
     bad = _write(tmp_path, "bad.rec", "alphabet: a\ninvolution: a<->b\n")
     assert main(["invariants", bad]) == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", [
+    "M2- pos=1",          # no @pos
+    "M1-",                # no fields at all
+    "M3- @pos=(1,2)",     # too few positions for a triple move
+    "M1- @pos=(1,2)",     # too many positions for M1
+    "M2- @pos=(0,3)",     # positions are 1-based
+    "M2- @pos=(x,3)",     # not an integer
+    "M1+ @pos=1",         # insertion without a value
+    "M2+ @pos=(1,1) insert=(a,b)",
+    "M1- @pos=1 junk",    # field without '='
+    "M9+ @pos=1",         # unknown kind
+])
+def test_cli_verify_cert_rejects_malformed_lines(tmp_path, capsys, line):
+    path = _write(tmp_path, "w.rec", AABB_ID)
+    cert = _write(tmp_path, "c.cert", f"# header\n{line}\n")
+    assert main(["verify-cert", path, cert]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 2: ") and "Traceback" not in err
+
+
+@given(st.text())
+@settings(max_examples=300, deadline=None)
+def test_parse_record_fuzz(text):
+    try:
+        parse_record(text)
+    except ParseError:
+        pass
+
+
+_MOVE_HEADS = st.sampled_from([f"{k}{s}" for k in PAIR_KINDS + TRIPLE_KINDS for s in "+-"])
+
+
+@given(st.one_of(st.text(), st.builds(lambda head, rest: f"{head} {rest}", _MOVE_HEADS,
+                                      st.text())))
+@settings(max_examples=300, deadline=None)
+def test_parse_move_fuzz(text):
+    try:
+        parse_move(text)
+    except ParseError:
+        pass

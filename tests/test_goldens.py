@@ -1,9 +1,8 @@
 """Byte-for-byte pins of the text reports.
 
-The goldens were captured from the CLI before the group classes were
-refactored; any change to them must be deliberate.  Together the
-``invariants`` reports print values in all five groups (pi, Pi, Pi', Pi~,
-Psi, Psi^ab) and their group rings.
+Reports and classification tables must stay identical unless a change is
+meant to alter them.  Together the ``invariants`` reports print values in
+all five groups (pi, Pi, Pi', Pi~, Psi, Psi^ab) and their group rings.
 """
 
 from pathlib import Path

@@ -5,9 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nanowords import (GroupRingElement, PiElement, PiTildeElement, PiWord,
-                       PsiElement, SubgroupOfPi, subgroup_contains)
+                       PsiAbElement, PsiElement, SubgroupOfPi, subgroup_contains)
 from nanowords.errors import AlphabetMismatch
-from nanowords.groups import format_pi, format_pi_word, format_psi, parse_pi
+from nanowords.groups import parse_pi, psi_abelianize
 
 from conftest import ALPHABETS, alphabets_strategy
 
@@ -124,19 +124,40 @@ def test_psi_normal_form_against_rewriting():
             assert to_element(word) == base
 
 
+def _random_pi(al, rng, length=6):
+    out = PiElement.identity(al)
+    for _ in range(rng.randrange(length + 1)):
+        g = PiElement.generator(al, rng.choice(al.letters))
+        out = out * (g if rng.random() < 0.5 else g.inverse())
+    return out
+
+
 @given(alphabets_strategy(), st.integers(0, 10 ** 9))
 @settings(max_examples=80)
 def test_group_axioms(al, seed):
     rng = random.Random(seed)
     for maker, identity in (
+            (_random_pi, PiElement.identity(al)),
             (_random_pi_word, PiWord.identity(al)),
             (lambda a, r: _random_pi_word(a, r, primed=True),
              PiWord.identity(al, primed=True)),
-            (_random_psi, PsiElement.identity(al))):
+            (_random_pitilde, PiTildeElement.identity(al)),
+            (_random_psi, PsiElement.identity(al)),
+            (lambda a, r: psi_abelianize(_random_psi(a, r)), PsiAbElement.identity(al))):
         x, y, z = maker(al, rng), maker(al, rng), maker(al, rng)
+        assert identity.is_identity()
         assert (x * y) * z == x * (y * z)
+        assert hash((x * y) * z) == hash(x * (y * z))
         assert (x * x.inverse()) == identity
         assert (x.inverse() * x) == identity
+        assert (x * x.inverse()).is_identity()
+        assert hash(x * identity) == hash(x)
+        for n in range(-3, 4):
+            product = identity
+            for _ in range(abs(n)):
+                product = product * (x if n >= 0 else x.inverse())
+            assert x ** n == product
+            assert hash(x ** n) == hash(product)
 
 
 @given(alphabets_strategy(), st.integers(0, 10 ** 9))
@@ -155,7 +176,7 @@ def test_pitilde_central_generator():
     zta = PiTildeElement.generator(al, "A")
     c = za * zta
     assert c.project().is_identity()
-    assert c.central == (1,)
+    assert c.nf[0] == (1,)
     # central: commutes with everything
     rng = random.Random(3)
     for _ in range(20):
@@ -166,7 +187,7 @@ def test_pitilde_central_generator():
     zc = PiTildeElement.generator(alm, "c")
     sq = zc * zc
     assert sq.project().is_identity()
-    assert sq.central[alm.orbit_index("c")] == 1
+    assert sq.nf[0][alm.orbit_index("c")] == 1
 
 
 @given(alphabets_strategy(), st.integers(0, 10 ** 9))
@@ -241,11 +262,11 @@ def test_subgroup_trivial_and_whole():
 def test_printing():
     al = ALPHABETS[2]
     x = PiElement.generator(al, "a") ** 2 * PiElement.generator(al, "b")
-    assert format_pi(x) == "a^2 b"
+    assert x.format() == "a^2 b"
     w = PiWord.generator(al, "a") * PiWord.generator(al, "B")
-    assert format_pi_word(w) == "z_a z_b^-1"
+    assert w.format() == "z_a z_b^-1"
     p = (PsiElement.generator(al, "a") ** 1) * \
         PsiElement.generator(al, "a") * \
         PsiElement.generator(al, "a", bullet=True).inverse() * \
         PsiElement.generator(al, "b", bullet=True)
-    assert format_psi(p) == "a^2 a.^-1 b."
+    assert p.format() == "a^2 a.^-1 b."

@@ -9,7 +9,7 @@ from nanowords import (Alphabet, PiElement, SubgroupOfPi, covering, gamma,
                        letter_class, letter_classes, mu, nanoword_from_pattern,
                        opposite, product)
 from nanowords.errors import UnknownLetter
-from nanowords.groups import format_pi, format_pi_word, parse_pi
+from nanowords.groups import parse_pi
 
 from conftest import ALPHABETS, alphabets_strategy, nanowords_strategy, random_nanoword
 
@@ -61,7 +61,7 @@ def test_covering_example(example_53):
     h = SubgroupOfPi(al, [parse_pi(al, "ab")])
     v = covering(example_53, h)
     assert list(v.word) == ["B1", "B2", "A2", "B1", "A2", "B2"]
-    assert format_pi_word(gamma(v)) == "z_a z_b z_a z_b"
+    assert gamma(v).format() == "z_a z_b z_a z_b"
     assert mu(v).value("a", "b") == 1
 
 
@@ -76,7 +76,7 @@ def test_covering_whole_and_trivial(example_53):
 
 def test_gamma_worked_examples(al_free2, al_id2):
     w = nanoword_from_pattern(al_free2, "ABAB", {"A": "a", "B": "b"})
-    assert format_pi_word(gamma(w)) == "z_a z_b z_a^-1 z_b^-1"
+    assert gamma(w).format() == "z_a z_b z_a^-1 z_b^-1"
     v = nanoword_from_pattern(al_id2, "AABB", {"A": "a", "B": "b"})
     assert gamma(v).is_identity()
 
