@@ -1,9 +1,25 @@
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
 
 from nanowords import Alphabet, Nanoword
+
+GOLDENS = Path(__file__).parent / "goldens"
+
+
+def golden_sections(name: str) -> dict[str, str]:
+    """The sections of a golden file, keyed by their ``== title`` lines."""
+    sections: dict[str, str] = {}
+    title = None
+    for line in (GOLDENS / name).read_text().splitlines(keepends=True):
+        if line.startswith("== "):
+            title = line[3:].rstrip("\n")
+            sections[title] = ""
+        else:
+            sections[title] += line
+    return sections
 
 
 @pytest.fixture

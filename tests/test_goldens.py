@@ -1,17 +1,24 @@
-"""Byte-for-byte pins of the text reports.
+"""Byte-for-byte pins of the text reports and certificates.
 
-Reports and classification tables must stay identical unless a change is
-meant to alter them.  Together the ``invariants`` reports print values in
-all five groups (pi, Pi, Pi', Pi~, Psi, Psi^ab) and their group rings.
+Reports, classification tables and certificates must stay identical unless a
+change is meant to alter them.  Together the ``invariants`` reports print
+values in all five groups (pi, Pi, Pi', Pi~, Psi, Psi^ab) and their group
+rings.  Certificates depend on the search's expansion order, so pinning them
+pins that order.
 """
 
+import re
+import runpy
+import sys
 from pathlib import Path
 
 import pytest
 
 from nanowords.cli import main
 
-GOLDENS = Path(__file__).parent / "goldens"
+from conftest import GOLDENS, golden_sections
+
+SCRIPT = Path(__file__).parents[1] / "scripts" / "worked_contractions.py"
 
 HEADERS = {
     "mixed": "alphabet: a A c\ninvolution: a<->A c<->c\n",
@@ -51,3 +58,44 @@ def test_classify_table_is_pinned(tmp_path, capsys):
     path.write_text(HEADERS["fixed2"])
     got = _run(capsys, ["classify", "nanowords4", str(path)])
     assert got == (GOLDENS / "classify_nanowords4.txt").read_text()
+
+
+CERT_RECORDS = {
+    "w16": "alphabet: e E x y\ninvolution: e<->E x<->x y<->y\n"
+           "word: A B C D E F B G D H F A G C H E\n"
+           "proj: A=e B=e F=e C=E D=E G=E E=x H=y\n",
+    "ababa": "alphabet: a b\ninvolution: a<->b\nplainword: ababa\n",
+    "w5": "alphabet: a A\ninvolution: a<->A\n"
+          "word: A B A C B C\nproj: A=a B=a C=a\n",
+    "w10": "alphabet: a A\ninvolution: a<->A\n"
+           "word: 1 2 3 4 5 2 4 3 5 1\nproj: 1=a 2=a 3=A 4=a 5=a\n",
+    "abcabc": "alphabet: e E\ninvolution: e<->E\n"
+              "word: A B C A B C\nproj: A=e B=E C=e\n",
+    "baaccb": "alphabet: e E\ninvolution: e<->E\n"
+              "word: B A A C C B\nproj: A=e B=E C=e\n",
+}
+
+# w5 ~ w10 meets in the middle: its certificate ends with an inverted move
+# from the backward search
+CLI_RUNS = (("contract", "w16"), ("contract", "ababa"),
+            ("homotopic", "w5", "w10"), ("homotopic", "abcabc", "baaccb"))
+
+
+def test_worked_contraction_certificates_are_pinned(monkeypatch, capsys):
+    script_main = runpy.run_path(str(SCRIPT))["main"]
+    monkeypatch.setattr(sys, "argv", [SCRIPT.name])
+    assert script_main() == 0
+    out = re.sub(r" \(\d+\.\ds\)", "", capsys.readouterr().out)
+    assert out == golden_sections("certificates.txt")["worked_contractions.py"]
+
+
+@pytest.mark.parametrize("argv", CLI_RUNS, ids=" ".join)
+def test_cli_certificates_are_pinned(tmp_path, capsys, argv):
+    command, *names = argv
+    paths = []
+    for name in names:
+        path = tmp_path / f"{name}.rec"
+        path.write_text(CERT_RECORDS[name])
+        paths.append(str(path))
+    got = _run(capsys, [command, *paths])
+    assert got == golden_sections("certificates.txt")[" ".join(argv)]

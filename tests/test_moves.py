@@ -12,7 +12,8 @@ from nanowords.errors import BudgetInvalid, PreconditionViolated
 from nanowords.moves import (Certificate, certificate_from_states, invert_move,
                              parse_move)
 
-from conftest import ALPHABETS, nanowords_strategy, random_nanoword
+from conftest import (ALPHABETS, golden_sections, nanowords_strategy,
+                      random_nanoword)
 
 
 def test_enumerate_m1(al_id2):
@@ -65,15 +66,18 @@ def test_macros_are_derivable_from_primitive_moves():
         ("ABCACB", "BAACBC", {"A": "E", "B": "E", "C": "e"}),
         ("ABACCB", "BACABC", {"A": "e", "B": "E", "C": "E"}),
     ]
+    goldens = golden_sections("certificates.txt")
     for lhs, rhs, proj in cases:
         w1 = nanoword_from_pattern(al, lhs, proj)
         w2 = nanoword_from_pattern(al, rhs, proj)
         cert = search_homotopic(w1, w2, data, 14, 300000, use_macros=False)
         assert cert is not None and verify_certificate(cert, data), lhs
+        assert cert.format() == goldens[f"primitive {lhs} {rhs}"]
     # the interlaced pair xAByABz with |B| = tau(|A|) contracts as well
     w = nanoword_from_pattern(al, "ABAB", {"A": "e", "B": "E"})
     cert = search_contractible(w, data, 12, 300000, use_macros=False)
     assert cert is not None and verify_certificate(cert, data)
+    assert cert.format() == goldens["primitive ABAB empty"]
 
 
 def test_custom_move_triples(al_id2):
