@@ -18,7 +18,7 @@ from .lambdainv import (lambda_checks, lambda_graph, lambda_invariant,
 from .keis import CharSeq, char_sequence, charseq_inverse, kei_act, kei_star
 from .moves import (Certificate, HomotopyData, Move, apply_move, enumerate_moves,
                     norm_upper_bound, search_contractible, search_homotopic,
-                    verify_certificate)
+                    successor_keys, verify_certificate)
 from .fingerprint import Fingerprint, compute_fingerprint
 from .classify import classify
 

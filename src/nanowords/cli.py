@@ -11,18 +11,18 @@ import json
 import sys
 
 from .classify import FAMILIES, classify
-from .errors import NanowordError
+from .errors import NanowordError, PreconditionViolated
 from .fingerprint import compute_fingerprint, format_fingerprint
 from .groups import SubgroupOfPi, parse_pi
 from .interlacement import covering, letter_classes
 from .keis import char_sequence, format_charseq
 from .lambdainv import lambda_invariant, lambda_split, psi_expand
 from .matrices import ColoringSpec, count_colorings, nabla
-from .moves import (Certificate, HomotopyData, norm_upper_bound, parse_move,
-                    search_contractible, search_homotopic, verify_certificate)
+from .moves import (HomotopyData, apply_move, norm_upper_bound, parse_move,
+                    search_contractible, search_homotopic)
 from .records import parse_file
 from .selflinking import norm_lower_bound
-from .words import format_nanoword
+from .words import empty_nanoword, format_nanoword
 
 
 class _Out:
@@ -207,14 +207,18 @@ def cmd_verify_cert(args, out: _Out) -> int:
         for num, raw in enumerate(fh, start=1):
             text = raw.split("#", 1)[0].strip()
             if text:
-                moves.append(parse_move(text, line=num))
+                moves.append((num, parse_move(text, line=num)))
     if args.target:
         _, target = _load_nanoword(args.target)
     else:
-        from .words import empty_nanoword
         target = empty_nanoword(rec.alphabet)
-    cert = Certificate(w.canonical(), target.canonical(), tuple(moves))
-    ok = verify_certificate(cert, data)
+    cur = w.canonical()
+    for num, move in moves:
+        try:
+            cur = apply_move(cur, move, data).canonical()
+        except NanowordError as exc:
+            raise PreconditionViolated(f"line {num}: {exc}") from None
+    ok = cur.isomorphic(target.canonical())
     out.emit({"verified": ok}, ["VERIFIED" if ok else "REPLAY MISMATCH"])
     return 0 if ok else 1
 

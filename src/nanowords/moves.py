@@ -14,17 +14,19 @@ search trees shallow; they can be switched off):
 * LII  xAByCAzCBt <-> xBAyACzBCt      when (tau|A|, tau|B|, |C|) in S
 * LIII xAByACzCBt <-> xBAyCAzBCt      when (|A|, tau|B|, tau|C|) in S
 
-Search is deterministic: states are canonical forms, expanded in a fixed
-priority order, and budget exhaustion yields Unknown (never a disproof).
+Search is deterministic: states are canonical keys (``Nanoword.key()``),
+expanded in a fixed priority order, and budget exhaustion yields Unknown
+(never a disproof).  Moves are applied to the key directly; a ``Nanoword`` is
+built only for a certificate's end.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 from dataclasses import dataclass
+from itertools import accumulate
 
-from .errors import BudgetInvalid, ParseError, PreconditionViolated
+from .errors import BudgetInvalid, ParseError, PreconditionViolated, UnknownSymbol
 from .words import Alphabet, Nanoword
 
 # ---------------------------------------------------------------------------
@@ -65,6 +67,23 @@ _TRIPLE_SHAPES = {
 }
 
 
+def _anchors(shape):
+    """Where a shape's second and third sites start, as (slot, offset) pairs.
+
+    Each of the two sites repeats x1 (slot 0) or y1 (slot 1) of the first
+    site, so it starts at the other occurrence of that letter, minus one when
+    the letter is the site's second entry.
+    """
+    out = [None, None]
+    for i, rule in enumerate(shape):
+        if rule in ("x1", "y1"):
+            out[i // 2] = (("x1", "y1").index(rule), i % 2)
+    return out[0] + out[1]
+
+
+_TRIPLE_ANCHORS = {ks: _anchors(shape) for ks, shape in _TRIPLE_SHAPES.items()}
+
+
 @dataclass(frozen=True)
 class Move:
     """One applicable move; positions are 0-based into the current word."""
@@ -99,6 +118,10 @@ def parse_move(text: str, line: int | None = None) -> Move:
         if "=" not in part:
             raise ParseError(f"expected 'key=value', got {part!r}", line)
         key, _, value = part.partition("=")
+        if key not in ("@pos", "insert"):
+            raise ParseError(f"unknown field {key!r} in {text!r}", line)
+        if key in fields:
+            raise ParseError(f"repeated field {key!r} in {text!r}", line)
         fields[key] = value
     if "@pos" not in fields:
         raise ParseError(f"missing @pos in {text!r}", line)
@@ -112,23 +135,20 @@ def parse_move(text: str, line: int | None = None) -> Move:
     arity = 1 if kind == "M1" else 2 if kind in PAIR_KINDS else 3
     if len(positions) != arity:
         raise ParseError(f"{kind} takes {arity} position(s), got {len(positions)}", line)
-    values = ()
-    if "insert" in fields:
-        values = tuple(v for v in fields["insert"].strip("()").split(",") if v)
-    if sign == "+" and kind in PAIR_KINDS and len(values) != 1:
+    inserts = sign == "+" and kind in PAIR_KINDS
+    if "insert" in fields and not inserts:
+        raise ParseError(f"{parts[0]} takes no insert value", line)
+    values = tuple(v for v in fields.get("insert", "").strip("()").split(",") if v)
+    if inserts and len(values) != 1:
         raise ParseError(f"{parts[0]} needs exactly one insert value", line)
     return Move(kind, sign, positions, values)
-
-
-def _triple_letters(word, p, q, r):
-    return (word[p], word[p + 1], word[q], word[q + 1], word[r], word[r + 1])
 
 
 def _swap_sites(word, sites):
     out = list(word)
     for p in sites:
         out[p], out[p + 1] = out[p + 1], out[p]
-    return tuple(out)
+    return out
 
 
 def _fresh(word_letters, n):
@@ -156,9 +176,13 @@ def _triple_condition(data: HomotopyData, kind: str, pa: str, pb: str, pc: str) 
     raise ValueError(kind)
 
 
-def _match_triple(w: Nanoword, data: HomotopyData, kind: str, sign: str, p, q, r):
-    """Return (A, B, C) if the shape and the S-condition match, else None."""
-    x1, y1, x2, y2, x3, y3 = _triple_letters(w.word, p, q, r)
+def _match_triple(word, proj, data: HomotopyData, kind: str, sign: str, p, q, r):
+    """Return (A, B, C) if the shape and the S-condition match, else None.
+
+    ``proj[x]`` is the projection of letter ``x`` of ``word``.
+    """
+    x1, y1, x2, y2 = word[p], word[p + 1], word[q], word[q + 1]
+    x3, y3 = word[r], word[r + 1]
     slots = {"x1": x1, "y1": y1}
     expect = _TRIPLE_SHAPES[(kind, sign)]
     actual = (x2, y2, x3, y3)
@@ -186,13 +210,12 @@ def _match_triple(w: Nanoword, data: HomotopyData, kind: str, sign: str, p, q, r
             b, a, c = x1, y1, y2
     if len({a, b, c}) != 3:
         return None
-    if not _triple_condition(data, kind, w.proj[a], w.proj[b], w.proj[c]):
+    if not _triple_condition(data, kind, proj[a], proj[b], proj[c]):
         return None
     return a, b, c
 
 
-def apply_move(w: Nanoword, move: Move, data: HomotopyData,
-               validate: bool = True) -> Nanoword:
+def apply_move(w: Nanoword, move: Move, data: HomotopyData) -> Nanoword:
     """Apply ``move`` to ``w`` (not canonicalized); raises if it does not fit."""
     word, proj = w.word, w.proj
     n = len(word)
@@ -203,7 +226,7 @@ def apply_move(w: Nanoword, move: Move, data: HomotopyData,
         p, q, r = pos
         if not (0 <= p and p + 1 < q and q + 1 < r and r + 1 < n):
             raise PreconditionViolated(f"{move.format()}: sites overlap or overflow")
-        if validate and _match_triple(w, data, k, sign, p, q, r) is None:
+        if _match_triple(word, proj, data, k, sign, p, q, r) is None:
             raise PreconditionViolated(f"{move.format()}: pattern or S-condition fails")
         return Nanoword(w.alphabet, _swap_sites(word, pos), proj)
 
@@ -221,28 +244,28 @@ def apply_move(w: Nanoword, move: Move, data: HomotopyData,
         second = (b, a) if k == "M2" else (a, b)
         if (word[j], word[j + 1]) != second or a == b:
             raise PreconditionViolated(f"{move.format()}: pattern fails")
-        if validate:
-            if proj[b] != tau(proj[a]):
-                raise PreconditionViolated(f"{move.format()}: |B| = tau(|A|) fails")
-            if k == "L32" and not data.second_gate(proj[b]):
-                raise PreconditionViolated(f"{move.format()}: S misses alpha x b x b")
+        if proj[b] != tau(proj[a]):
+            raise PreconditionViolated(f"{move.format()}: |B| = tau(|A|) fails")
+        if k == "L32" and not data.second_gate(proj[b]):
+            raise PreconditionViolated(f"{move.format()}: S misses alpha x b x b")
         keep = word[:i] + word[i + 2:j] + word[j + 2:]
         return Nanoword(w.alphabet, keep, {x: proj[x] for x in keep})
 
     # insertions
+    (val,) = move.values
+    if val not in w.alphabet:
+        raise UnknownSymbol(f"{move.format()}: insert value {val!r} is not an alphabet letter")
     if k == "M1":
         (i,) = pos
         if not 0 <= i <= n:
             raise PreconditionViolated(f"{move.format()}: position out of range")
-        (val,) = move.values
         (new,) = _fresh(w.letters, 1)
         out = word[:i] + (new, new) + word[i:]
         return Nanoword(w.alphabet, out, {**proj, new: val})
     i, j = pos
     if not 0 <= i <= j <= n:
         raise PreconditionViolated(f"{move.format()}: positions out of range")
-    (val,) = move.values
-    if k == "L32" and validate and not data.second_gate(tau(val)):
+    if k == "L32" and not data.second_gate(tau(val)):
         raise PreconditionViolated(f"{move.format()}: S misses alpha x b x b")
     na, nb = _fresh(w.letters, 2)
     second = (nb, na) if k == "M2" else (na, nb)
@@ -264,60 +287,111 @@ def invert_move(move: Move) -> Move:
     return Move(k, "-", (i, j + 2), vals)
 
 
+def _key_of(seq, proj):
+    """Canonical key of ``seq``: rename its letters 1, 2, ... by first occurrence."""
+    order = dict.fromkeys(seq)
+    names = dict(zip(order, range(1, len(order) + 1)))
+    return tuple(map(names.__getitem__, seq)), tuple(map(proj.__getitem__, order))
+
+
+def successor_keys(key, data: HomotopyData,
+                   insert_values: tuple[str, ...] | None = None,
+                   max_length: int | None = None,
+                   use_macros: bool = False,
+                   forward_only: bool = False):
+    """All single-move successors of ``key`` as (move, key); ``key`` must be
+    canonical, as ``Nanoword.key()`` returns it.
+
+    Forward moves are exhaustive; insertions run over positions x
+    ``insert_values`` and are gated by ``max_length``.  The order is fixed:
+    deletions, then triple moves by sites, kind and sign, then insertions.
+    """
+    word, row = key
+    proj = (None,) + row            # proj[x] for the letters 1..m of ``word``
+    n = len(word)
+    tau = data.alphabet.tau
+    out = []
+
+    def emit(move, seq):
+        out.append((move, _key_of(seq, proj)))
+
+    for i in range(n - 1):
+        if word[i] == word[i + 1]:
+            emit(Move("M1", "-", (i,), (proj[word[i]],)), word[:i] + word[i + 2:])
+    for i in range(n - 1):
+        a, b = word[i], word[i + 1]
+        if a == b or proj[b] != tau(proj[a]):
+            continue
+        for j in range(i + 2, n - 1):
+            pair = (word[j], word[j + 1])
+            if pair == (b, a):
+                emit(Move("M2", "-", (i, j), (proj[a],)),
+                     word[:i] + word[i + 2:j] + word[j + 2:])
+            if use_macros and pair == (a, b) and data.second_gate(proj[b]):
+                emit(Move("L32", "-", (i, j), (proj[a],)),
+                     word[:i] + word[i + 2:j] + word[j + 2:])
+
+    # a triple move's first site fixes the other two through the second
+    # occurrences of its letters: one candidate per first site and shape
+    other = [0] * n
+    first: dict = {}
+    for i, x in enumerate(word):
+        j = first.setdefault(x, i)
+        other[i], other[j] = j, i
+    shapes = [(kind, sign, _TRIPLE_ANCHORS[kind, sign])
+              for kind in (TRIPLE_KINDS if use_macros else ("M3",)) for sign in "-+"]
+    hits = []
+    for p in range(n - 5):
+        anchor = (other[p], other[p + 1])
+        for order, (kind, sign, (s1, o1, s2, o2)) in enumerate(shapes):
+            q, r = anchor[s1] - o1, anchor[s2] - o2
+            if (p + 1 < q and q + 1 < r and r + 1 < n
+                    and _match_triple(word, proj, data, kind, sign, p, q, r) is not None):
+                hits.append((p, q, r, order, kind, sign))
+    for p, q, r, _, kind, sign in sorted(hits):
+        emit(Move(kind, sign, (p, q, r)), _swap_sites(word, (p, q, r)))
+
+    if not forward_only:
+        values = insert_values if insert_values is not None else data.alphabet.letters
+        pairs = [(v, tau(v), use_macros and data.second_gate(tau(v))) for v in values]
+        macros = any(l32 for _, _, l32 in pairs)
+        # ``word`` is canonical, so the letters before position i are 1..top[i];
+        # letters inserted at i take the next names and later letters shift up
+        top = list(accumulate(word, max, initial=0))
+        if max_length is None or n + 2 <= max_length:
+            for i in range(n + 1):
+                t = top[i]
+                pattern = word[:i] + (t + 1, t + 1) + tuple(x + 1 if x > t else x
+                                                             for x in word[i:])
+                for v in values:
+                    out.append((Move("M1", "+", (i,), (v,)),
+                                (pattern, row[:t] + (v,) + row[t:])))
+        if max_length is None or n + 4 <= max_length:
+            for i in range(n + 1):
+                t = top[i]
+                lifted = tuple(x + 2 if x > t else x for x in word)
+                head = word[:i] + (t + 1, t + 2)
+                rows = [(v, row[:t] + (v, tv) + row[t:], l32) for v, tv, l32 in pairs]
+                for j in range(i, n + 1):
+                    middle, tail = head + lifted[i:j], lifted[j:]
+                    m2 = middle + (t + 2, t + 1) + tail
+                    l32_pattern = middle + (t + 1, t + 2) + tail if macros else None
+                    for v, vrow, l32 in rows:
+                        out.append((Move("M2", "+", (i, j), (v,)), (m2, vrow)))
+                        if l32:
+                            out.append((Move("L32", "+", (i, j), (v,)), (l32_pattern, vrow)))
+    return out
+
+
 def enumerate_moves(w: Nanoword, data: HomotopyData,
                     insert_values: tuple[str, ...] | None = None,
                     max_length: int | None = None,
                     use_macros: bool = False,
                     forward_only: bool = False):
-    """All single-move successors of ``w`` as (move, canonical nanoword).
-
-    Forward moves are exhaustive; insertions run over positions x
-    ``insert_values`` and are gated by ``max_length``.
-    """
-    word = w.word
-    n = len(word)
-    tau = data.alphabet.tau
-    out = []
-
-    def emit(move):
-        out.append((move, apply_move(w, move, data, validate=False).canonical()))
-
-    for i in range(n - 1):
-        if word[i] == word[i + 1]:
-            emit(Move("M1", "-", (i,), (w.proj[word[i]],)))
-    for i in range(n - 1):
-        a, b = word[i], word[i + 1]
-        if a == b or w.proj[b] != tau(w.proj[a]):
-            continue
-        for j in range(i + 2, n - 1):
-            if (word[j], word[j + 1]) == (b, a):
-                emit(Move("M2", "-", (i, j), (w.proj[a],)))
-            if use_macros and (word[j], word[j + 1]) == (a, b) and data.second_gate(w.proj[b]):
-                emit(Move("L32", "-", (i, j), (w.proj[a],)))
-
-    kinds = TRIPLE_KINDS if use_macros else ("M3",)
-    for p, q, r in itertools.combinations(range(n - 1), 3):
-        if p + 1 >= q or q + 1 >= r:
-            continue
-        for kind in kinds:
-            for sign in "-+":
-                if _match_triple(w, data, kind, sign, p, q, r) is not None:
-                    emit(Move(kind, sign, (p, q, r)))
-
-    if not forward_only:
-        values = insert_values if insert_values is not None else data.alphabet.letters
-        if max_length is None or n + 2 <= max_length:
-            for i in range(n + 1):
-                for v in values:
-                    emit(Move("M1", "+", (i,), (v,)))
-        if max_length is None or n + 4 <= max_length:
-            for i in range(n + 1):
-                for j in range(i, n + 1):
-                    for v in values:
-                        emit(Move("M2", "+", (i, j), (v,)))
-                        if use_macros and data.second_gate(tau(v)):
-                            emit(Move("L32", "+", (i, j), (v,)))
-    return out
+    """All single-move successors of ``w`` as (move, canonical nanoword)."""
+    return [(move, Nanoword.from_key(w.alphabet, k))
+            for move, k in successor_keys(w.key(), data, insert_values, max_length,
+                                          use_macros, forward_only)]
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +414,7 @@ class Certificate:
 def verify_certificate(cert: Certificate, data: HomotopyData) -> bool:
     cur = cert.start.canonical()
     for move in cert.moves:
-        cur = apply_move(cur, move, data, validate=True).canonical()
+        cur = apply_move(cur, move, data).canonical()
     return cur.isomorphic(cert.end.canonical())
 
 
@@ -351,20 +425,18 @@ def certificate_from_states(states, data: HomotopyData,
     Used to replay worked contraction sequences given as word lists.
     """
     moves = []
-    cur = states[0].canonical()
+    start = states[0].canonical()
+    cur = start.key()
     for target in states[1:]:
-        tkey = target.canonical().key()
-        found = None
-        for move, nxt in enumerate_moves(cur, data, insert_values=insert_values,
-                                         use_macros=use_macros):
-            if nxt.key() == tkey:
-                found = move
-                break
+        tkey = target.key()
+        found = next((move for move, nxt in successor_keys(cur, data, insert_values,
+                                                           use_macros=use_macros)
+                      if nxt == tkey), None)
         if found is None:
             raise PreconditionViolated("consecutive states are not one move apart")
         moves.append(found)
-        cur = apply_move(cur, found, data, validate=True).canonical()
-    return Certificate(states[0].canonical(), cur, tuple(moves))
+        cur = tkey
+    return Certificate(start, Nanoword.from_key(start.alphabet, cur), tuple(moves))
 
 
 # ---------------------------------------------------------------------------
@@ -372,59 +444,52 @@ def certificate_from_states(states, data: HomotopyData,
 
 
 class _Frontier:
-    """Visited set + heap; priority maps (word, depth) to a sortable key."""
+    """Visited set + heap of canonical keys; priority maps (key, depth) to a
+    sortable key."""
 
-    def __init__(self, start: Nanoword, priority):
+    def __init__(self, start, priority):
         self.priority = priority
-        self.parents: dict = {start.key(): (None, None)}
-        self.words: dict = {start.key(): start}
-        self.depths: dict = {start.key(): 0}
-        self.heap = [(priority(start, 0), start.key())]
+        self.parents: dict = {start: (None, None, 0)}  # key -> (parent, move, depth)
+        self.heap = [(priority(start, 0), start)]
 
-    def push(self, w: Nanoword, parent_key, move):
-        k = w.key()
-        if k in self.parents:
+    def push(self, key, parent, move):
+        if key in self.parents:
             return
-        d = self.depths[parent_key] + 1
-        self.parents[k] = (parent_key, move)
-        self.words[k] = w
-        self.depths[k] = d
-        heapq.heappush(self.heap, (self.priority(w, d), k))
+        depth = self.parents[parent][2] + 1
+        self.parents[key] = (parent, move, depth)
+        heapq.heappush(self.heap, (self.priority(key, depth), key))
 
     def pop(self):
-        if not self.heap:
-            return None, None
-        _, k = heapq.heappop(self.heap)
-        return self.words[k], k
+        return heapq.heappop(self.heap)[1] if self.heap else None
 
     def trace(self, key) -> list[Move]:
         moves = []
         while True:
-            parent, move = self.parents[key]
+            parent, move, _ = self.parents[key]
             if parent is None:
                 return list(reversed(moves))
             moves.append(move)
             key = parent
 
 
-def _greedy(w, depth):
-    return (len(w.word), depth, w.key())
+def _greedy(key, depth):
+    return (len(key[0]), depth, key)
 
 
-def _breadth(w, depth):
-    return (depth, len(w.word), w.key())
+def _breadth(key, depth):
+    return (depth, len(key[0]), key)
 
 
 def _contract_pass(start, data, max_length, max_states, insert_values, use_macros):
-    front = _Frontier(start, _greedy)
+    front = _Frontier(start.key(), _greedy)
     while len(front.parents) < max_states:
-        cur, key = front.pop()
-        if cur is None:
+        key = front.pop()
+        if key is None:
             return None
-        for move, nxt in enumerate_moves(cur, data, insert_values=insert_values,
-                                         max_length=max_length, use_macros=use_macros):
-            if not nxt.word:
-                return Certificate(start, nxt, tuple(front.trace(key) + [move]))
+        for move, nxt in successor_keys(key, data, insert_values, max_length, use_macros):
+            if not nxt[0]:
+                return Certificate(start, Nanoword.from_key(start.alphabet, nxt),
+                                   tuple(front.trace(key) + [move]))
             front.push(nxt, key, move)
     return None
 
@@ -469,8 +534,8 @@ def search_homotopic(w1: Nanoword, w2: Nanoword, data: HomotopyData,
     if s1.key() == s2.key():
         return Certificate(s1, s2, ())
 
-    f1 = _Frontier(s1, _breadth)
-    f2 = _Frontier(s2, _breadth)
+    f1 = _Frontier(s1.key(), _breadth)
+    f2 = _Frontier(s2.key(), _breadth)
 
     def build(meet_key):
         fwd = f1.trace(meet_key)
@@ -481,14 +546,13 @@ def search_homotopic(w1: Nanoword, w2: Nanoword, data: HomotopyData,
         side, other = (f1, f2) if len(f1.heap) <= len(f2.heap) else (f2, f1)
         if not side.heap:
             side, other = other, side
-        cur, key = side.pop()
-        if cur is None:
+        key = side.pop()
+        if key is None:
             return None
-        for move, nxt in enumerate_moves(cur, data, insert_values=insert_values,
-                                         max_length=max_length, use_macros=use_macros):
+        for move, nxt in successor_keys(key, data, insert_values, max_length, use_macros):
             side.push(nxt, key, move)
-            if nxt.key() in other.parents:
-                return build(nxt.key())
+            if nxt in other.parents:
+                return build(nxt)
     return None
 
 
@@ -500,16 +564,15 @@ def norm_upper_bound(w: Nanoword, data: HomotopyData, max_states: int,
         raise BudgetInvalid("max_states must be positive")
     if max_length is None:
         max_length = len(w) + 4
-    start = w.canonical()
-    best = len(start.word)
+    start = w.canonical().key()
+    best = len(start[0])
     front = _Frontier(start, _greedy)
     while len(front.parents) < max_states and best > 0:
-        cur, key = front.pop()
-        if cur is None:
+        key = front.pop()
+        if key is None:
             break
-        best = min(best, len(cur.word))
-        for move, nxt in enumerate_moves(cur, data, insert_values=insert_values,
-                                         max_length=max_length, use_macros=use_macros):
-            best = min(best, len(nxt.word))
+        best = min(best, len(key[0]))
+        for move, nxt in successor_keys(key, data, insert_values, max_length, use_macros):
+            best = min(best, len(nxt[0]))
             front.push(nxt, key, move)
     return best // 2

@@ -202,6 +202,13 @@ class Nanoword(EtaleWord):
         return (tuple(names[x] for x in self.word),
                 tuple(self.proj[x] for x in names))
 
+    @classmethod
+    def from_key(cls, alphabet: Alphabet, key) -> "Nanoword":
+        """The canonical nanoword whose ``key()`` is ``key``."""
+        pattern, row = key
+        return cls(alphabet, tuple(str(x) for x in pattern),
+                   {str(i): a for i, a in enumerate(row, start=1)})
+
     def isomorphic(self, other: "Nanoword") -> bool:
         return self.alphabet == other.alphabet and self.key() == other.key()
 

@@ -216,6 +216,10 @@ def test_cli_error_exit(tmp_path, capsys):
     "M2+ @pos=(1,1) insert=(a,b)",
     "M1- @pos=1 junk",    # field without '='
     "M9+ @pos=1",         # unknown kind
+    "M1- @pos=1 foo=bar",             # unknown field
+    "M1- @pos=1 @pos=2",              # repeated field
+    "M2- @pos=(1,3) insert=(zz)",     # a deletion inserts nothing
+    "M3- @pos=(1,3,5) insert=(a)",    # nor does a triple move
 ])
 def test_cli_verify_cert_rejects_malformed_lines(tmp_path, capsys, line):
     path = _write(tmp_path, "w.rec", AABB_ID)
@@ -223,6 +227,22 @@ def test_cli_verify_cert_rejects_malformed_lines(tmp_path, capsys, line):
     assert main(["verify-cert", path, cert]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: line 2: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("lines, bad, message", [
+    (["M1+ @pos=1 insert=(q)"], 2, "insert value 'q' is not an alphabet letter"),
+    (["M1- @pos=1", "M3- @pos=(1,3,5)"], 3, "M3- @pos=(1,3,5): sites overlap or overflow"),
+    (["M1- @pos=2"], 2, "M1- @pos=2: no doubled letter here"),
+])
+def test_cli_verify_cert_reports_moves_that_do_not_apply(tmp_path, capsys, lines, bad,
+                                                         message):
+    path = _write(tmp_path, "w.rec", "alphabet: a b\ninvolution: a<->a b<->b\n"
+                                     "word: 1 1\nproj: 1=a\n")
+    cert = _write(tmp_path, "c.cert", "# header\n" + "\n".join(lines) + "\n")
+    assert main(["verify-cert", path, cert]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: line {bad}: ") and message in err
+    assert "Traceback" not in err and "'+'" not in err
 
 
 @given(st.text())

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -7,10 +8,11 @@ from hypothesis import strategies as st
 from nanowords import (Alphabet, HomotopyData, Move, Nanoword, apply_move,
                        desingularize, enumerate_moves, from_word,
                        nanoword_from_pattern, norm_upper_bound,
-                       search_contractible, search_homotopic, verify_certificate)
-from nanowords.errors import BudgetInvalid, PreconditionViolated
-from nanowords.moves import (Certificate, certificate_from_states, invert_move,
-                             parse_move)
+                       search_contractible, search_homotopic, successor_keys,
+                       verify_certificate)
+from nanowords.errors import BudgetInvalid, PreconditionViolated, UnknownSymbol
+from nanowords.moves import (PAIR_KINDS, TRIPLE_KINDS, Certificate,
+                             certificate_from_states, invert_move, parse_move)
 
 from conftest import (ALPHABETS, golden_sections, nanowords_strategy,
                       random_nanoword)
@@ -102,6 +104,86 @@ def test_custom_move_triples(al_id2):
             if m.kind == "L32"]
 
 
+def _reference_successors(w, data, use_macros):
+    """Every move tried at every site through ``apply_move``, in the order of
+    ``successor_keys``: the brute-force C(n, 3) scan of triple sites, with
+    insertions not gated by length."""
+    word, proj = w.word, w.proj
+    n = len(word)
+    out = []
+
+    def attempt(move):
+        try:
+            out.append((move, apply_move(w, move, data).canonical().key()))
+        except PreconditionViolated:
+            pass
+
+    for i in range(n - 1):
+        attempt(Move("M1", "-", (i,), (proj[word[i]],)))
+    for i in range(n - 1):
+        for j in range(i + 2, n - 1):
+            attempt(Move("M2", "-", (i, j), (proj[word[i]],)))
+            if use_macros:
+                attempt(Move("L32", "-", (i, j), (proj[word[i]],)))
+    for p, q, r in itertools.combinations(range(n - 1), 3):
+        for kind in TRIPLE_KINDS if use_macros else ("M3",):
+            for sign in "-+":
+                attempt(Move(kind, sign, (p, q, r)))
+    for i in range(n + 1):
+        for v in data.alphabet.letters:
+            attempt(Move("M1", "+", (i,), (v,)))
+    for i in range(n + 1):
+        for j in range(i, n + 1):
+            for v in data.alphabet.letters:
+                attempt(Move("M2", "+", (i, j), (v,)))
+                if use_macros:
+                    attempt(Move("L32", "+", (i, j), (v,)))
+    return out
+
+
+# each triple move's left-hand side with empty spacer words
+TRIPLE_PATTERNS = ("ABACBC", "ABCBCA", "ABCABC", "ABBCCA",
+                   "ABCACB", "ABBCAC", "ABACCB", "ABCBAC")
+
+
+def test_successor_keys_match_brute_force():
+    """successor_keys finds triple sites from letter occurrences; the oracle
+    tries every site triple.  Both must give the same ordered list."""
+    rng = random.Random(801)
+    seen = set()
+    for al in ALPHABETS:
+        some = frozenset(t for t in itertools.product(al.letters, repeat=3)
+                         if rng.random() < 0.3)
+        words = [random_nanoword(al, size, rng) for size in range(8)]
+        # over a fixed point, constant projections meet every diagonal condition
+        words += [nanoword_from_pattern(al, pattern, dict.fromkeys("ABC", al.letters[-1]))
+                  for pattern in TRIPLE_PATTERNS]
+        for data, w in itertools.product((HomotopyData(al), HomotopyData(al, some)), words):
+            n = len(w.word)
+            for use_macros in (False, True):
+                ref = _reference_successors(w, data, use_macros)
+                seen.update((m.kind, m.sign) for m, _ in ref)
+                for max_length in (None, n + 2, n + 4):
+                    want = [(m, k) for m, k in ref
+                            if max_length is None or len(k[0]) <= max_length]
+                    got = successor_keys(w.key(), data, None, max_length, use_macros)
+                    assert got == want, (w, data, use_macros, max_length)
+                want = [(m, k) for m, k in ref if not (m.sign == "+" and m.kind in PAIR_KINDS)]
+                assert successor_keys(w.key(), data, None, None, use_macros, True) == want
+    assert seen == {(k, s) for k in PAIR_KINDS + TRIPLE_KINDS for s in "-+"}
+
+
+def test_enumerate_moves_wraps_successor_keys(al_mixed):
+    data = HomotopyData(al_mixed)
+    rng = random.Random(5)
+    for size in range(5):
+        w = random_nanoword(al_mixed, size, rng)
+        moves = enumerate_moves(w, data, max_length=len(w.word) + 4, use_macros=True)
+        keys = successor_keys(w.key(), data, None, len(w.word) + 4, True)
+        assert [(m, v.key()) for m, v in moves] == keys
+        assert all(v == v.canonical() for _, v in moves)
+
+
 def test_inverse_then_forward_is_identity(al_mixed):
     data = HomotopyData(al_mixed)
     rng = random.Random(4)
@@ -138,6 +220,9 @@ def test_apply_move_validates(al_id2):
         apply_move(w, Move("M1", "-", (0,)), data)
     with pytest.raises(PreconditionViolated):
         apply_move(w, Move("M2", "-", (0, 2), ("a",)), data)
+    for move in (Move("M1", "+", (0,), ("q",)), Move("M2", "+", (0, 1), ("q",))):
+        with pytest.raises(UnknownSymbol, match="insert value 'q'"):
+            apply_move(w, move, data)
 
 
 def test_budget_validation(al_id2):
