@@ -354,7 +354,6 @@ def successor_keys(key, data: HomotopyData,
     if not forward_only:
         values = insert_values if insert_values is not None else data.alphabet.letters
         pairs = [(v, tau(v), use_macros and data.second_gate(tau(v))) for v in values]
-        macros = any(l32 for _, _, l32 in pairs)
         # ``word`` is canonical, so the letters before position i are 1..top[i];
         # letters inserted at i take the next names and later letters shift up
         top = list(accumulate(word, max, initial=0))
@@ -375,11 +374,11 @@ def successor_keys(key, data: HomotopyData,
                 for j in range(i, n + 1):
                     middle, tail = head + lifted[i:j], lifted[j:]
                     m2 = middle + (t + 2, t + 1) + tail
-                    l32_pattern = middle + (t + 1, t + 2) + tail if macros else None
                     for v, vrow, l32 in rows:
                         out.append((Move("M2", "+", (i, j), (v,)), (m2, vrow)))
                         if l32:
-                            out.append((Move("L32", "+", (i, j), (v,)), (l32_pattern, vrow)))
+                            out.append((Move("L32", "+", (i, j), (v,)),
+                                        (middle + (t + 1, t + 2) + tail, vrow)))
     return out
 
 
