@@ -15,6 +15,8 @@ from pathlib import Path
 import pytest
 
 from nanowords.cli import main
+from nanowords.fingerprint import compute_fingerprint
+from nanowords.records import parse_record
 
 from conftest import GOLDENS, golden_sections
 
@@ -51,6 +53,14 @@ def test_invariants_reports_are_pinned(tmp_path, capsys):
         path.write_text(HEADERS[alphabet] + body)
         out.append(_run(capsys, ["invariants", str(path)]))
     assert "".join(out) == (GOLDENS / "invariants.txt").read_text()
+
+
+def test_fingerprint_keys_are_pinned():
+    # classify buckets on these keys and the benchmark digest hashes them
+    got = "".join(repr(compute_fingerprint(parse_record(HEADERS[alphabet] + body)
+                                           .nanoword()).key()) + "\n"
+                  for alphabet, body in WORDS)
+    assert got == (GOLDENS / "fingerprint_keys.txt").read_text()
 
 
 def test_classify_table_is_pinned(tmp_path, capsys):
