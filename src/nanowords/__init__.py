@@ -1,8 +1,7 @@
 """Homotopy invariants and certificate search for nanowords over an involuted alphabet."""
 
-from .words import (Alphabet, EtaleWord, Nanoword, canonical_form, desingularize,
-                    empty_nanoword, from_word, inverse, nanoword_from_pattern,
-                    opposite, product)
+from .words import (Alphabet, EtaleWord, Nanoword, desingularize, empty_nanoword,
+                    from_word, inverse, nanoword_from_pattern, opposite, product)
 from .groups import (GroupRingElement, PiElement, PiTildeElement, PiWord,
                      PsiAbElement, PsiElement, SubgroupOfPi, subgroup_contains)
 from .interlacement import (covering, gamma, gamma_prime, gamma_tilde,

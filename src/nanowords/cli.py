@@ -12,7 +12,7 @@ import sys
 
 from .classify import FAMILIES, classify
 from .errors import NanowordError, PreconditionViolated
-from .fingerprint import compute_fingerprint, format_fingerprint
+from .fingerprint import Fingerprint, format_fingerprint
 from .groups import SubgroupOfPi, parse_pi
 from .interlacement import covering, letter_classes
 from .keis import char_sequence, format_charseq
@@ -62,7 +62,7 @@ def _load_nanoword(path: str):
 def cmd_invariants(args, out: _Out) -> int:
     rec, w = _load_nanoword(args.input)
     betas = [_parse_beta(rec.alphabet, b) for b in args.beta] if args.beta else None
-    fp = compute_fingerprint(w, betas=betas)
+    fp = Fingerprint(w, betas=betas)
     lines = [f"input:  {format_nanoword(w)}", f"length: {len(w.word)}"]
     lines += format_fingerprint(fp)
     out.emit({"input": format_nanoword(w), "length": len(w.word),
@@ -94,8 +94,8 @@ def cmd_homotopic(args, out: _Out) -> int:
     rec2, w2 = _load_nanoword(args.input2)
     if rec1.alphabet != rec2.alphabet:
         raise NanowordError("the two records use different alphabets")
-    fp1, fp2 = compute_fingerprint(w1), compute_fingerprint(w2)
-    diff = fp1.first_difference(fp2)
+    # computes fields only up to the first that separates
+    diff = Fingerprint(w1).first_difference(Fingerprint(w2))
     if diff is not None:
         out.emit({"verdict": "NON-HOMOTOPIC", "separated_by": diff},
                  [f"NON-HOMOTOPIC (separated by {diff})"])

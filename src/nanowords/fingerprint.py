@@ -4,18 +4,22 @@ Equal fingerprints are necessary for homotopy; any differing field is a
 certificate of non-homotopy and the report names the weakest field that
 separates, mirroring how the classification proofs assign one invariant to
 each separated pair.
+
+One table, ``_ROWS``, drives everything: each row computes, keys, compares
+and reports one field.  A ``Fingerprint`` computes a field the first time it
+is used, so a comparison stops at the first field that separates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from .interlacement import gamma, gamma_prime, gamma_tilde, mu
 from .keis import char_sequence, format_charseq
 from .lambdainv import lambda_invariant, lambda_split, psi_expand
 from .matrices import ColoringSpec, count_colorings, nabla
 from .pairings import (canonical_pairing_key, compress, linking_pairing,
-                       pairings_isomorphic, rho, rho_ax)
+                       pairings_isomorphic, rho_ax)
 from .selflinking import format_section_line, self_link_function
 from .words import Nanoword
 
@@ -43,132 +47,126 @@ def default_coloring_specs(alphabet) -> list[ColoringSpec]:
     return specs
 
 
-# field names ordered weakest-first; separation reports use the first hit
-FIELD_ORDER = ("gamma", "gamma_prime", "gamma_tilde", "mu", "selflink",
-               "rho", "rho_ax", "pairing", "colorings", "nabla", "lambda",
-               "charseq")
+class _Row(NamedTuple):
+    """One field.  The callables look layer functions up at call time, so a
+    patched module binding (a tracer, a test) is seen."""
+    name: str
+    compute: Callable          # Fingerprint -> value
+    key: Callable              # value -> comparable, hashable key
+    report: Callable           # (value, alphabet) -> report lines
+    equal: Callable | None = None            # where key equality is too coarse
+    applies: Callable = lambda al: True      # alphabet -> bool
 
 
-@dataclass
+def _line(label: str) -> Callable:
+    return lambda value, al: [label + value.format()]
+
+
+def _report_lambda(lam, al) -> list[str]:
+    psi = sorted(psi_expand(lam).items(),
+                 key=lambda t: (t[0][0].sort_key(), t[0][1].sort_key()))
+    return [f"lambda: {lam.format()}",
+            *(f"        lambda_{i}{j} = {part.format()}"
+              for (i, j), part in sorted(lambda_split(lam).items())),
+            "psi:    " + "; ".join(f"({x.format()}) (x) ({y.format()}): {c}"
+                                   for (x, y), c in psi)]
+
+
+# weakest first; separation reports name the first row that differs
+_ROWS = (
+    _Row("gamma", lambda fp: gamma(fp.nanoword), lambda g: g.sort_key(),
+         _line("gamma:  ")),
+    _Row("gamma_prime", lambda fp: gamma_prime(fp.nanoword), lambda g: g.sort_key(),
+         _line("gamma': ")),
+    _Row("gamma_tilde", lambda fp: gamma_tilde(fp.nanoword), lambda g: g.sort_key(),
+         _line("gamma~: ")),
+    _Row("mu", lambda fp: mu(fp.nanoword), lambda m: m.key(),
+         lambda m, al: ["mu:     " + ("; ".join(
+             f"mu({al.orbit_rep(i)},{al.orbit_rep(j)}) = {v}"
+             for (i, j), v in sorted(m.entries.items())) or "0")]),
+    _Row("selflink", lambda fp: self_link_function(fp.nanoword), lambda u: u.key(),
+         lambda u, al: ["        " + format_section_line(u, a) for a in al.orientation]),
+    _Row("rho", lambda fp: len(fp.value("pairing").letters), lambda n: n,
+         lambda n, al: [f"rho:    {n}"]),
+    _Row("rho_ax", lambda fp: rho_ax(fp.value("pairing")),
+         lambda t: tuple(sorted((a, x.sort_key(), c) for (a, x), c in t.items())),
+         lambda t, al: [f"        rho_({a},{x.format()}) = {c}" for (a, x), c in
+                        sorted(t.items(), key=lambda i: (i[0][0], i[0][1].sort_key()))]),
+    _Row("pairing", lambda fp: compress(linking_pairing(fp.nanoword)),
+         lambda p: canonical_pairing_key(p),
+         lambda p, al: ["primitive pairing over s " + " ".join(map(str, p.letters)) + ":",
+                        *("        " + "  ".join(row) for row in p.matrix_rows())],
+         equal=lambda p, q: pairings_isomorphic(p, q)),
+    _Row("colorings", lambda fp: {spec.key(): count_colorings(fp.nanoword, spec)
+                                  for spec in default_coloring_specs(fp.nanoword.alphabet)},
+         lambda c: tuple((k, tuple(map(tuple, v))) for k, v in sorted(c.items())),
+         lambda c, al: [f"colorings mod {k[1]} beta=[{' '.join(k[0])}]: "
+                        + " / ".join(" ".join(map(str, row)) for row in mat)
+                        for k, mat in sorted(c.items())]),
+    _Row("nabla", lambda fp: {(tuple(sorted(beta)), eps): nabla(fp.nanoword, beta, eps)
+                              for beta in fp.betas for eps in "+-"},
+         lambda d: tuple((k, v.key()) for k, v in sorted(d.items())),
+         lambda d, al: [f"nabla{eps}_[{' '.join(beta) or 'empty'}] = {v.format()}"
+                        for (beta, eps), v in sorted(d.items())]),
+    _Row("lambda", lambda fp: lambda_invariant(fp.nanoword), lambda lam: lam.key(),
+         _report_lambda),
+    _Row("charseq", lambda fp: char_sequence(fp.nanoword), lambda cs: cs.key(),
+         lambda cs, al: [f"charseq ({'+'.join(al.orientation)} oriented): "
+                         f"{format_charseq(cs)}"],
+         applies=lambda al: al.is_fixed_point_free),
+)
+_BY_NAME = {row.name: row for row in _ROWS}
+FIELD_ORDER = tuple(_BY_NAME)
+# the report prints lambda before nabla and the colorings
+_REPORT_ORDER = ("gamma", "gamma_prime", "gamma_tilde", "mu", "selflink", "rho",
+                 "rho_ax", "pairing", "lambda", "nabla", "colorings", "charseq")
+
+
 class Fingerprint:
-    nanoword: Nanoword
-    fields: dict
+    """The invariants of a nanoword; each field is computed on first use and
+    cached in ``fields`` as ``name -> (value, key)``."""
+
+    def __init__(self, w: Nanoword, betas=None):
+        self.nanoword = w.canonical()
+        al = self.nanoword.alphabet
+        self.betas = default_betas(al) if betas is None else betas
+        self.names = tuple(row.name for row in _ROWS if row.applies(al))
+        self.fields: dict = {}
+
+    def field(self, name: str) -> tuple:
+        if name not in self.fields:
+            value = _BY_NAME[name].compute(self)
+            self.fields[name] = (value, _BY_NAME[name].key(value))
+        return self.fields[name]
+
+    def value(self, name: str):
+        return self.field(name)[0]
 
     def key(self):
-        out = []
-        for name in FIELD_ORDER:
-            if name not in self.fields:
-                continue
-            out.append((name, self.fields[name][1]))
-        return tuple(out)
+        return tuple((name, self.field(name)[1]) for name in self.names)
 
     def first_difference(self, other: "Fingerprint") -> str | None:
         """Name of the weakest field that separates, or None if all equal."""
-        for name in FIELD_ORDER:
-            if name not in self.fields or name not in other.fields:
+        for row in _ROWS:
+            if row.name not in self.names or row.name not in other.names:
                 continue
-            if name == "pairing":
-                if not pairings_isomorphic(self.fields[name][0], other.fields[name][0]):
-                    return name
-                continue
-            if self.fields[name][1] != other.fields[name][1]:
-                return name
+            (a, ka), (b, kb) = self.field(row.name), other.field(row.name)
+            if not (row.equal(a, b) if row.equal else ka == kb):
+                return row.name
         return None
 
     def __eq__(self, other):
         return isinstance(other, Fingerprint) and self.first_difference(other) is None
 
 
-def compute_fingerprint(w: Nanoword, betas=None, coloring_specs=None,
-                        include_charseq: bool | None = None) -> Fingerprint:
-    w = w.canonical()
-    al = w.alphabet
-    betas = default_betas(al) if betas is None else betas
-    coloring_specs = default_coloring_specs(al) if coloring_specs is None else coloring_specs
-    if include_charseq is None:
-        include_charseq = al.is_fixed_point_free
-
-    fields: dict = {}
-    g = gamma(w)
-    fields["gamma"] = (g, g.sort_key())
-    gp = gamma_prime(w)
-    fields["gamma_prime"] = (gp, gp.sort_key())
-    gt = gamma_tilde(w)
-    fields["gamma_tilde"] = (gt, gt.sort_key())
-    m = mu(w)
-    fields["mu"] = (m, m.key())
-    u = self_link_function(w)
-    fields["selflink"] = (u, u.key())
-
-    prim = compress(linking_pairing(w))
-    fields["pairing"] = (prim, canonical_pairing_key(prim))
-    fields["rho"] = (len(prim.letters), len(prim.letters))
-    table = rho_ax(prim)
-    fields["rho_ax"] = (table, tuple(sorted((a, x.sort_key(), c)
-                                            for (a, x), c in table.items())))
-
-    lam = lambda_invariant(w)
-    fields["lambda"] = (lam, lam.key())
-
-    nabla_vals = {}
-    for beta in betas:
-        for eps in ("+", "-"):
-            nabla_vals[(tuple(sorted(beta)), eps)] = nabla(w, beta, eps)
-    fields["nabla"] = (nabla_vals,
-                       tuple((k, v.key()) for k, v in sorted(nabla_vals.items())))
-
-    col_vals = {}
-    for spec in coloring_specs:
-        col_vals[spec.key()] = count_colorings(w, spec)
-    fields["colorings"] = (col_vals,
-                           tuple((k, tuple(map(tuple, v)))
-                                 for k, v in sorted(col_vals.items())))
-
-    if include_charseq:
-        cs = char_sequence(w)
-        fields["charseq"] = (cs, cs.key())
-    return Fingerprint(w, fields)
+def compute_fingerprint(w: Nanoword, betas=None) -> Fingerprint:
+    """A fingerprint with every field computed (classify buckets on full keys)."""
+    fp = Fingerprint(w, betas)
+    fp.key()
+    return fp
 
 
 def format_fingerprint(fp: Fingerprint) -> list[str]:
-    w = fp.nanoword
-    lines = []
-    lines.append(f"gamma:  {fp.fields['gamma'][0].format()}")
-    lines.append(f"gamma': {fp.fields['gamma_prime'][0].format()}")
-    lines.append(f"gamma~: {fp.fields['gamma_tilde'][0].format()}")
-    m = fp.fields["mu"][0]
-    al = w.alphabet
-    mu_cells = []
-    for (i, j), v in sorted(m.entries.items()):
-        mu_cells.append(f"mu({al.orbit_rep(i)},{al.orbit_rep(j)}) = {v}")
-    lines.append("mu:     " + ("; ".join(mu_cells) if mu_cells else "0"))
-    u = fp.fields["selflink"][0]
-    for a in al.orientation:
-        lines.append("        " + format_section_line(u, a))
-    prim = fp.fields["pairing"][0]
-    lines.append(f"rho:    {fp.fields['rho'][0]}")
-    for (a, x), c in sorted(fp.fields["rho_ax"][0].items(),
-                            key=lambda t: (t[0][0], t[0][1].sort_key())):
-        lines.append(f"        rho_({a},{x.format()}) = {c}")
-    lines.append("primitive pairing over s " + " ".join(str(x) for x in prim.letters) + ":")
-    for row in prim.matrix_rows():
-        lines.append("        " + "  ".join(row))
-    lam = fp.fields["lambda"][0]
-    lines.append(f"lambda: {lam.format()}")
-    for (i, j), part in sorted(lambda_split(lam).items()):
-        lines.append(f"        lambda_{i}{j} = {part.format()}")
-    psi_tab = psi_expand(lam)
-    cells = [f"({x.format()}) (x) ({y.format()}): {c}"
-             for (x, y), c in sorted(psi_tab.items(),
-                                     key=lambda t: (t[0][0].sort_key(), t[0][1].sort_key()))]
-    lines.append("psi:    " + "; ".join(cells))
-    for (beta, eps), val in sorted(fp.fields["nabla"][0].items()):
-        lines.append(f"nabla{eps}_[{' '.join(beta) or 'empty'}] = {val.format()}")
-    for key, mat in sorted(fp.fields["colorings"][0].items()):
-        beta = " ".join(key[0])
-        lines.append(f"colorings mod {key[1]} beta=[{beta}]: " +
-                     " / ".join(" ".join(str(c) for c in row) for row in mat))
-    if "charseq" in fp.fields:
-        lines.append(f"charseq ({'+'.join(al.orientation)} oriented): "
-                     f"{format_charseq(fp.fields['charseq'][0])}")
-    return lines
+    al = fp.nanoword.alphabet
+    return [line for name in _REPORT_ORDER if name in fp.names
+            for line in _BY_NAME[name].report(fp.value(name), al)]

@@ -241,43 +241,32 @@ def _coloring_matrix(w: Nanoword, spec: ColoringSpec):
     return rows
 
 
+def _count_pinned(w: Nanoword, spec: ColoringSpec, solver) -> list[list[int]]:
+    """Counts indexed by (input k, output l): the constraint rows with the pins
+    x_0 = k, x_2n = l appended.  ``solver(rows, m)`` returns a function from a
+    right-hand side to its number of solutions mod m."""
+    m = spec.modulus
+    n2 = len(w.word)
+    if n2 == 0:
+        return [[1 if k == l else 0 for l in range(m)] for k in range(m)]
+    rows = _coloring_matrix(w.canonical(), spec)
+    count = solver(rows + [[1] + [0] * n2, [0] * n2 + [1]], m)
+    zeros = [0] * len(rows)
+    return [[count(zeros + [k, l]) for l in range(m)] for k in range(m)]
+
+
 def count_colorings(w: Nanoword, spec: ColoringSpec) -> list[list[int]]:
     """Matrix of coloring counts indexed by (input k, output l) in (Z/m)^2.
 
     Counting runs through the Smith form of the integer lift with the two
     pins x_0 = k, x_2n = l appended; exact for every modulus.
     """
-    m = spec.modulus
-    n2 = len(w.word)
-    if n2 == 0:
-        return [[1 if k == l else 0 for l in range(m)] for k in range(m)]
-    w = w.canonical()
-    rows = _coloring_matrix(w, spec)
-    pin0 = [0] * (n2 + 1)
-    pin0[0] = 1
-    pin1 = [0] * (n2 + 1)
-    pin1[n2] = 1
-    counter = ModularCounter(rows + [pin0, pin1], m)
-    rhs_base = [0] * len(rows)
-    return [[counter.count(rhs_base + [k, l]) for l in range(m)] for k in range(m)]
+    return _count_pinned(w, spec, lambda full, m: ModularCounter(full, m).count)
 
 
 def count_colorings_prime(w: Nanoword, spec: ColoringSpec) -> list[list[int]]:
     """Gaussian-elimination route, valid for prime modulus; cross-check path."""
-    m = spec.modulus
-    n2 = len(w.word)
-    if n2 == 0:
-        return [[1 if k == l else 0 for l in range(m)] for k in range(m)]
-    w = w.canonical()
-    rows = _coloring_matrix(w, spec)
-    pin0 = [0] * (n2 + 1)
-    pin0[0] = 1
-    pin1 = [0] * (n2 + 1)
-    pin1[n2] = 1
-    full = rows + [pin0, pin1]
-    rhs_base = [0] * len(rows)
-    return [[count_mod_prime(full, rhs_base + [k, l], m) for l in range(m)]
-            for k in range(m)]
+    return _count_pinned(w, spec, lambda full, m: lambda rhs: count_mod_prime(full, rhs, m))
 
 
 def count_colorings_bruteforce(w: Nanoword, spec: ColoringSpec) -> list[list[int]]:

@@ -121,7 +121,7 @@ def is_skew_symmetric_section(u: SelfLinkSection) -> bool:
 
 def norm_lower_bound(w: Nanoword) -> int:
     """max(1 + top monomial degree of u, rho of the primitive pairing)."""
-    from .pairings import linking_pairing, compress, rho
+    from .pairings import linking_pairing, rho
 
     u = self_link_function(w)
     deg_bound = 0
@@ -129,4 +129,4 @@ def norm_lower_bound(w: Nanoword) -> int:
         for g, c in v.terms.items():
             if c:
                 deg_bound = max(deg_bound, 1 + g.degree())
-    return max(deg_bound, rho(compress(linking_pairing(w))))
+    return max(deg_bound, rho(linking_pairing(w)))

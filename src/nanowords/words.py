@@ -248,10 +248,6 @@ def desingularize(w: EtaleWord) -> Nanoword:
     return Nanoword(w.alphabet, out, proj)
 
 
-def canonical_form(w: Nanoword) -> Nanoword:
-    return w.canonical()
-
-
 def _retag(w: EtaleWord, tag: str) -> EtaleWord:
     word = tuple((tag, x) for x in w.word)
     proj = {(tag, x): w.proj[x] for x in w.letters}

@@ -129,6 +129,17 @@ def test_cli_homotopic_non_homotopic(tmp_path, capsys):
     assert "NON-HOMOTOPIC" in capsys.readouterr().out
 
 
+def test_cli_homotopic_stops_at_the_first_separating_field(tmp_path, capsys, monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("a field past gamma was computed")
+    for name in ("nabla", "lambda_invariant", "count_colorings"):
+        monkeypatch.setattr(f"nanowords.fingerprint.{name}", unreachable)
+    p1 = _write(tmp_path, "w1.rec", ABAB_ID)
+    p2 = _write(tmp_path, "w2.rec", AABB_ID)
+    assert main(["homotopic", p1, p2]) == 0
+    assert capsys.readouterr().out == "NON-HOMOTOPIC (separated by gamma)\n"
+
+
 def test_cli_homotopic_certificate(tmp_path, capsys):
     # over tau = swap, aabab and babaa are the exceptional merged pair
     swap1 = "alphabet: a b\ninvolution: a<->b\nplainword: aabab\n"

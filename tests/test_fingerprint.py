@@ -1,7 +1,8 @@
 import random
 
-from nanowords import Alphabet, compute_fingerprint, nanoword_from_pattern
-from nanowords.fingerprint import default_betas, format_fingerprint
+from nanowords import Alphabet, Nanoword, compute_fingerprint, nanoword_from_pattern
+from nanowords.fingerprint import (FIELD_ORDER, Fingerprint, default_betas,
+                                  format_fingerprint)
 
 from conftest import ALPHABETS, random_nanoword
 
@@ -23,6 +24,34 @@ def test_fingerprint_separates_and_names_field(al_id2):
     assert f1 == compute_fingerprint(w)
 
 
+def test_pairing_is_compared_up_to_isomorphism(al_id2, monkeypatch):
+    # past a search cap the pairing key is only a signature multiset; equal
+    # keys must not hide non-isomorphic pairings
+    w = Nanoword(al_id2, "1 2 3 1 3 4 2 4".split(), {"1": "b", "2": "a", "3": "b", "4": "a"})
+    v = Nanoword(al_id2, "1 2 3 4 4 5 1 3 2 5".split(),
+                 {"1": "b", "2": "b", "3": "a", "4": "b", "5": "a"})
+    assert compute_fingerprint(w).first_difference(compute_fingerprint(v)) == "pairing"
+    monkeypatch.setattr("nanowords.fingerprint.canonical_pairing_key", lambda p: ("sig", ()))
+    assert Fingerprint(w).first_difference(Fingerprint(v)) == "pairing"
+
+
+def test_lazy_comparison_matches_the_eager_one():
+    rng = random.Random(11)
+    for al in ALPHABETS:
+        for _ in range(12):
+            w1 = random_nanoword(al, rng.randrange(0, 6), rng)
+            if rng.random() < 0.5:   # same Gauss word, new projections
+                w2 = Nanoword(al, w1.word, {x: rng.choice(al.letters) for x in w1.letters})
+            else:
+                w2 = random_nanoword(al, rng.randrange(0, 6), rng)
+            eager = compute_fingerprint(w1).first_difference(compute_fingerprint(w2))
+            lazy = Fingerprint(w1)
+            assert lazy.first_difference(Fingerprint(w2)) == eager
+            # nothing past the separating field, except the pairing behind rho
+            upto = FIELD_ORDER[:FIELD_ORDER.index(eager) + 1] if eager else FIELD_ORDER
+            assert set(lazy.fields) <= {*upto, "pairing"}
+
+
 def test_fingerprint_key_is_isomorphism_invariant():
     rng = random.Random(8)
     for al in ALPHABETS:
@@ -32,7 +61,6 @@ def test_fingerprint_key_is_isomorphism_invariant():
             shuffled = names[:]
             rng.shuffle(shuffled)
             rename = dict(zip(names, shuffled))
-            from nanowords import Nanoword
             v = Nanoword(al, [rename[x] for x in w.word],
                          {rename[x]: w.proj[x] for x in names})
             assert compute_fingerprint(w).key() == compute_fingerprint(v).key()

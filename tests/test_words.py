@@ -4,9 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nanowords import (Alphabet, EtaleWord, Nanoword, canonical_form,
-                       desingularize, from_word, inverse, nanoword_from_pattern,
-                       opposite, product)
+from nanowords import (Alphabet, EtaleWord, Nanoword, desingularize, from_word,
+                       inverse, nanoword_from_pattern, opposite, product)
 from nanowords.errors import UnknownSymbol
 
 from conftest import nanowords_strategy, random_nanoword
