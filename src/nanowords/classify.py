@@ -257,19 +257,15 @@ def classify(kind: str, alphabet: Alphabet, max_length: int | None = None,
             cross = [it for it in bucket if it.predicted != label]
             merged_foreign = [it.name for it in cross
                               if uf.find(it.name) == root]
-            # a coarse pairing key can land genuinely different fingerprints
-            # in one bucket; exact comparison decides those
-            foreign = [it.name for it in cross
-                       if fps[it.name].first_difference(fps[names[0]]) is None]
             if merged_foreign:
                 status, detail = "DISAGREES", \
                     f"certificate merges with {','.join(merged_foreign)}"
             elif not linked:
                 status, detail = "UNKNOWN", "search budget exhausted"
-            elif foreign:
+            elif cross:
                 # same fingerprint as another predicted class, not merged:
                 # cannot certify separation
-                status, detail = "UNKNOWN", \
-                    f"fingerprint shared with {','.join(sorted(foreign))}"
+                shared = ",".join(sorted(it.name for it in cross))
+                status, detail = "UNKNOWN", f"fingerprint shared with {shared}"
         rows.append(ClassRow(label, names, status, detail))
     return ClassificationResult(kind, rows, unknown_pairs)

@@ -5,9 +5,10 @@ certificate of non-homotopy and the report names the weakest field that
 separates, mirroring how the classification proofs assign one invariant to
 each separated pair.
 
-One table, ``_ROWS``, drives everything: each row computes, keys, compares
-and reports one field.  A ``Fingerprint`` computes a field the first time it
-is used, so a comparison stops at the first field that separates.
+One table, ``_ROWS``, drives everything: each row computes, keys and reports
+one field, and fingerprints compare by the keys alone.  A ``Fingerprint``
+computes a field the first time it is used, so a comparison stops at the
+first field that separates.
 """
 
 from __future__ import annotations
@@ -18,8 +19,7 @@ from .interlacement import gamma, gamma_prime, gamma_tilde, mu
 from .keis import char_sequence, format_charseq
 from .lambdainv import lambda_invariant, lambda_split, psi_expand
 from .matrices import ColoringSpec, count_colorings, nabla
-from .pairings import (canonical_pairing_key, compress, linking_pairing,
-                       pairings_isomorphic, rho_ax)
+from .pairings import _rho_ax_primitive, canonical_pairing_key, compress, linking_pairing
 from .selflinking import format_section_line, self_link_function
 from .words import Nanoword
 
@@ -54,7 +54,6 @@ class _Row(NamedTuple):
     compute: Callable          # Fingerprint -> value
     key: Callable              # value -> comparable, hashable key
     report: Callable           # (value, alphabet) -> report lines
-    equal: Callable | None = None            # where key equality is too coarse
     applies: Callable = lambda al: True      # alphabet -> bool
 
 
@@ -88,15 +87,14 @@ _ROWS = (
          lambda u, al: ["        " + format_section_line(u, a) for a in al.orientation]),
     _Row("rho", lambda fp: len(fp.value("pairing").letters), lambda n: n,
          lambda n, al: [f"rho:    {n}"]),
-    _Row("rho_ax", lambda fp: rho_ax(fp.value("pairing")),
+    _Row("rho_ax", lambda fp: _rho_ax_primitive(fp.value("pairing")),
          lambda t: tuple(sorted((a, x.sort_key(), c) for (a, x), c in t.items())),
          lambda t, al: [f"        rho_({a},{x.format()}) = {c}" for (a, x), c in
                         sorted(t.items(), key=lambda i: (i[0][0], i[0][1].sort_key()))]),
     _Row("pairing", lambda fp: compress(linking_pairing(fp.nanoword)),
          lambda p: canonical_pairing_key(p),
          lambda p, al: ["primitive pairing over s " + " ".join(map(str, p.letters)) + ":",
-                        *("        " + "  ".join(row) for row in p.matrix_rows())],
-         equal=lambda p, q: pairings_isomorphic(p, q)),
+                        *("        " + "  ".join(row) for row in p.matrix_rows())]),
     _Row("colorings", lambda fp: {spec.key(): count_colorings(fp.nanoword, spec)
                                   for spec in default_coloring_specs(fp.nanoword.alphabet)},
          lambda c: tuple((k, tuple(map(tuple, v))) for k, v in sorted(c.items())),
@@ -147,13 +145,8 @@ class Fingerprint:
 
     def first_difference(self, other: "Fingerprint") -> str | None:
         """Name of the weakest field that separates, or None if all equal."""
-        for row in _ROWS:
-            if row.name not in self.names or row.name not in other.names:
-                continue
-            (a, ka), (b, kb) = self.field(row.name), other.field(row.name)
-            if not (row.equal(a, b) if row.equal else ka == kb):
-                return row.name
-        return None
+        return next((name for name in FIELD_ORDER if name in self.names and name in other.names
+                     and self.field(name)[1] != other.field(name)[1]), None)
 
     def __eq__(self, other):
         return isinstance(other, Fingerprint) and self.first_difference(other) is None

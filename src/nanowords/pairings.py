@@ -10,7 +10,7 @@ isomorphism and is the main length-4/6 fingerprint.
 from __future__ import annotations
 
 import itertools
-from math import factorial
+from collections import Counter
 
 from .errors import PreconditionViolated
 from .groups import GroupRingElement, PiElement
@@ -225,33 +225,54 @@ def pairings_isomorphic(p1: AlphaPairing, p2: AlphaPairing) -> bool:
     return extend({}, 0)
 
 
-def canonical_pairing_key(p: AlphaPairing, cap: int = 40320):
-    """Hashable isomorphism invariant of a pairing.
+def canonical_pairing_key(p: AlphaPairing):
+    """Hashable form of a pairing, equal exactly for isomorphic pairings.
 
-    Minimizes the matrix over permutations inside signature classes; when
-    that search space exceeds ``cap`` the signature multiset alone is used
-    (coarser, still invariant -- callers refine with pairings_isomorphic).
+    Individualization-refinement (McKay, "Practical graph isomorphism"):
+    split letter classes by projection and b-values until stable, branch on
+    the first non-singleton class and keep the least leaf, the pairing in
+    leaf order with s first.  A leaf equal to the first leaf is an
+    automorphism, so the rest of its branch off the first path is pruned.
     """
-    sig = {}
-    for a in p.letters:
-        sig.setdefault(_signature(p, a), []).append(a)
-    groups = [sig[k] for k in sorted(sig)]
-    size = 1
-    for g in groups:
-        size *= factorial(len(g))
-    base = tuple(sorted((k, len(v)) for k, v in sig.items()))
-    if size > cap:
-        return ("sig", base)
+    elems = range(len(p.letters) + 1)       # 0 is s
+    keys = [[p.b(x, y).sort_key() for y in p.elements()] for x in p.elements()]
+    proj = [None, *(p.proj[a] for a in p.letters)]
+    first = best = None
 
-    best = None
-    for perm_parts in itertools.product(*(itertools.permutations(g) for g in groups)):
-        order = [AlphaPairing.S] + [a for part in perm_parts for a in part]
-        mat = tuple(tuple(p.b(x, y).sort_key() for y in order) for x in order)
-        row = tuple(p.proj[a] for part in perm_parts for a in part)
-        key = (row, mat)
-        if best is None or key < best:
-            best = key
-    return ("full", best)
+    def refine(cells):
+        while True:
+            where = {x: i for i, cell in enumerate(cells) for x in cell}
+            split: dict = {}
+            for x, i in where.items():
+                sig = (proj[x], tuple(sorted((where.get(y, -1), keys[x][y], keys[y][x])
+                                             for y in elems))) if len(cells[i]) > 1 else ()
+                split.setdefault((i, sig), []).append(x)
+            if len(split) == len(cells):
+                return cells
+            cells = [split[k] for k in sorted(split)]
+
+    def search(cells, on_first: bool) -> bool:
+        """Explore below ``cells``; True asks the caller to prune its branch."""
+        nonlocal first, best
+        cells = refine(cells)
+        i = next((i for i, cell in enumerate(cells) if len(cell) > 1), None)
+        if i is None:
+            order = [0, *(cell[0] for cell in cells)]
+            leaf = (tuple(proj[x] for x in order[1:]),
+                    tuple(tuple(keys[x][y] for y in order) for x in order))
+            if leaf == first:
+                return True
+            first = first or leaf
+            best = min(best or leaf, leaf)
+            return False
+        for k, v in enumerate(cells[i]):
+            child = cells[:i] + [[v], [x for x in cells[i] if x != v]] + cells[i + 1:]
+            if search(child, on_first and k == 0) and not on_first:
+                return True
+        return False
+
+    search([list(elems)[1:]] if p.letters else [], True)
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -264,12 +285,12 @@ def rho(p: AlphaPairing) -> int:
 
 
 def rho_ax(p: AlphaPairing) -> dict[tuple[str, PiElement], int]:
-    out: dict[tuple[str, PiElement], int] = {}
-    c = compress(p)
-    for a in c.letters:
-        key = (c.proj[a], c.b(a, AlphaPairing.S))
-        out[key] = out.get(key, 0) + 1
-    return out
+    return _rho_ax_primitive(compress(p))
+
+
+def _rho_ax_primitive(c: AlphaPairing) -> dict[tuple[str, PiElement], int]:
+    """rho_ax of a pairing that is already primitive."""
+    return dict(Counter((c.proj[a], c.b(a, AlphaPairing.S)) for a in c.letters))
 
 
 def pairing_u(p: AlphaPairing) -> SelfLinkSection:

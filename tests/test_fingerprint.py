@@ -1,6 +1,7 @@
 import random
 
 from nanowords import Alphabet, Nanoword, compute_fingerprint, nanoword_from_pattern
+from nanowords.classify import FAMILIES, Item, classify
 from nanowords.fingerprint import (FIELD_ORDER, Fingerprint, default_betas,
                                   format_fingerprint)
 
@@ -24,15 +25,24 @@ def test_fingerprint_separates_and_names_field(al_id2):
     assert f1 == compute_fingerprint(w)
 
 
-def test_pairing_is_compared_up_to_isomorphism(al_id2, monkeypatch):
-    # past a search cap the pairing key is only a signature multiset; equal
-    # keys must not hide non-isomorphic pairings
+def test_pairing_is_compared_up_to_isomorphism(al_id2):
+    # every field before the pairing agrees; the exact pairing key separates
     w = Nanoword(al_id2, "1 2 3 1 3 4 2 4".split(), {"1": "b", "2": "a", "3": "b", "4": "a"})
     v = Nanoword(al_id2, "1 2 3 4 4 5 1 3 2 5".split(),
                  {"1": "b", "2": "b", "3": "a", "4": "b", "5": "a"})
     assert compute_fingerprint(w).first_difference(compute_fingerprint(v)) == "pairing"
-    monkeypatch.setattr("nanowords.fingerprint.canonical_pairing_key", lambda p: ("sig", ()))
-    assert Fingerprint(w).first_difference(Fingerprint(v)) == "pairing"
+
+
+def test_classify_names_a_fingerprint_shared_across_predicted_classes(al_id2, monkeypatch):
+    # one nanoword under two predicted labels: one bucket, and no certificate
+    # can tell the classes apart, so each is UNKNOWN and names the other
+    w = nanoword_from_pattern(al_id2, "ABAB", {"A": "a", "B": "b"})
+    monkeypatch.setitem(FAMILIES, "pair",
+                        lambda al: [Item("one", w, ("x",)), Item("two", w, ("y",))])
+    rows = classify("pair", al_id2).rows
+    assert {(r.members[0], r.status, r.detail) for r in rows} == {
+        ("one", "UNKNOWN", "fingerprint shared with two"),
+        ("two", "UNKNOWN", "fingerprint shared with one")}
 
 
 def test_lazy_comparison_matches_the_eager_one():

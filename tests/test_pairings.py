@@ -11,8 +11,8 @@ from nanowords import (Alphabet, PiElement, compress, desingularize, from_word,
                        pairings_isomorphic, product, rho, rho_ax,
                        self_link_function, to_pairing)
 from nanowords.errors import PreconditionViolated
-from nanowords.pairings import (AlphaPairing, BASEPOINT, form_move,
-                                trivial_pairing)
+from nanowords.pairings import (AlphaPairing, BASEPOINT, canonical_pairing_key,
+                                form_move, trivial_pairing)
 from nanowords.groups import parse_pi
 from nanowords.moves import HomotopyData, apply_move, Move, enumerate_moves
 
@@ -276,6 +276,94 @@ def test_compress_order_independence():
                 other = compress(p, random.Random(trial + 1))
                 assert pairings_isomorphic(base, other)
 
+
+def _xyxy_power(al, copies):
+    """The primitive pairing of ``copies`` concatenated copies of XYXY[a,b]."""
+    w = nanoword_from_pattern(al, "XYXY", {"X": "a", "Y": "b"})
+    out = w
+    for _ in range(copies - 1):
+        out = product(out, w)
+    return compress(linking_pairing(out))
+
+
+def _relabelled(p, rng):
+    """An isomorphic copy with new letter names in a new order."""
+    letters = list(p.letters)
+    rename = dict(zip(letters, rng.sample([f"R{i}" for i in range(len(letters))],
+                                          len(letters))))
+    rename[BASEPOINT] = BASEPOINT
+    rng.shuffle(letters)
+    return AlphaPairing(p.alphabet, [rename[x] for x in letters],
+                        {rename[x]: p.proj[x] for x in letters},
+                        {(rename[x], rename[y]): p.b(x, y)
+                         for x in p.elements() for y in p.elements()})
+
+
+def test_pairing_key_separates_a_perturbed_symmetric_pairing():
+    # twelve letters in two symmetric signature classes: a signature multiset
+    # cannot tell this pairing from a copy with one entry changed
+    al = ALPHABETS[2]
+    p = _xyxy_power(al, 6)
+    x, y = p.letters[0], p.letters[-1]
+    g = PiElement.generator(al, "a")
+    q = AlphaPairing(al, p.letters, p.proj, {**p._b, (x, y): g, (y, x): g.inverse()})
+    assert len(p.letters) == 12
+    assert not pairings_isomorphic(p, q)
+    assert canonical_pairing_key(p) != canonical_pairing_key(q)
+
+
+def test_pairing_key_is_equal_exactly_for_isomorphic_pairings():
+    rng = random.Random(41)
+    for al in ALPHABETS:
+        pairings = [compress(linking_pairing(random_nanoword(al, rng.randrange(0, 7), rng)))
+                    for _ in range(150)]
+        pairings += [make_random_pairing(al, rng) for _ in range(40)]
+        keys = [canonical_pairing_key(p) for p in pairings]
+        iso = 0
+        for (p, kp), (q, kq) in itertools.combinations(zip(pairings, keys), 2):
+            if len(p.letters) == len(q.letters):
+                same = pairings_isomorphic(p, q)
+                iso += same
+                assert (kp == kq) == same, (p, q)
+        assert 0 < iso
+        for p, key in zip(pairings, keys):
+            assert canonical_pairing_key(_relabelled(p, rng)) == key
+
+
+def test_pairing_key_of_a_symmetric_product():
+    # 20 letters in two classes of 10: the search must prune on automorphisms
+    p = _xyxy_power(ALPHABETS[2], 10)
+    assert len(p.letters) == 20
+    assert canonical_pairing_key(_relabelled(p, random.Random(2))) == canonical_pairing_key(p)
+
+
+
+def _frucht_pairings(al, g, copies):
+    """Disjoint copies of the Frucht graph: every letter has the same
+    projection and edges carry g = g^-1, so refinement alone splits nothing
+    and a single copy has no automorphism."""
+    lcf = [-5, -2, -4, 2, 5, -2, 2, 5, -2, -5, 4, 2]
+    letters, b = [], {}
+    for c in range(copies):
+        names = [f"F{c}_{i}" for i in range(12)]
+        letters += names
+        for i in range(12):
+            for j in (i + 1, i + lcf[i]):
+                x, y = names[i], names[j % 12]
+                b[(x, y)] = b[(y, x)] = g
+    return AlphaPairing(al, letters, {x: al.letters[-1] for x in letters}, b)
+
+
+def test_pairing_key_when_refinement_stalls(al_mixed):
+    # leaves differ, so the key needs the whole pruned tree; two copies add
+    # the swap automorphism, so pruning must stop at the first path
+    g = PiElement.generator(al_mixed, "c")
+    rng = random.Random(5)
+    for copies in (1, 2):
+        p = _frucht_pairings(al_mixed, g, copies)
+        key = canonical_pairing_key(p)
+        for _ in range(6):
+            assert canonical_pairing_key(_relabelled(p, rng)) == key
 
 def test_form_moves():
     al = Alphabet(["a", "b"])
