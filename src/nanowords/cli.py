@@ -67,6 +67,9 @@ def cmd_invariants(args, out: _Out) -> int:
     lines += format_fingerprint(fp)
     out.emit({"input": format_nanoword(w), "length": len(w.word),
               "report": format_fingerprint(fp)}, lines)
+    if args.stats:
+        for name in fp.names:
+            print(f"time {name}: {fp.timings[name]:.6f} s", file=sys.stderr)
     return 0
 
 
@@ -239,6 +242,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("--beta", action="append",
                    help="tau-invariant subset (letters, comma separated); repeatable")
+    p.add_argument("--stats", action="store_true",
+                   help="print the seconds each field took to stderr")
     p.set_defaults(fn=cmd_invariants)
 
     p = sub.add_parser("contract", help="search for a contracting certificate")

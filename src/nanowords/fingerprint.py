@@ -13,6 +13,7 @@ first field that separates.
 
 from __future__ import annotations
 
+from time import perf_counter
 from typing import Callable, NamedTuple
 
 from .interlacement import gamma, gamma_prime, gamma_tilde, mu
@@ -122,7 +123,8 @@ _REPORT_ORDER = ("gamma", "gamma_prime", "gamma_tilde", "mu", "selflink", "rho",
 
 class Fingerprint:
     """The invariants of a nanoword; each field is computed on first use and
-    cached in ``fields`` as ``name -> (value, key)``."""
+    cached in ``fields`` as ``name -> (value, key)``.  ``timings[name]`` holds
+    the seconds that field took, fields it read excluded."""
 
     def __init__(self, w: Nanoword, betas=None):
         self.nanoword = w.canonical()
@@ -130,11 +132,19 @@ class Fingerprint:
         self.betas = default_betas(al) if betas is None else betas
         self.names = tuple(row.name for row in _ROWS if row.applies(al))
         self.fields: dict = {}
+        self.timings: dict = {}
+        self._nested = 0.0     # seconds spent in fields computed inside the current one
 
     def field(self, name: str) -> tuple:
         if name not in self.fields:
-            value = _BY_NAME[name].compute(self)
-            self.fields[name] = (value, _BY_NAME[name].key(value))
+            row = _BY_NAME[name]
+            outer, self._nested = self._nested, 0.0
+            start = perf_counter()
+            value = row.compute(self)
+            self.fields[name] = (value, row.key(value))
+            spent = perf_counter() - start
+            self.timings[name] = spent - self._nested
+            self._nested = outer + spent
         return self.fields[name]
 
     def value(self, name: str):

@@ -4,7 +4,8 @@ Everything works on plain lists of Python ints; matrix sizes here stay far
 below the point where asymptotics matter, and exactness is non-negotiable.
 The Smith form keeps the left transform U (with D = U A V) because solution
 counting needs to push right-hand sides through it; library normal forms
-that discard the transforms are useless for that.
+that discard the transforms are useless for that.  Counting mod m computes
+the form over Z/m, since over Z the coefficients of U blow up.
 """
 
 from __future__ import annotations
@@ -18,27 +19,39 @@ def _identity(n: int) -> Matrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def smith_normal_form(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:
+def smith_normal_form(a: Matrix, modulus: int | None = None) -> tuple[Matrix, Matrix, Matrix]:
     """Return (d, u, v) with d = u a v, u and v unimodular, d diagonal.
+
+    With ``modulus`` m every entry of d, u and v is kept reduced mod m and the
+    identity holds mod m.  Z/m is a principal ideal ring and the operations
+    stay invertible mod m; the pivot is the least nonzero residue and each
+    Euclid step leaves a smaller remainder, so the loop still ends, and no
+    coefficient grows past m.  Without it the form is exact over Z.
 
     No divisibility chain is enforced on the diagonal; counting and solving
     below only need diagonality.
     """
     rows = len(a)
     cols = len(a[0]) if rows else 0
-    d = [row[:] for row in a]
+    if modulus is None:
+        def red(x):
+            return x
+    else:
+        def red(x):
+            return x % modulus
+    d = [[red(x) for x in row] for row in a]
     u = _identity(rows)
     v = _identity(cols)
 
     def row_op(i, j, q):  # row i -= q * row j
-        d[i] = [x - q * y for x, y in zip(d[i], d[j])]
-        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
+        d[i] = [red(x - q * y) for x, y in zip(d[i], d[j])]
+        u[i] = [red(x - q * y) for x, y in zip(u[i], u[j])]
 
     def col_op(i, j, q):  # col i -= q * col j
         for r in range(rows):
-            d[r][i] -= q * d[r][j]
+            d[r][i] = red(d[r][i] - q * d[r][j])
         for r in range(cols):
-            v[r][i] -= q * v[r][j]
+            v[r][i] = red(v[r][i] - q * v[r][j])
 
     def swap_rows(i, j):
         d[i], d[j] = d[j], d[i]
@@ -110,8 +123,8 @@ def solve_integer(a: Matrix, b: list[int]) -> bool:
 class ModularCounter:
     """Counts solutions of a x = b (mod m) for many right-hand sides b.
 
-    The Smith form of the integer lift of ``a`` is computed once; each count
-    is then a product over the diagonal of gcd contributions.
+    The Smith form of ``a`` over Z/m is computed once; each count is then a
+    product over the diagonal of gcd contributions.
     """
 
     def __init__(self, a: Matrix, m: int):
@@ -121,7 +134,7 @@ class ModularCounter:
         self.rows = len(a)
         self.cols = len(a[0]) if self.rows else 0
         if self.rows:
-            self.d, self.u, _ = smith_normal_form(a)
+            self.d, self.u, _ = smith_normal_form(a, m)
         else:
             self.d, self.u = [], []
 

@@ -114,8 +114,9 @@ def _abelian_matrix(m: WeightedMatrix, drop_col: int):
 def _det(alphabet, entries: dict, size: int) -> GroupRingElement:
     """Cofactor expansion row by row, memoized on the remaining column set.
 
-    Rows here have at most three nonzero entries, which keeps the branching
-    narrow; the memo collapses shared minors.
+    The memo collapses shared minors, but the cost still grows exponentially
+    with the size, so ``nabla`` calls it only on the few rows ``_eliminate``
+    leaves without a unit; tests expand whole matrices with it as the oracle.
     """
     by_row: list[list[tuple[int, GroupRingElement]]] = [[] for _ in range(size)]
     for (i, j), v in entries.items():
@@ -148,6 +149,72 @@ def _det(alphabet, entries: dict, size: int) -> GroupRingElement:
     return det
 
 
+def _eliminate(alphabet, entries: dict, size: int) -> GroupRingElement:
+    """Determinant by pivoting on unit monomials, least Markowitz fill first.
+
+    A pivot u = +-g at position (i, j) of the remaining block contributes
+    (-1)^(i+j) u; the Schur complement subtracts M[r][j] u^-1 M[i][c] with
+    u^-1 = +-g^-1, so nothing is ever divided.  A row left empty gives 0; the
+    block left when no entry is a unit goes to the cofactor expansion.
+    """
+    rows: list[dict] = [{} for _ in range(size)]
+    cols: list[set] = [set() for _ in range(size)]
+    for (i, j), v in entries.items():
+        rows[i][j] = v
+        cols[j].add(i)
+    live_rows, live_cols = set(range(size)), set(range(size))
+    scale, sign = PsiAbElement.identity(alphabet), 1
+    while live_rows:
+        best = None
+        for i in live_rows:
+            row = rows[i]
+            if not row:
+                return GroupRingElement.zero(alphabet)
+            for j, v in row.items():
+                if len(v.terms) == 1:
+                    (g, c), = v.terms.items()
+                    if c in (1, -1):
+                        fill = (len(row) - 1) * (len(cols[j]) - 1)
+                        if best is None or fill < best[0]:
+                            best = (fill, i, j, g, c)
+            if best is not None and best[0] == 0:
+                break
+        if best is None:
+            break
+        _, i, j, g, c = best
+        position = sum(1 for r in live_rows if r < i) + sum(1 for k in live_cols if k < j)
+        scale = scale * g
+        sign *= -c if position % 2 else c
+        minus_inverse = GroupRingElement.of(g.inverse(), -c)
+        pivot_row = rows[i]
+        del pivot_row[j]
+        cols[j].discard(i)
+        for r in cols[j]:
+            target = rows[r]
+            factor = target.pop(j) * minus_inverse
+            for k, v in pivot_row.items():
+                new = factor * v
+                if k in target:
+                    new = target[k] + new
+                if new.is_zero():  # Z[Psi^ab] has zero divisors, e.g. (1 - a a.)(1 + a a.)
+                    target.pop(k, None)
+                    cols[k].discard(r)
+                else:
+                    target[k] = new
+                    cols[k].add(r)
+        for k in pivot_row:
+            cols[k].discard(i)
+        live_rows.discard(i)
+        live_cols.discard(j)
+    det = GroupRingElement.of(scale, sign)
+    if live_rows:
+        row_at = {r: n for n, r in enumerate(sorted(live_rows))}
+        col_at = {k: n for n, k in enumerate(sorted(live_cols))}
+        block = {(row_at[r], col_at[k]): v for r in live_rows for k, v in rows[r].items()}
+        det = det * _det(alphabet, block, len(row_at))
+    return det
+
+
 def nabla(w: Nanoword, beta, epsilon: str) -> GroupRingElement:
     """Sign-normalized determinant invariant over the commutative quotient.
 
@@ -162,7 +229,7 @@ def nabla(w: Nanoword, beta, epsilon: str) -> GroupRingElement:
     m = weighted_matrix(w, beta)
     drop = m.cols - 1 if epsilon == "+" else 0
     entries, size = _abelian_matrix(m, drop)
-    det = _det(w.alphabet, entries, size)
+    det = _eliminate(w.alphabet, entries, size)
     r = m.weights[0] if epsilon == "-" else m.weights[1]
     raw = r * det
     s = raw.aug()
@@ -258,8 +325,8 @@ def _count_pinned(w: Nanoword, spec: ColoringSpec, solver) -> list[list[int]]:
 def count_colorings(w: Nanoword, spec: ColoringSpec) -> list[list[int]]:
     """Matrix of coloring counts indexed by (input k, output l) in (Z/m)^2.
 
-    Counting runs through the Smith form of the integer lift with the two
-    pins x_0 = k, x_2n = l appended; exact for every modulus.
+    Counting runs through the Smith form over Z/m of the constraint rows with
+    the two pins x_0 = k, x_2n = l appended; exact for every modulus.
     """
     return _count_pinned(w, spec, lambda full, m: ModularCounter(full, m).count)
 

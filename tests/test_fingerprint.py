@@ -3,7 +3,7 @@ import random
 from nanowords import Alphabet, Nanoword, compute_fingerprint, nanoword_from_pattern
 from nanowords.classify import FAMILIES, Item, classify
 from nanowords.fingerprint import (FIELD_ORDER, Fingerprint, default_betas,
-                                  format_fingerprint)
+                                  default_coloring_specs, format_fingerprint)
 
 from conftest import ALPHABETS, random_nanoword
 
@@ -82,3 +82,94 @@ def test_fingerprint_report_renders(al_free2):
     text = "\n".join(lines)
     assert "gamma:  z_a z_b z_a^-1 z_b^-1" in text
     assert "lambda:" in text and "charseq" in text
+
+
+def test_timings_count_each_field_once(al_mixed, monkeypatch):
+    """rho reads the pairing field; the pairing's time is not counted in rho's."""
+    import time
+
+    import nanowords.fingerprint as fpmod
+    compress = fpmod.compress
+
+    def slow_compress(p):
+        time.sleep(0.05)
+        return compress(p)
+
+    monkeypatch.setattr(fpmod, "compress", slow_compress)
+    fp = Fingerprint(random_nanoword(al_mixed, 4, random.Random(3)))
+    fp.value("rho")
+    assert set(fp.timings) == set(fp.fields) == {"rho", "pairing"}
+    assert fp.timings["pairing"] >= 0.05 > fp.timings["rho"] >= 0
+    fp.key()
+    assert set(fp.timings) == set(fp.names)
+
+
+def test_fingerprint_invariance_on_longer_words():
+    """c11 draws 1-4 letters; this walks 5-10-letter words along random moves."""
+    from nanowords.moves import HomotopyData, enumerate_moves
+    rng = random.Random(113)
+    for k in range(60):
+        al = ALPHABETS[2 + k % 2]
+        w = random_nanoword(al, rng.randrange(5, 11), rng)
+        data = HomotopyData(al)
+        base = compute_fingerprint(w)
+        cur = w
+        for _ in range(3):
+            options = enumerate_moves(cur, data, max_length=len(w.word) + 2, use_macros=True)
+            _, cur = options[rng.randrange(len(options))]
+            diff = base.first_difference(compute_fingerprint(cur))
+            assert diff is None, f"field {diff} changed along a move from {w}"
+
+
+# 16-24 letters over {a, A, b, B} and {a, A, c}: two words on which the
+# integer Smith form never finished, and two long random words
+LONG_WORDS = (
+    (2, "1 2 3 4 5 6 7 8 9 2 10 11 3 12 11 7 13 14 15 10 6 1 14 12 8 9 16 4 13 5 15 16",
+     "A a b a a A b B A A b a b B B B"),
+    (3, "1 2 2 3 4 5 6 7 8 9 10 11 12 3 12 13 5 4 1 9 14 15 11 16 17 8 7 16 18 13 6 10 "
+        "15 17 19 18 19 14", "a c c c A c c A A A c A A c c c a A a"),
+    (2, "1 2 3 4 5 6 7 8 9 10 11 11 5 12 13 13 14 9 15 16 17 17 2 18 19 20 4 21 21 3 10 "
+        "12 19 7 1 6 14 8 18 15 22 16 22 20", "a a a b B A A A b b a B A B A b a a a A A a"),
+    (2, "1 2 3 4 5 6 7 8 9 10 3 11 12 9 13 14 15 13 16 5 8 14 11 17 6 18 19 2 17 20 16 20 "
+        "21 12 22 23 22 19 24 21 10 1 4 23 18 7 24 15",
+     "A A B B B b a b A a A b b A B A b b B b b B A B"),
+)
+
+
+def _long_word(index):
+    al_index, word, proj = LONG_WORDS[index]
+    return Nanoword(ALPHABETS[al_index], word.split(),
+                    {str(k): a for k, a in enumerate(proj.split(), 1)})
+
+
+def test_long_word_contract():
+    """Full fingerprints of 16-24-letter words finish; nabla_alpha obeys the
+    c07 identities and the Z/m coloring counts equal the prime-field route."""
+    from nanowords import GroupRingElement, PsiAbElement
+    from nanowords.lambdainv import q_ab
+    from nanowords.matrices import count_colorings_prime
+    for index in range(len(LONG_WORDS)):
+        w = _long_word(index)
+        al = w.alphabet
+        assert 16 <= len(w.letters) <= 24
+        fp = compute_fingerprint(w)
+        nablas = fp.value("nabla")
+        alpha = tuple(sorted(al.letters))
+        assert nablas[(alpha, "-")] == GroupRingElement.of(PsiAbElement.identity(al))
+        assert nablas[(alpha, "+")] == q_ab(fp.value("lambda"))
+        for spec in default_coloring_specs(al):
+            assert fp.value("colorings")[spec.key()] == count_colorings_prime(w, spec)
+
+
+def test_nabla_is_multiplicative_on_a_long_product():
+    from nanowords import nabla, product
+    al = ALPHABETS[2]
+    w1 = Nanoword(al, "1 2 3 4 2 5 6 7 7 8 9 1 3 10 11 5 12 9 10 12 11 4 6 8".split(),
+                  dict(zip(map(str, range(1, 13)), "B b A a a a A A B a B b".split())))
+    w2 = Nanoword(al, "1 2 2 3 4 5 6 7 8 5 6 9 9 4 10 10 1 3 7 8".split(),
+                  dict(zip(map(str, range(1, 11)), "A b A B A A A b A B".split())))
+    w = product(w1, w2)
+    assert len(w.letters) == 22
+    for beta in default_betas(al):
+        for eps in "+-":
+            assert nabla(w, beta, eps) == nabla(w1, beta, eps) * nabla(w2, beta, eps)

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from nanowords.cli import main
-from nanowords.fingerprint import compute_fingerprint
+from nanowords.fingerprint import Fingerprint, compute_fingerprint
 from nanowords.records import parse_record
 
 from conftest import GOLDENS, golden_sections
@@ -52,6 +52,21 @@ def test_invariants_reports_are_pinned(tmp_path, capsys):
         path = tmp_path / f"w{k}.rec"
         path.write_text(HEADERS[alphabet] + body)
         out.append(_run(capsys, ["invariants", str(path)]))
+    assert "".join(out) == (GOLDENS / "invariants.txt").read_text()
+
+
+def test_invariants_stats_go_to_stderr(tmp_path, capsys):
+    out = []
+    for k, (alphabet, body) in enumerate(WORDS):
+        path = tmp_path / f"w{k}.rec"
+        path.write_text(HEADERS[alphabet] + body)
+        assert main(["invariants", str(path), "--stats"]) == 0
+        captured = capsys.readouterr()
+        out.append(captured.out)
+        names = Fingerprint(parse_record(path.read_text()).nanoword()).names
+        lines = captured.err.splitlines()
+        assert [line.split(":")[0] for line in lines] == [f"time {name}" for name in names]
+        assert all(float(line.split()[-2]) >= 0 and line.endswith(" s") for line in lines)
     assert "".join(out) == (GOLDENS / "invariants.txt").read_text()
 
 

@@ -9,8 +9,10 @@ from nanowords import (Alphabet, ColoringSpec, GroupRingElement, count_colorings
                        nabla, opposite, product, weighted_matrix)
 from nanowords.errors import EmptyNanoword, InvalidSpec
 from nanowords.lambdainv import bar, lambda_invariant, q_ab
-from nanowords.matrices import count_colorings_prime
+from nanowords.fingerprint import default_betas
+from nanowords.matrices import _abelian_matrix, _det, _eliminate, count_colorings_prime
 from nanowords.groups import PsiAbElement, PsiElement
+from nanowords.intlinalg import ModularCounter, smith_normal_form
 from nanowords.words import Nanoword
 
 from conftest import ALPHABETS, nanowords_strategy, random_nanoword
@@ -97,9 +99,8 @@ def test_nabla_bar_and_opposite(w):
 
 
 def test_det_row_order_independence():
-    """Expanding with the rows permuted changes the raw determinant only by
-    the permutation sign; the normalized invariant is unchanged."""
-    from nanowords.matrices import WeightedMatrix, _abelian_matrix, _det
+    """Permuting the rows changes the raw determinant only by the permutation
+    sign, for the cofactor expansion and for the elimination alike."""
     rng = random.Random(19)
     for al in ALPHABETS[:2]:
         for _ in range(10):
@@ -107,6 +108,7 @@ def test_det_row_order_independence():
             m = weighted_matrix(w, set(al.letters))
             entries, size = _abelian_matrix(m, 0)
             base = _det(al, entries, size)
+            assert _eliminate(al, entries, size) == base
             perm = list(range(size))
             rng.shuffle(perm)
             sign = 1
@@ -122,6 +124,83 @@ def test_det_row_order_independence():
                 sign *= (-1) ** (cycle - 1)
             shuffled = {(perm[i], j): v for (i, j), v in entries.items()}
             assert _det(al, shuffled, size) == base * sign
+            assert _eliminate(al, shuffled, size) == base * sign
+
+
+def test_elimination_equals_cofactor_expansion():
+    """The production determinant equals the cofactor expansion term for term
+    at every default beta and both dropped columns."""
+    rng = random.Random(23)
+    count = 0
+    for al in ALPHABETS:
+        for n in range(1, 9):
+            for _ in range(4):
+                w = random_nanoword(al, n, rng)
+                for beta in default_betas(al):
+                    m = weighted_matrix(w, beta)
+                    for drop in (0, m.cols - 1):
+                        entries, size = _abelian_matrix(m, drop)
+                        assert _eliminate(al, entries, size) == _det(al, entries, size)
+                        count += 1
+    assert count > 800
+
+
+def _ab_ring(al, *terms):
+    """Sum of c * a^e a.^f over the one orbit of ``al``, from (c, e, f) triples."""
+    return sum((GroupRingElement.of(PsiAbElement(al, [(e, f)]), c) for c, e, f in terms),
+               GroupRingElement.zero(al))
+
+
+def test_elimination_hands_a_block_without_units_to_the_expansion(al_free1, monkeypatch):
+    import nanowords.matrices as mat
+    al = al_free1
+    calls = []
+
+    def spy(alphabet, entries, size):
+        calls.append(size)
+        return _det(alphabet, entries, size)
+
+    monkeypatch.setattr(mat, "_det", spy)
+    # no entry is +-g: 2, 1 + a, 1 - a., 3 a a.
+    entries = {(0, 0): _ab_ring(al, (2, 0, 0)), (0, 1): _ab_ring(al, (1, 0, 0), (1, 1, 0)),
+               (1, 0): _ab_ring(al, (1, 0, 0), (-1, 0, 1)), (1, 1): _ab_ring(al, (3, 1, 1))}
+    assert mat._eliminate(al, entries, 2) == _det(al, entries, 2)
+    assert calls == [2]
+    # one unit pivot at an odd position, whose Schur complement turns
+    # 1 - a. into 2, then a 2 x 2 block with no unit left
+    entries3 = {(2 if i == 0 else i - 1, j + 1): v for (i, j), v in entries.items()}
+    entries3[(0, 0)] = _ab_ring(al, (1, 1, 0))
+    entries3[(1, 0)] = _ab_ring(al, (-1, 1, 0))
+    entries3[(1, 1)] = _ab_ring(al, (1, 0, 0), (1, 0, 1))
+    calls.clear()
+    assert mat._eliminate(al, entries3, 3) == _det(al, entries3, 3)
+    assert calls == [2]
+
+
+def test_elimination_of_a_zero_row_is_zero(al_free1):
+    al = al_free1
+    unit = _ab_ring(al, (1, 1, 0))
+    entries = {(0, 0): unit, (0, 1): _ab_ring(al, (2, 0, 0)),
+               (2, 1): unit, (2, 2): _ab_ring(al, (1, 0, 0), (1, 0, 1))}
+    assert _det(al, entries, 3).is_zero()
+    assert _eliminate(al, entries, 3).is_zero()
+    # a row that elimination empties: rows 0 and 1 are equal
+    twin = {(0, 0): unit, (0, 1): _ab_ring(al, (2, 0, 0)),
+            (1, 0): unit, (1, 1): _ab_ring(al, (2, 0, 0)), (2, 2): unit}
+    assert _eliminate(al, twin, 3).is_zero()
+
+
+def test_elimination_over_zero_divisors(al_id2):
+    """At a fixed point a a. squares to 1, so (1 - a a.)(1 + a a.) = 0: the
+    Schur complement can vanish at a position that held no entry."""
+    al = al_id2
+    one, x = PsiAbElement.identity(al), PsiAbElement(al, [(1, 1), (0, 0)])
+    plus = GroupRingElement.of(one) + GroupRingElement.of(x)
+    minus = GroupRingElement.of(one) - GroupRingElement.of(x)
+    assert (plus * minus).is_zero()
+    entries = {(0, 0): GroupRingElement.of(one), (0, 1): plus, (1, 0): minus}
+    assert _det(al, entries, 2).is_zero()
+    assert _eliminate(al, entries, 2).is_zero()
 
 
 def test_nabla_empty_is_one(al_id2):
@@ -227,3 +306,38 @@ def test_count_matrix_shapes():
             diag = all(counts[k][l] == (c if k == l else 0)
                        for k in range(3) for l in range(3))
             assert flat or diag
+
+
+def test_smith_form_mod_m_counts_like_brute_force():
+    """Over Z/m the form stays reduced, d = u a v holds mod m, and the
+    counts equal enumeration, composite moduli included."""
+    rng = random.Random(29)
+    for _ in range(60):
+        rows, cols, m = rng.randrange(1, 4), rng.randrange(1, 4), rng.randrange(2, 13)
+        a = [[rng.randrange(-6, 7) for _ in range(cols)] for _ in range(rows)]
+        d, u, v = smith_normal_form(a, m)
+        assert all(0 <= x < m for mat in (d, u, v) for row in mat for x in row)
+        uav = [[sum(u[i][k] * a[k][l] * v[l][j] for k in range(rows) for l in range(cols)) % m
+                for j in range(cols)] for i in range(rows)]
+        assert uav == d
+        assert all(d[i][j] == 0 for i in range(rows) for j in range(cols) if i != j)
+        counter = ModularCounter(a, m)
+        xs = [[t // m ** c % m for c in range(cols)] for t in range(m ** cols)]
+        for _ in range(3):
+            b = [rng.randrange(m) for _ in range(rows)]
+            brute = sum(1 for x in xs if all(
+                (sum(r[c] * x[c] for c in range(cols)) - b[i]) % m == 0 for i, r in enumerate(a)))
+            assert counter.count(b) == brute
+
+
+def test_colorings_of_a_long_word_are_counted_mod_m():
+    """A 19-letter word whose integer Smith form never finished (its left
+    transform's coefficients blew up); over Z/3 it takes milliseconds."""
+    al = ALPHABETS[3]
+    word = "1 2 2 3 4 5 6 7 8 9 10 11 12 3 12 13 5 4 1 9 14 15 11 16 17 8 7 16 18 13 6 10 " \
+           "15 17 19 18 19 14"
+    proj = dict(zip(map(str, range(1, 20)), "a c c c A c c A A A c A A c c c a A a".split()))
+    w = Nanoword(al, word.split(), proj)
+    for orbit in al.orbits:
+        spec = ColoringSpec.tricoloring(al, frozenset(orbit))
+        assert count_colorings(w, spec) == count_colorings_prime(w, spec)
