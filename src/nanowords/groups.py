@@ -22,7 +22,7 @@ from __future__ import annotations
 from operator import add
 from typing import Iterable, Mapping
 
-from .errors import AlphabetMismatch
+from .errors import AlphabetMismatch, UnknownSymbol
 from .intlinalg import solve_integer
 from .words import Alphabet
 
@@ -158,19 +158,27 @@ class PiElement(_Element):
 
 
 def parse_pi(alphabet: Alphabet, text: str) -> PiElement:
-    """Parse ``a^2 b`` or condensed ``ab`` (single-char letters) into pi."""
+    """Parse ``a^2 b`` or condensed ``ab`` (single-char letters) into pi.
+
+    Raises ``UnknownSymbol`` naming the first letter outside the alphabet.
+    """
+    def generator(name):
+        if name not in alphabet:
+            raise UnknownSymbol(f"{name!r} is not an alphabet letter")
+        return PiElement.generator(alphabet, name)
+
     out = PiElement.identity(alphabet)
     for token in text.replace(",", " ").split():
         if token == "1":
             continue
         if "^" in token:
             name, _, exp = token.partition("^")
-            out = out * (PiElement.generator(alphabet, name) ** int(exp))
+            out = out * (generator(name) ** int(exp))
         elif token in alphabet:
-            out = out * PiElement.generator(alphabet, token)
+            out = out * generator(token)
         else:
             for ch in token:
-                out = out * PiElement.generator(alphabet, ch)
+                out = out * generator(ch)
     return out
 
 
@@ -459,12 +467,7 @@ class GroupRingElement:
 
     def __init__(self, alphabet: Alphabet, terms: Mapping | None = None):
         self.alphabet = alphabet
-        self.terms = {}
-        if terms:
-            for g, c in terms.items():
-                if c:
-                    self.terms[g] = self.terms.get(g, 0) + c
-            self.terms = {g: c for g, c in self.terms.items() if c}
+        self.terms = {g: c for g, c in terms.items() if c} if terms else {}
 
     @classmethod
     def zero(cls, alphabet: Alphabet) -> "GroupRingElement":

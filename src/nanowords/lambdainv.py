@@ -199,5 +199,5 @@ def w_star(w: Nanoword) -> PsiElement:
 
 
 def q_ab(x: GroupRingElement) -> GroupRingElement:
-    """Projection to the commutative quotient (shared with nabla)."""
+    """Projection to the commutative quotient."""
     return x.map_terms(psi_abelianize)

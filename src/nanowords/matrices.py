@@ -1,11 +1,13 @@
 """Weighted matrices over the ring on a, a., their determinants, colorings.
 
-Every non-empty nanoword yields a 2n x (2n+1) matrix over the group ring of
-Psi, with two rows per letter relating consecutive unknowns x_0 ... x_2n;
-beta-membership of the letter value decides which occurrence acts first.
-From it come the sign-normalized determinant invariants nabla^+/- (over the
-commutative quotient) and, specializing the ring action to Z/m through unit
-functions p, p., exact counts of colorings with prescribed input and output.
+Every non-empty nanoword yields 2n relations on the unknowns x_0 ... x_2n,
+two per letter; beta-membership of the letter value decides which occurrence
+acts first.  The rows are written once, over any ring that holds images of
+a and a.: over the group ring of Psi they form the weighted matrix, over the
+commutative quotient Psi^ab they give the sign-normalized determinant
+invariants nabla^+/- directly, and their specialization a -> p(a),
+a. -> p.(a) in Z/m gives exact counts of colorings with prescribed input and
+output.
 """
 
 from __future__ import annotations
@@ -13,29 +15,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import EmptyNanoword, InvalidSpec
-from .groups import (GroupRingElement, PsiAbElement, PsiElement, psi_abelianize)
+from .groups import GroupRingElement, PsiAbElement, PsiElement
 from .intlinalg import ModularCounter, count_mod_prime
 from .words import Alphabet, Nanoword
 
 
-def _ring_of(alphabet, *terms) -> GroupRingElement:
-    out = GroupRingElement.zero(alphabet)
-    for g, c in terms:
-        out = out + GroupRingElement.of(g, c)
-    return out
-
-
 class WeightedMatrix:
-    """Matrix over the Psi group ring with an ordered pair of weights."""
+    """Matrix over the Psi group ring with its weight r^w."""
 
     def __init__(self, alphabet: Alphabet, rows: int, cols: int,
                  entries: dict[tuple[int, int], GroupRingElement],
-                 weights: tuple[GroupRingElement, GroupRingElement]):
+                 weight: GroupRingElement):
         self.alphabet = alphabet
         self.rows = rows
         self.cols = cols
         self.entries = {k: v for k, v in entries.items() if not v.is_zero()}
-        self.weights = weights
+        self.weight = weight
 
     def entry(self, i: int, j: int) -> GroupRingElement:
         return self.entries.get((i, j), GroupRingElement.zero(self.alphabet))
@@ -46,69 +41,75 @@ def is_tau_invariant(alphabet: Alphabet, beta) -> bool:
     return all(alphabet.tau(a) in beta for a in beta)
 
 
-def weighted_matrix(w: Nanoword, beta) -> WeightedMatrix:
-    """The letter-relation matrix with both weights r^w.
+def _relation_rows(w: Nanoword, beta, units, one) -> list[dict]:
+    """The 2n letter relations on x_0 .. x_2n as rows ``{column: entry}``.
 
-    Letters are numbered in canonical first-occurrence order; the matrix
+    ``units(a)`` gives the images of a and a. in the target ring and ``one``
+    is its unit.  Entries keep the order they are written in; adjacent
+    occurrences make two of them share a column, where they add up.
+    """
+    if not is_tau_invariant(w.alphabet, beta):
+        raise InvalidSpec("beta must be tau-invariant")
+    minus_one = -one
+    rows = []
+    for x in w.letters:
+        i, j = w.occurrences(x)
+        a = w.proj[x]
+        g, gb = units(a)
+        mixed = one - g * gb
+        if a in beta:
+            first = ((i - 1, g), (i, minus_one))
+            second = ((i - 1, mixed), (j - 1, gb), (j, minus_one))
+        else:
+            first = ((j - 1, g), (j, minus_one))
+            second = ((i - 1, gb), (i, minus_one), (j - 1, mixed))
+        for written in (first, second):
+            row: dict = {}
+            for col, v in written:
+                row[col] = row[col] + v if col in row else v
+            rows.append(row)
+    return rows
+
+
+def _weight(w: Nanoword, beta) -> GroupRingElement:
+    """r^w over Psi^ab: a factor -(a a.)^-1 for each letter valued outside beta."""
+    al = w.alphabet
+    unit, sign = PsiAbElement.identity(al), 1
+    for x in w.letters:
+        a = w.proj[x]
+        if a not in beta:
+            unit = unit * PsiAbElement.generator(al, a) * PsiAbElement.generator(al, a, bullet=True)
+            sign = -sign
+    return GroupRingElement.of(unit.inverse(), sign)
+
+
+def weighted_matrix(w: Nanoword, beta) -> WeightedMatrix:
+    """The letter-relation matrix over the Psi group ring, with its weight.
+
+    Letter k (in first-occurrence order) owns rows 2k and 2k + 1; the matrix
     equivalence class does not depend on the numbering.
     """
     if not w.word:
         raise EmptyNanoword("the weighted matrix needs a non-empty nanoword")
-    beta = set(beta)
-    if not is_tau_invariant(w.alphabet, beta):
-        raise InvalidSpec("beta must be tau-invariant")
-    w = w.canonical()
     al = w.alphabet
-    letters = w.letters
-    n = len(letters)
-    entries: dict[tuple[int, int], GroupRingElement] = {}
-
-    def put(i, j, val):
-        # adjacent occurrences make two prescribed entries share a column
-        cur = entries.get((i, j))
-        entries[(i, j)] = val if cur is None else cur + val
-
-    one = PsiElement.identity(al)
-    for k, x in enumerate(letters):
-        i_a, j_a = w.occurrences(x)
-        a = w.proj[x]
-        g = PsiElement.generator(al, a)
-        gb = PsiElement.generator(al, a, bullet=True)
-        mixed = _ring_of(al, (one, 1), (g * gb, -1))  # 1 - a a.
-        r1, r2 = 2 * k, 2 * k + 1
-        if a in beta:
-            put(r1, i_a - 1, GroupRingElement.of(g))
-            put(r1, i_a, GroupRingElement.of(one, -1))
-            put(r2, i_a - 1, mixed)
-            put(r2, j_a - 1, GroupRingElement.of(gb))
-            put(r2, j_a, GroupRingElement.of(one, -1))
-        else:
-            put(r1, j_a - 1, GroupRingElement.of(g))
-            put(r1, j_a, GroupRingElement.of(one, -1))
-            put(r2, i_a - 1, GroupRingElement.of(gb))
-            put(r2, i_a, GroupRingElement.of(one, -1))
-            put(r2, j_a - 1, mixed)
-
-    weight = GroupRingElement.of(PsiAbElement.identity(al))
-    for a in al.letters:
-        if a in beta:
-            continue
-        count = sum(1 for x in letters if w.proj[x] == a)
-        if count:
-            unit = PsiAbElement.generator(al, a) * PsiAbElement.generator(al, a, bullet=True)
-            weight = weight * GroupRingElement.of(unit ** (-count), (-1) ** count)
-    return WeightedMatrix(al, 2 * n, 2 * n + 1, entries, (weight, weight))
+    rows = _relation_rows(
+        w, beta, lambda a: (GroupRingElement.of(PsiElement.generator(al, a)),
+                            GroupRingElement.of(PsiElement.generator(al, a, bullet=True))),
+        GroupRingElement.of(PsiElement.identity(al)))
+    entries = {(i, j): v for i, row in enumerate(rows) for j, v in row.items()}
+    return WeightedMatrix(al, len(rows), len(rows) + 1, entries, _weight(w, beta))
 
 
-def _abelian_matrix(m: WeightedMatrix, drop_col: int):
-    """Entries pushed to the commutative quotient, one column removed."""
-    cols = [j for j in range(m.cols) if j != drop_col]
-    out = {}
-    for (i, j), v in m.entries.items():
-        if j == drop_col:
-            continue
-        out[(i, cols.index(j))] = v.map_terms(psi_abelianize)
-    return out, m.rows
+def _abelian_entries(w: Nanoword, beta, epsilon: str) -> dict:
+    """The relation rows over Psi^ab, without the last column ("+") or the
+    first ("-"): the square matrix whose determinant nabla normalizes."""
+    al = w.alphabet
+    rows = _relation_rows(
+        w, beta, lambda a: (GroupRingElement.of(PsiAbElement.generator(al, a)),
+                            GroupRingElement.of(PsiAbElement.generator(al, a, bullet=True))),
+        GroupRingElement.of(PsiAbElement.identity(al)))
+    drop, shift = (len(rows), 0) if epsilon == "+" else (0, 1)
+    return {(i, j - shift): v for i, row in enumerate(rows) for j, v in row.items() if j != drop}
 
 
 def _det(alphabet, entries: dict, size: int) -> GroupRingElement:
@@ -226,12 +227,8 @@ def nabla(w: Nanoword, beta, epsilon: str) -> GroupRingElement:
         raise ValueError("epsilon is '+' or '-'")
     if not w.word:
         return GroupRingElement.of(PsiAbElement.identity(w.alphabet))
-    m = weighted_matrix(w, beta)
-    drop = m.cols - 1 if epsilon == "+" else 0
-    entries, size = _abelian_matrix(m, drop)
-    det = _eliminate(w.alphabet, entries, size)
-    r = m.weights[0] if epsilon == "-" else m.weights[1]
-    raw = r * det
+    det = _eliminate(w.alphabet, _abelian_entries(w, beta, epsilon), len(w.word))
+    raw = _weight(w, beta) * det
     s = raw.aug()
     assert s in (1, -1), "augmentation of nabla must be a sign"
     return raw * s
@@ -282,29 +279,15 @@ class ColoringSpec:
 
 
 def _coloring_matrix(w: Nanoword, spec: ColoringSpec):
-    """Integer rows of the homogeneous constraint system on x_0 .. x_2n."""
-    n2 = len(w.word)
+    """Integer rows of the homogeneous constraint system on x_0 .. x_2n: the
+    relation rows at a -> p(a), a. -> p.(a)."""
     p, pb = dict(spec.p), dict(spec.p_bullet)
     rows = []
-    for x in w.letters:
-        i_a, j_a = w.occurrences(x)
-        a = w.proj[x]
-        mixed = 1 - p[a] * pb[a]
-        r1 = [0] * (n2 + 1)
-        r2 = [0] * (n2 + 1)
-        if a in spec.beta:
-            r1[i_a - 1] += p[a]
-            r1[i_a] -= 1
-            r2[j_a - 1] += pb[a]
-            r2[i_a - 1] += mixed
-            r2[j_a] -= 1
-        else:
-            r1[i_a - 1] += pb[a]
-            r1[j_a - 1] += mixed
-            r1[i_a] -= 1
-            r2[j_a - 1] += p[a]
-            r2[j_a] -= 1
-        rows.extend([r1, r2])
+    for row in _relation_rows(w, spec.beta, lambda a: (p[a], pb[a]), 1):
+        dense = [0] * (len(w.word) + 1)
+        for j, v in row.items():
+            dense[j] = v
+        rows.append(dense)
     return rows
 
 
@@ -316,7 +299,7 @@ def _count_pinned(w: Nanoword, spec: ColoringSpec, solver) -> list[list[int]]:
     n2 = len(w.word)
     if n2 == 0:
         return [[1 if k == l else 0 for l in range(m)] for k in range(m)]
-    rows = _coloring_matrix(w.canonical(), spec)
+    rows = _coloring_matrix(w, spec)
     count = solver(rows + [[1] + [0] * n2, [0] * n2 + [1]], m)
     zeros = [0] * len(rows)
     return [[count(zeros + [k, l]) for l in range(m)] for k in range(m)]
@@ -345,7 +328,6 @@ def count_colorings_bruteforce(w: Nanoword, spec: ColoringSpec) -> list[list[int
         for k in range(m):
             out[k][k] = 1
         return out
-    w = w.canonical()
     rows = _coloring_matrix(w, spec)
     total = m ** (n2 + 1)
     if total > 10 ** 6:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from .errors import BudgetInvalid, ParseError, PreconditionViolated, UnknownSymbol
-from .words import Alphabet, Nanoword
+from .words import Alphabet, Nanoword, _key_of
 
 # ---------------------------------------------------------------------------
 # Homotopy data and moves
@@ -285,13 +285,6 @@ def invert_move(move: Move) -> Move:
         return Move(k, "+", (i, j - 2), vals)
     i, j = pos
     return Move(k, "-", (i, j + 2), vals)
-
-
-def _key_of(seq, proj):
-    """Canonical key of ``seq``: rename its letters 1, 2, ... by first occurrence."""
-    order = dict.fromkeys(seq)
-    names = dict(zip(order, range(1, len(order) + 1)))
-    return tuple(map(names.__getitem__, seq)), tuple(map(proj.__getitem__, order))
 
 
 def successor_keys(key, data: HomotopyData,

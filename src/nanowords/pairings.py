@@ -13,8 +13,8 @@ import itertools
 from collections import Counter
 
 from .errors import PreconditionViolated
-from .groups import GroupRingElement, PiElement
-from .selflinking import SelfLinkSection
+from .groups import PiElement
+from .selflinking import SelfLinkSection, section_of
 from .words import Alphabet, Letter, Nanoword
 from .interlacement import interlacement
 
@@ -295,19 +295,7 @@ def _rho_ax_primitive(c: AlphaPairing) -> dict[tuple[str, PiElement], int]:
 
 def pairing_u(p: AlphaPairing) -> SelfLinkSection:
     """The self-linking section read off b(., s); equals u^w for p = p^w."""
-    al = p.alphabet
-    sums = {a: GroupRingElement.zero(al) for a in al.letters}
-    for x in p.letters:
-        v = p.b(x, AlphaPairing.S)
-        if not v.is_identity():
-            sums[p.proj[x]] = sums[p.proj[x]] + GroupRingElement.of(v)
-    values = {}
-    for a in al.orientation:
-        if al.is_fixed(a):
-            values[a] = sums[a].reduce_mod(2)
-        else:
-            values[a] = sums[a] - sums[al.tau(a)]
-    return SelfLinkSection(al, values)
+    return section_of(p.alphabet, ((p.proj[x], p.b(x, AlphaPairing.S)) for x in p.letters))
 
 
 # ---------------------------------------------------------------------------

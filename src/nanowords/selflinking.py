@@ -68,20 +68,21 @@ def self_link_class(w: Nanoword, a: str) -> GroupRingElement:
     return out
 
 
-def self_link_function(w: Nanoword) -> SelfLinkSection:
-    classes = letter_classes(w)
-    sums: dict[str, GroupRingElement] = {a: GroupRingElement.zero(w.alphabet)
-                                         for a in w.alphabet.letters}
-    for x, cls in classes.items():
+def section_of(alphabet, classes) -> SelfLinkSection:
+    """The section from ``(letter value, class)`` pairs: the nontrivial classes
+    summed per value, mod 2 at fixed points and [a] - [tau a] on free orbits."""
+    sums: dict[str, GroupRingElement] = {a: GroupRingElement.zero(alphabet)
+                                         for a in alphabet.letters}
+    for a, cls in classes:
         if not cls.is_identity():
-            sums[w.proj[x]] = sums[w.proj[x]] + GroupRingElement.of(cls)
-    values = {}
-    for a in w.alphabet.orientation:
-        if w.alphabet.is_fixed(a):
-            values[a] = sums[a].reduce_mod(2)
-        else:
-            values[a] = sums[a] - sums[w.alphabet.tau(a)]
-    return SelfLinkSection(w.alphabet, values)
+            sums[a] = sums[a] + GroupRingElement.of(cls)
+    return SelfLinkSection(alphabet, {
+        a: sums[a].reduce_mod(2) if alphabet.is_fixed(a) else sums[a] - sums[alphabet.tau(a)]
+        for a in alphabet.orientation})
+
+
+def self_link_function(w: Nanoword) -> SelfLinkSection:
+    return section_of(w.alphabet, ((w.proj[x], cls) for x, cls in letter_classes(w).items()))
 
 
 # ---------------------------------------------------------------------------

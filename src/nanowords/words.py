@@ -185,22 +185,11 @@ class Nanoword(EtaleWord):
 
         Two nanowords are isomorphic iff their canonical forms are equal.
         """
-        names: dict[Letter, str] = {}
-        for x in self.word:
-            if x not in names:
-                names[x] = str(len(names) + 1)
-        word = tuple(names[x] for x in self.word)
-        proj = {names[x]: self.proj[x] for x in names}
-        return Nanoword(self.alphabet, word, proj)
+        return Nanoword.from_key(self.alphabet, self.key())
 
     def key(self):
         """Hashable canonical key: occurrence pattern plus projection row."""
-        names: dict[Letter, int] = {}
-        for x in self.word:
-            if x not in names:
-                names[x] = len(names) + 1
-        return (tuple(names[x] for x in self.word),
-                tuple(self.proj[x] for x in names))
+        return _key_of(self.word, self.proj)
 
     @classmethod
     def from_key(cls, alphabet: Alphabet, key) -> "Nanoword":
@@ -211,6 +200,13 @@ class Nanoword(EtaleWord):
 
     def isomorphic(self, other: "Nanoword") -> bool:
         return self.alphabet == other.alphabet and self.key() == other.key()
+
+
+def _key_of(seq, proj):
+    """Canonical key of ``seq``: rename its letters 1, 2, ... by first occurrence."""
+    order = dict.fromkeys(seq)
+    names = dict(zip(order, range(1, len(order) + 1)))
+    return tuple(map(names.__getitem__, seq)), tuple(map(proj.__getitem__, order))
 
 
 def from_word(word: Sequence[str] | str, alphabet: Alphabet) -> EtaleWord:

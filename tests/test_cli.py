@@ -174,6 +174,14 @@ def test_cli_covering(tmp_path, capsys):
     assert "covering: 1 2 3 1 3 2" in out
 
 
+@pytest.mark.parametrize("subgroup, letter", [("zz", "'z'"), ("q^2", "'q'")])
+def test_cli_covering_rejects_unknown_subgroup_letters(tmp_path, capsys, subgroup, letter):
+    path = _write(tmp_path, "w.rec", COVER)
+    assert main(["covering", path, "--subgroup", subgroup]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {letter} is not an alphabet letter\n"
+
+
 def test_cli_colorings(tmp_path, capsys):
     path = _write(tmp_path, "w.rec", ABAB_ID)
     assert main(["colorings", path, "--beta", "a", "--tricolor"]) == 0

@@ -10,8 +10,8 @@ from nanowords import (Alphabet, ColoringSpec, GroupRingElement, count_colorings
 from nanowords.errors import EmptyNanoword, InvalidSpec
 from nanowords.lambdainv import bar, lambda_invariant, q_ab
 from nanowords.fingerprint import default_betas
-from nanowords.matrices import _abelian_matrix, _det, _eliminate, count_colorings_prime
-from nanowords.groups import PsiAbElement, PsiElement
+from nanowords.matrices import _abelian_entries, _det, _eliminate, count_colorings_prime
+from nanowords.groups import PsiAbElement, PsiElement, psi_abelianize
 from nanowords.intlinalg import ModularCounter, smith_normal_form
 from nanowords.words import Nanoword
 
@@ -26,7 +26,7 @@ def test_weighted_matrix_shape_and_weights(al_id2):
     w = nanoword_from_pattern(al_id2, "ABAB", {"A": "a", "B": "b"})
     m = weighted_matrix(w, {"a", "b"})
     assert (m.rows, m.cols) == (4, 5)
-    assert m.weights[0] == _one_ab(al_id2)
+    assert m.weight == _one_ab(al_id2)
     for i in range(m.rows):
         assert sum(1 for j in range(m.cols) if not m.entry(i, j).is_zero()) <= 3
     # the displayed relations: x1 = a x0, x3 = a. x2 + (1 - a a.) x0, ...
@@ -47,7 +47,7 @@ def test_weighted_matrix_beta_complement_weight(al_free1):
     unit = PsiAbElement.generator(al_free1, "a") * \
         PsiAbElement.generator(al_free1, "a", bullet=True)
     expected = GroupRingElement.of(unit.inverse() * unit.inverse())
-    assert m.weights == (expected, expected)
+    assert m.weight == expected
 
 
 def test_weighted_matrix_rejects_empty(al_id2):
@@ -105,8 +105,7 @@ def test_det_row_order_independence():
     for al in ALPHABETS[:2]:
         for _ in range(10):
             w = random_nanoword(al, rng.randrange(1, 4), rng)
-            m = weighted_matrix(w, set(al.letters))
-            entries, size = _abelian_matrix(m, 0)
+            entries, size = _abelian_entries(w, set(al.letters), "-"), len(w.word)
             base = _det(al, entries, size)
             assert _eliminate(al, entries, size) == base
             perm = list(range(size))
@@ -137,12 +136,29 @@ def test_elimination_equals_cofactor_expansion():
             for _ in range(4):
                 w = random_nanoword(al, n, rng)
                 for beta in default_betas(al):
-                    m = weighted_matrix(w, beta)
-                    for drop in (0, m.cols - 1):
-                        entries, size = _abelian_matrix(m, drop)
+                    for eps in "+-":
+                        entries, size = _abelian_entries(w, beta, eps), len(w.word)
                         assert _eliminate(al, entries, size) == _det(al, entries, size)
                         count += 1
     assert count > 800
+
+
+def test_abelian_entries_are_the_weighted_matrix_abelianized():
+    """The rows built over Psi^ab equal the Psi rows pushed through the
+    quotient with the column dropped, entry for entry and in the same order,
+    so the elimination sees the same pivots."""
+    rng = random.Random(23)
+    for al in ALPHABETS:
+        for n in range(1, 9):
+            for _ in range(4):
+                w = random_nanoword(al, n, rng)
+                for beta in default_betas(al):
+                    m = weighted_matrix(w, beta)
+                    for eps, drop in (("+", m.cols - 1), ("-", 0)):
+                        shift = 1 if drop == 0 else 0
+                        expected = [((i, j - shift), v.map_terms(psi_abelianize))
+                                    for (i, j), v in m.entries.items() if j != drop]
+                        assert list(_abelian_entries(w, beta, eps).items()) == expected
 
 
 def _ab_ring(al, *terms):
