@@ -3,7 +3,7 @@
 from .words import (Alphabet, EtaleWord, Nanoword, desingularize, empty_nanoword,
                     from_word, inverse, nanoword_from_pattern, opposite, product)
 from .groups import (GroupRingElement, PiElement, PiTildeElement, PiWord,
-                     PsiAbElement, PsiElement, SubgroupOfPi, subgroup_contains)
+                     PsiAbElement, PsiElement, SubgroupOfPi)
 from .interlacement import (covering, gamma, gamma_prime, gamma_tilde,
                             interlacement, letter_class, letter_classes, mu)
 from .selflinking import (is_skew_symmetric_section, norm_lower_bound,

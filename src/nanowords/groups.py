@@ -4,17 +4,20 @@ Five groups appear:
 
 * ``pi``      -- abelian, generators {a} with a tau(a) = 1; so Z^k x (Z/2)^l.
 * ``Pi``      -- free product: generators z_a with z_a z_tau(a) = 1.
-* ``Pi'``     -- quotient of Pi by z_a^2 = 1 (one involution per orbit).
+* ``Pi'``     -- quotient of Pi by z_a^2 = 1: Pi over ``Alphabet.involutions``.
 * ``Pi~``     -- central extension of Pi in which c_a = z_a z_tau(a) is
                  central instead of trivial.
 * ``Psi``     -- generators a, a. with a a. = a. a and a tau(a) = a. tau(a). = 1;
                  a free product of one abelian block (Z^2 or (Z/2)^2) per orbit.
 
-Each element stores its normal form in ``nf``; equal normal forms over one
-alphabet are equal elements.  Group-ring elements over any of them are
-finite integer-coefficient maps.  Everything is stored on the orientation
-basis: a generator outside alpha0 enters as exponent -1 (respectively bit 1)
-of its orbit representative.
+All but Pi~ come in two families with ``width`` generators per orbit: 1 for
+pi and Pi, 2 (a, then a.) for Psi and its abelianization Psi^ab.  The normal
+form ``nf`` of an ``_Abelian`` element is a flat exponent vector, that of a
+``_Free`` element a tuple of reduced syllables ``(orbit, *exponents)``, and
+exponents at fixed orbits are taken mod 2.  Equal normal forms over one
+alphabet are equal elements.  Everything is stored on the orientation basis:
+a generator outside alpha0 enters as exponent -1 of its orbit representative.
+Group-ring elements over any of these groups are finite integer combinations.
 """
 
 from __future__ import annotations
@@ -28,25 +31,20 @@ from .words import Alphabet
 
 
 def _check_same(x, y):
-    if x.alphabet != y.alphabet:
-        raise AlphabetMismatch("operands live over different alphabets")
+    if type(x) is not type(y) or x.alphabet != y.alphabet:
+        raise AlphabetMismatch("operands live in different groups")
 
 
-def _sign(alphabet: Alphabet, a: str) -> int:
-    """Exponent of the generator ``a`` on its orbit representative.
-
-    A fixed letter is its own representative, so it gets +1.
-    """
-    return 1 if alphabet.rep(a) == a else -1
+def _generator_block(width: int, alphabet: Alphabet, a: str, bullet: bool):
+    """Orbit of ``a`` and the exponents of ``a`` (``a.`` when ``bullet``) on
+    it: -1 outside alpha0, so +1 at a fixed letter, its own representative."""
+    exps = [0] * width
+    exps[bullet] = 1 if alphabet.rep(a) == a else -1
+    return alphabet.orbit_index(a), exps
 
 
 def _power(name: str, e: int) -> str:
     return name if e == 1 else f"{name}^{e}"
-
-
-def _psi_letters(r: str, e: int, eb: int) -> list[str]:
-    """Printed factors r^e r.^eb of one orbit block of Psi."""
-    return ([_power(r, e)] if e else []) + ([_power(f"{r}.", eb)] if eb else [])
 
 
 def _reduce(syllables, torsion) -> tuple:
@@ -71,23 +69,31 @@ class _Element:
     """Group element given by its normal form ``nf`` over ``alphabet``.
 
     Subclasses set ``nf`` and supply ``identity``, ``__mul__``, ``inverse``
-    and ``format``.
+    and either ``_blocks`` or their own ``format``.
     """
 
     __slots__ = ("alphabet", "nf")
+    prefix = ""  # printed before every generator name
 
     def is_identity(self) -> bool:
         return self.nf == self.identity(self.alphabet).nf
 
     def __pow__(self, n: int):
         base = self if n >= 0 else self.inverse()
-        out = self * self.inverse()  # the identity of self's own group (Pi or Pi')
+        out = self.identity(self.alphabet)
         for _ in range(abs(n)):
             out = out * base
         return out
 
     def sort_key(self):
         return self.nf
+
+    def format(self, sep: str = " ") -> str:
+        """Product of generator powers, e.g. ``a^2 a.^-1 b.``; ``1`` if empty."""
+        al = self.alphabet
+        return sep.join(_power(f"{self.prefix}{al.orbit_rep(o)}{'.' * k}", e)
+                        for o, exps in self._blocks()
+                        for k, e in enumerate(exps) if e) or "1"
 
     def __eq__(self, other):
         return (type(other) is type(self) and self.nf == other.nf
@@ -101,10 +107,53 @@ class _Element:
 
 
 # ---------------------------------------------------------------------------
-# pi: the abelian quotient
+# pi and Psi^ab: exponent vectors
 
 
-class PiElement(_Element):
+class _Abelian(_Element):
+    """Commutative element: ``width`` exponents per orbit in one flat vector,
+    which raises ``AlphabetMismatch`` unless it has that length."""
+
+    __slots__ = ()
+    width = 1
+
+    def __init__(self, alphabet: Alphabet, exps: Iterable[int]):
+        self.alphabet = alphabet
+        nf, w, n = list(exps), self.width, len(alphabet.orbits)
+        if len(nf) != w * n:
+            raise AlphabetMismatch(f"{self._name} takes {w} x {n} exponents, not {len(nf)}")
+        for i in alphabet.fixed_orbit_indices:
+            nf[w * i:w * i + w] = [e % 2 for e in nf[w * i:w * i + w]]
+        self.nf = tuple(nf)
+
+    @classmethod
+    def identity(cls, alphabet: Alphabet):
+        return cls(alphabet, [0] * (cls.width * len(alphabet.orbits)))
+
+    @classmethod
+    def generator(cls, alphabet: Alphabet, a: str, bullet: bool = False):
+        w = cls.width
+        i, block = _generator_block(w, alphabet, a, bullet)
+        exps = [0] * (w * len(alphabet.orbits))
+        exps[w * i:w * i + w] = block
+        return cls(alphabet, exps)
+
+    def __mul__(self, other):
+        _check_same(self, other)
+        return type(self)(self.alphabet, map(add, self.nf, other.nf))
+
+    def inverse(self):
+        return type(self)(self.alphabet, [-e for e in self.nf])
+
+    def __pow__(self, n: int):
+        return type(self)(self.alphabet, [n * e for e in self.nf])
+
+    def _blocks(self):
+        w = self.width
+        return ((i, self.nf[w * i:w * i + w]) for i in range(len(self.alphabet.orbits)))
+
+
+class PiElement(_Abelian):
     """Element of pi on the orientation basis: one exponent per orbit.
 
     Free orbits carry a Z exponent, fixed points a Z/2 bit.
@@ -113,48 +162,9 @@ class PiElement(_Element):
     __slots__ = ()
     _name = "pi"
 
-    def __init__(self, alphabet: Alphabet, exps: Iterable[int]):
-        self.alphabet = alphabet
-        norm = []
-        for i, e in enumerate(exps):
-            norm.append(e % 2 if alphabet.orbit_is_fixed(i) else e)
-        self.nf = tuple(norm)
-        assert len(self.nf) == len(alphabet.orbits)
-
-    @classmethod
-    def identity(cls, alphabet: Alphabet) -> "PiElement":
-        return cls(alphabet, [0] * len(alphabet.orbits))
-
-    @classmethod
-    def generator(cls, alphabet: Alphabet, a: str) -> "PiElement":
-        exps = [0] * len(alphabet.orbits)
-        exps[alphabet.orbit_index(a)] = _sign(alphabet, a)
-        return cls(alphabet, exps)
-
-    def __mul__(self, other: "PiElement") -> "PiElement":
-        _check_same(self, other)
-        return PiElement(self.alphabet, [x + y for x, y in zip(self.nf, other.nf)])
-
-    def inverse(self) -> "PiElement":
-        return PiElement(self.alphabet, [-x for x in self.nf])
-
-    def __pow__(self, n: int) -> "PiElement":
-        return PiElement(self.alphabet, [n * x for x in self.nf])
-
-    def bar(self) -> "PiElement":
-        """The involution sending every element to its inverse (= tau_*)."""
-        return self.inverse()
-
-    def is_identity(self) -> bool:
-        return not any(self.nf)
-
     def degree(self) -> int:
         """Word length in the generators {a}: |free exponents| + fixed bits."""
         return sum(abs(e) for e in self.nf)
-
-    def format(self) -> str:
-        parts = [_power(self.alphabet.orbit_rep(i), e) for i, e in enumerate(self.nf) if e]
-        return " ".join(parts) or "1"
 
 
 def parse_pi(alphabet: Alphabet, text: str) -> PiElement:
@@ -182,78 +192,123 @@ def parse_pi(alphabet: Alphabet, text: str) -> PiElement:
     return out
 
 
+class PsiAbElement(_Abelian):
+    """Monomial of the commutative quotient Psi^ab: per orbit r, the
+    exponents of r and r. side by side."""
+
+    __slots__ = ()
+    _name = "Psi^ab"
+    width = 2
+
+    tau_sharp = _Abelian.inverse
+
+    def reverse(self) -> "PsiAbElement":
+        return self  # reversal is trivial in a commutative quotient
+
+    def sort_key(self):
+        """Exponent pairs per orbit, the key layout of the pinned goldens."""
+        return tuple(zip(self.nf[::2], self.nf[1::2]))
+
+
 # ---------------------------------------------------------------------------
-# Pi and Pi': free products
+# Pi, Pi' and Psi: free products
 
 
-class PiWord(_Element):
-    """Reduced word in Pi (or Pi' when ``primed``) as alternating syllables.
+class _Free(_Element):
+    """Reduced word: syllables ``(orbit, *exps)`` with ``width`` exponents,
+    not all zero, and adjacent syllables in distinct orbits."""
+
+    __slots__ = ()
+    width = 1
+    abelian: type  # class of the abelianization
+
+    def __init__(self, alphabet: Alphabet, syllables: Iterable[tuple] = ()):
+        self.alphabet = alphabet
+        self.nf = _reduce(syllables, alphabet.fixed_orbit_indices)
+
+    @classmethod
+    def identity(cls, alphabet: Alphabet):
+        return cls(alphabet)
+
+    @classmethod
+    def generator(cls, alphabet: Alphabet, a: str, bullet: bool = False):
+        i, block = _generator_block(cls.width, alphabet, a, bullet)
+        return cls(alphabet, ((i, *block),))
+
+    def __mul__(self, other):
+        _check_same(self, other)
+        return type(self)(self.alphabet, self.nf + other.nf)
+
+    def inverse(self):
+        return type(self)(self.alphabet, reversed(self.tau_star().nf))
+
+    def tau_star(self):
+        """The automorphism sending every generator of a to that of tau(a)."""
+        return type(self)(self.alphabet, [(o, *[-e for e in exps]) for o, *exps in self.nf])
+
+    def abelianized(self):
+        """Image in the commutative quotient (pi for Pi, Psi^ab for Psi)."""
+        w = self.width
+        exps = [0] * (w * len(self.alphabet.orbits))
+        for o, *block in self.nf:
+            for k, e in enumerate(block, w * o):
+                exps[k] += e
+        return self.abelian(self.alphabet, exps)
+
+    def _blocks(self):
+        return ((o, exps) for o, *exps in self.nf)
+
+
+class PiWord(_Free):
+    """Reduced word in Pi as alternating syllables.
 
     A syllable (orbit, e) means z_r^e for the orientation representative r of
-    that orbit.  In Pi, fixed-point orbits have e = 1; in Pi' every orbit is
-    an involution, so all exponents are 1.
+    that orbit; fixed-point orbits have e = 1.
     """
 
-    __slots__ = ("primed",)
-
-    def __init__(self, alphabet: Alphabet, syllables: Iterable[tuple[int, int]] = (),
-                 primed: bool = False):
-        self.alphabet = alphabet
-        self.primed = primed
-        self.nf = _reduce(syllables, self._torsion)
-
-    @property
-    def _name(self):
-        return "Pi~prime" if self.primed else "Pi"
-
-    @property
-    def _torsion(self):
-        """The orbits whose generator is an involution."""
-        al = self.alphabet
-        return range(len(al.orbits)) if self.primed else al.fixed_orbit_indices
-
-    @classmethod
-    def identity(cls, alphabet: Alphabet, primed: bool = False) -> "PiWord":
-        return cls(alphabet, (), primed)
-
-    @classmethod
-    def generator(cls, alphabet: Alphabet, a: str, primed: bool = False) -> "PiWord":
-        return cls(alphabet, ((alphabet.orbit_index(a), _sign(alphabet, a)),), primed)
-
-    def __mul__(self, other: "PiWord") -> "PiWord":
-        _check_same(self, other)
-        if self.primed != other.primed:
-            raise AlphabetMismatch("cannot mix Pi and Pi' words")
-        return PiWord(self.alphabet, self.nf + other.nf, self.primed)
-
-    def inverse(self) -> "PiWord":
-        return PiWord(self.alphabet, reversed(self.tau_star().nf), self.primed)
-
-    def tau_star(self) -> "PiWord":
-        """The automorphism z_a -> z_tau(a)."""
-        torsion = self._torsion
-        return PiWord(self.alphabet, [(o, e if o in torsion else -e) for o, e in self.nf],
-                      self.primed)
+    __slots__ = ()
+    _name = "Pi"
+    prefix = "z_"
+    abelian = PiElement
 
     def to_prime(self) -> "PiWord":
-        return PiWord(self.alphabet, self.nf, primed=True)
+        """Image in Pi': the same syllables over ``alphabet.involutions``."""
+        return PiWord(self.alphabet.involutions, self.nf)
 
-    def abelianized(self) -> PiElement:
-        """Image in pi = Pi / [Pi, Pi]."""
-        exps = [0] * len(self.alphabet.orbits)
-        for o, e in self.nf:
-            exps[o] += e
-        return PiElement(self.alphabet, exps)
 
-    def __eq__(self, other):
-        return super().__eq__(other) and self.primed == other.primed
+class PsiElement(_Free):
+    """Reduced word in Psi: alternating syllables (orbit, e, e_bullet).
 
-    def __hash__(self):
-        return hash((self.primed, self.nf))
+    Each orbit contributes an abelian block generated by r and r. (bullet);
+    free orbits give Z^2 blocks, fixed points (Z/2)^2 blocks.  A syllable is
+    r^e r.^eb.
+    """
 
-    def format(self) -> str:
-        al = self.alphabet
-        return " ".join(_power(f"z_{al.orbit_rep(o)}", e) for o, e in self.nf) or "1"
+    __slots__ = ()
+    _name = "Psi"
+    width = 2
+    abelian = PsiAbElement
+
+    tau_sharp = _Free.tau_star
+
+    def reverse(self) -> "PsiElement":
+        """Anti-automorphism reading the monomial right to left (iota)."""
+        return PsiElement(self.alphabet, reversed(self.nf))
+
+    def kappa(self) -> "PsiElement":
+        """Anti-automorphism swapping a <-> a. letterwise."""
+        return PsiElement(self.alphabet, tuple((o, eb, e) for o, e, eb in reversed(self.nf)))
+
+    def deg(self) -> int:
+        """Occurrences of bullet-free generators, with multiplicity."""
+        return sum(abs(e) for _, e, _ in self.nf)
+
+    def deg_bullet(self) -> int:
+        return sum(abs(eb) for _, _, eb in self.nf)
+
+
+def psi_abelianize(x: PsiElement) -> PsiAbElement:
+    return x.abelianized()
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +331,7 @@ class PiTildeElement(_Element):
     def __init__(self, alphabet: Alphabet, central: Iterable[int], word: PiWord):
         self.alphabet = alphabet
         self.nf = (tuple(central), word.nf)
-        assert not word.primed and len(self.nf[0]) == len(alphabet.orbits)
+        assert len(self.nf[0]) == len(alphabet.orbits)
 
     @classmethod
     def identity(cls, alphabet: Alphabet) -> "PiTildeElement":
@@ -331,129 +386,6 @@ class PiTildeElement(_Element):
         if self.nf[1]:
             parts.append(self.project().format())
         return " ".join(parts) or "1"
-
-
-# ---------------------------------------------------------------------------
-# Psi and its abelianization
-
-
-class PsiElement(_Element):
-    """Reduced word in Psi: alternating syllables (orbit, e, e_bullet).
-
-    Each orbit contributes an abelian block generated by r and r. (bullet);
-    free orbits give Z^2 blocks, fixed points (Z/2)^2 blocks.  A syllable is
-    r^e r.^eb with (e, eb) != (0, 0) and adjacent syllables in distinct
-    orbits.
-    """
-
-    __slots__ = ()
-    _name = "Psi"
-
-    def __init__(self, alphabet: Alphabet, syllables: Iterable[tuple[int, int, int]] = ()):
-        self.alphabet = alphabet
-        self.nf = _reduce(syllables, alphabet.fixed_orbit_indices)
-
-    @classmethod
-    def identity(cls, alphabet: Alphabet) -> "PsiElement":
-        return cls(alphabet)
-
-    @classmethod
-    def generator(cls, alphabet: Alphabet, a: str, bullet: bool = False) -> "PsiElement":
-        i, e = alphabet.orbit_index(a), _sign(alphabet, a)
-        return cls(alphabet, ((i, 0, e) if bullet else (i, e, 0),))
-
-    def __mul__(self, other: "PsiElement") -> "PsiElement":
-        _check_same(self, other)
-        return PsiElement(self.alphabet, self.nf + other.nf)
-
-    def inverse(self) -> "PsiElement":
-        return PsiElement(self.alphabet, reversed(self.tau_sharp().nf))
-
-    def reverse(self) -> "PsiElement":
-        """Anti-automorphism reading the monomial right to left (iota)."""
-        return PsiElement(self.alphabet, reversed(self.nf))
-
-    def kappa(self) -> "PsiElement":
-        """Anti-automorphism swapping a <-> a. letterwise."""
-        return PsiElement(self.alphabet, tuple((o, eb, e) for o, e, eb in reversed(self.nf)))
-
-    def tau_sharp(self) -> "PsiElement":
-        """Automorphism a -> tau(a), a. -> tau(a). ."""
-        return PsiElement(self.alphabet, tuple((o, -e, -eb) for o, e, eb in self.nf))
-
-    def deg(self) -> int:
-        """Occurrences of bullet-free generators, with multiplicity."""
-        return sum(abs(e) for _, e, _ in self.nf)
-
-    def deg_bullet(self) -> int:
-        return sum(abs(eb) for _, _, eb in self.nf)
-
-    def format(self, sep: str = " ") -> str:
-        al = self.alphabet
-        return sep.join(p for o, e, eb in self.nf
-                        for p in _psi_letters(al.orbit_rep(o), e, eb)) or "1"
-
-
-class PsiAbElement(_Element):
-    """Monomial of the commutative quotient Psi^ab: exponent pairs per orbit."""
-
-    __slots__ = ()
-    _name = "Psi^ab"
-
-    def __init__(self, alphabet: Alphabet, exps: Iterable[tuple[int, int]]):
-        self.alphabet = alphabet
-        norm = []
-        for i, (e, eb) in enumerate(exps):
-            if alphabet.orbit_is_fixed(i):
-                e, eb = e % 2, eb % 2
-            norm.append((e, eb))
-        self.nf = tuple(norm)
-
-    @classmethod
-    def identity(cls, alphabet: Alphabet) -> "PsiAbElement":
-        return cls(alphabet, [(0, 0)] * len(alphabet.orbits))
-
-    @classmethod
-    def generator(cls, alphabet: Alphabet, a: str, bullet: bool = False) -> "PsiAbElement":
-        exps = [[0, 0] for _ in alphabet.orbits]
-        exps[alphabet.orbit_index(a)][1 if bullet else 0] = _sign(alphabet, a)
-        return cls(alphabet, exps)
-
-    def __mul__(self, other: "PsiAbElement") -> "PsiAbElement":
-        _check_same(self, other)
-        return PsiAbElement(self.alphabet,
-                            [(e1 + e2, b1 + b2)
-                             for (e1, b1), (e2, b2) in zip(self.nf, other.nf)])
-
-    def inverse(self) -> "PsiAbElement":
-        return PsiAbElement(self.alphabet, [(-e, -b) for e, b in self.nf])
-
-    def __pow__(self, n: int) -> "PsiAbElement":
-        return PsiAbElement(self.alphabet, [(n * e, n * b) for e, b in self.nf])
-
-    def bar(self) -> "PsiAbElement":
-        return self.inverse()
-
-    tau_sharp = bar
-
-    def reverse(self) -> "PsiAbElement":
-        return self  # reversal is trivial in a commutative quotient
-
-    def is_identity(self) -> bool:
-        return not any(e or b for e, b in self.nf)
-
-    def format(self) -> str:
-        al = self.alphabet
-        return " ".join(p for i, (e, eb) in enumerate(self.nf)
-                        for p in _psi_letters(al.orbit_rep(i), e, eb)) or "1"
-
-
-def psi_abelianize(x: PsiElement) -> PsiAbElement:
-    exps = [[0, 0] for _ in x.alphabet.orbits]
-    for o, e, eb in x.nf:
-        exps[o][0] += e
-        exps[o][1] += eb
-    return PsiAbElement(x.alphabet, exps)
 
 
 # ---------------------------------------------------------------------------
@@ -604,7 +536,3 @@ class SubgroupOfPi:
     def __repr__(self):
         gens = ", ".join(g.format() for g in self.generators) or "1"
         return f"SubgroupOfPi<{gens}>"
-
-
-def subgroup_contains(h: SubgroupOfPi, x: PiElement) -> bool:
-    return h.contains(x)

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ParseError, UnknownSymbol
-from .words import Alphabet, EtaleWord, Nanoword, from_word
+from .words import Alphabet, EtaleWord, Nanoword, desingularize, from_word
 
 
 @dataclass
@@ -34,15 +34,10 @@ class Record:
 
     def nanoword(self) -> Nanoword:
         """The word as a nanoword, desingularizing when necessary."""
-        from .words import desingularize
         w = self.require_word()
-        if isinstance(w, Nanoword):
-            return w
         counts = {x: w.word.count(x) for x in w.letters}
         if counts and all(c == 2 for c in counts.values()):
             return Nanoword(w.alphabet, w.word, w.proj)
-        if not w.word:
-            return Nanoword(w.alphabet, (), {})
         return desingularize(w)
 
 

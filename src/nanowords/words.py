@@ -68,7 +68,6 @@ class Alphabet:
         for r in self.orientation:
             for a in self.orbits[self._orbit_index[r]]:
                 self._rep[a] = r
-        self.free_orbit_indices = tuple(i for i, o in enumerate(orbits) if len(o) == 2)
         self.fixed_orbit_indices = tuple(i for i, o in enumerate(orbits) if len(o) == 1)
 
     def _orbit_key(self, a: str) -> str:
@@ -99,6 +98,12 @@ class Alphabet:
     @cached_property
     def is_fixed_point_free(self) -> bool:
         return not self.fixed_orbit_indices
+
+    @cached_property
+    def involutions(self) -> "Alphabet":
+        """The orbit representatives, in orbit order, each its own tau; orbit i
+        keeps index i, and Pi over this alphabet is Pi' of this one."""
+        return Alphabet([self.orbit_rep(i) for i in range(len(self.orbits))])
 
     def __contains__(self, a: str) -> bool:
         return a in self._orbit_index

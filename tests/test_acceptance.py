@@ -60,8 +60,8 @@ def test_c01_gamma_values():
     def body():
         w = nanoword_from_pattern(AL_FREE2, "ABAB", {"A": "a", "B": "b"})
         assert gamma(w).format() == "z_a z_b z_a^-1 z_b^-1"
-        za = PiWord.generator(AL_FREE2, "a", primed=True)
-        zb = PiWord.generator(AL_FREE2, "b", primed=True)
+        za = PiWord.generator(AL_FREE2.involutions, "a")
+        zb = PiWord.generator(AL_FREE2.involutions, "b")
         for m in range(1, 5):
             seq = [f"{x}{i}" for i in range(1, m + 1) for x in "AB"]
             proj = {f"A{i}": "a" for i in range(1, m + 1)}

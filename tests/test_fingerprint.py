@@ -144,9 +144,10 @@ def _long_word(index):
 
 def test_long_word_contract():
     """Full fingerprints of 16-24-letter words finish; nabla_alpha obeys the
-    c07 identities and the Z/m coloring counts equal the prime-field route."""
-    from nanowords import GroupRingElement, PsiAbElement
-    from nanowords.lambdainv import q_ab
+    c07 identities, the Z/m coloring counts equal the prime-field route and
+    lambda passes its ring-map checks and equals the substitution route."""
+    from nanowords import GroupRingElement, PsiAbElement, lambda_checks
+    from nanowords.lambdainv import lambda_by_substitution, q_ab
     from nanowords.matrices import count_colorings_prime
     for index in range(len(LONG_WORDS)):
         w = _long_word(index)
@@ -159,6 +160,8 @@ def test_long_word_contract():
         assert nablas[(alpha, "+")] == q_ab(fp.value("lambda"))
         for spec in default_coloring_specs(al):
             assert fp.value("colorings")[spec.key()] == count_colorings_prime(w, spec)
+        assert all(lambda_checks(w).values())
+        assert lambda_by_substitution(w) == fp.value("lambda")
 
 
 def test_nabla_is_multiplicative_on_a_long_product():

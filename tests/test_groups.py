@@ -5,17 +5,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nanowords import (GroupRingElement, PiElement, PiTildeElement, PiWord,
-                       PsiAbElement, PsiElement, SubgroupOfPi, subgroup_contains)
+                       PsiAbElement, PsiElement, SubgroupOfPi)
 from nanowords.errors import AlphabetMismatch
 from nanowords.groups import parse_pi, psi_abelianize
 
 from conftest import ALPHABETS, alphabets_strategy
 
 
-def _random_pi_word(al, rng, length=6, primed=False):
-    out = PiWord.identity(al, primed)
+def _random_pi_word(al, rng, length=6):
+    out = PiWord.identity(al)
     for _ in range(rng.randrange(length + 1)):
-        out = out * PiWord.generator(al, rng.choice(al.letters), primed)
+        out = out * PiWord.generator(al, rng.choice(al.letters))
     return out
 
 
@@ -54,9 +54,10 @@ def test_pi_word_relations():
     alid = ALPHABETS[0]
     zb = PiWord.generator(alid, "b")
     assert (zb * zb).is_identity()
-    # primed: every generator is an involution
-    zap = PiWord.generator(al, "a", primed=True)
+    # Pi' = Pi over the involutions: every generator is an involution
+    zap = PiWord.generator(al.involutions, "a")
     assert (zap * zap).is_identity()
+    assert zap == za.to_prime() == PiWord.generator(al, "A").to_prime()
 
 
 def test_psi_commutation():
@@ -139,8 +140,8 @@ def test_group_axioms(al, seed):
     for maker, identity in (
             (_random_pi, PiElement.identity(al)),
             (_random_pi_word, PiWord.identity(al)),
-            (lambda a, r: _random_pi_word(a, r, primed=True),
-             PiWord.identity(al, primed=True)),
+            (lambda a, r: _random_pi_word(a.involutions, r),
+             PiWord.identity(al.involutions)),
             (_random_pitilde, PiTildeElement.identity(al)),
             (_random_psi, PsiElement.identity(al)),
             (lambda a, r: psi_abelianize(_random_psi(a, r)), PsiAbElement.identity(al))):
@@ -201,6 +202,13 @@ def test_natural_maps_commute(al, seed):
         x.project().abelianized() * y.project().abelianized()
     assert (x.project() * y.project()).to_prime() == \
         x.project().to_prime() * y.project().to_prime()
+    # Psi -> Psi^ab is a homomorphism sending each generator to its image
+    u, v = _random_psi(al, rng), _random_psi(al, rng)
+    assert psi_abelianize(u * v) == psi_abelianize(u) * psi_abelianize(v)
+    for a in al.letters:
+        for bullet in (False, True):
+            assert psi_abelianize(PsiElement.generator(al, a, bullet)) == \
+                PsiAbElement.generator(al, a, bullet)
 
 
 @given(alphabets_strategy(), st.integers(0, 10 ** 9))
@@ -229,13 +237,31 @@ def test_alphabet_mismatch():
         x * y
 
 
+def test_exponent_vectors_of_the_wrong_length():
+    al = ALPHABETS[2]  # two free orbits
+    b, bb = PiElement.generator(al, "b"), PsiAbElement.generator(al, "b")
+    for short in ([1], [1, 0, 0]):
+        with pytest.raises(AlphabetMismatch):
+            PiElement(al, short)
+    for short in ([1, 0], [1, 0, 0]):
+        with pytest.raises(AlphabetMismatch):
+            PsiAbElement(al, short)
+    # a pair per orbit is no longer a flat vector of the right length
+    with pytest.raises(AlphabetMismatch):
+        PsiAbElement(al, [(1, 0), (0, 0)])
+    assert (PiElement(al, [1, 0]) * b).format() == "a b"
+    assert (PsiAbElement(al, [1, 0, 0, 0]) * bb).format() == "a b"
+    with pytest.raises(AlphabetMismatch):  # same alphabet, different groups
+        b * bb
+
+
 def test_subgroup_membership_klein():
     al = ALPHABETS[0]  # pi = (Z/2)^2
     ab = parse_pi(al, "ab")
     h = SubgroupOfPi(al, [ab])
-    assert subgroup_contains(h, ab)
-    assert not subgroup_contains(h, parse_pi(al, "a"))
-    assert subgroup_contains(h, PiElement.identity(al))
+    assert h.contains(ab)
+    assert not h.contains(parse_pi(al, "a"))
+    assert h.contains(PiElement.identity(al))
 
 
 def test_subgroup_membership_cyclic_divisibility():

@@ -95,7 +95,7 @@ def test_gamma_prime_power_family(al_free2):
 
 def parse_prime(al, letter):
     from nanowords.groups import PiWord
-    return PiWord.generator(al, letter, primed=True)
+    return PiWord.generator(al.involutions, letter)
 
 
 def test_gamma_tilde_kills_interlaced_square(al_free1):

@@ -163,7 +163,7 @@ def test_abelian_entries_are_the_weighted_matrix_abelianized():
 
 def _ab_ring(al, *terms):
     """Sum of c * a^e a.^f over the one orbit of ``al``, from (c, e, f) triples."""
-    return sum((GroupRingElement.of(PsiAbElement(al, [(e, f)]), c) for c, e, f in terms),
+    return sum((GroupRingElement.of(PsiAbElement(al, [e, f]), c) for c, e, f in terms),
                GroupRingElement.zero(al))
 
 
@@ -210,7 +210,7 @@ def test_elimination_over_zero_divisors(al_id2):
     """At a fixed point a a. squares to 1, so (1 - a a.)(1 + a a.) = 0: the
     Schur complement can vanish at a position that held no entry."""
     al = al_id2
-    one, x = PsiAbElement.identity(al), PsiAbElement(al, [(1, 1), (0, 0)])
+    one, x = PsiAbElement.identity(al), PsiAbElement(al, [1, 1, 0, 0])
     plus = GroupRingElement.of(one) + GroupRingElement.of(x)
     minus = GroupRingElement.of(one) - GroupRingElement.of(x)
     assert (plus * minus).is_zero()
