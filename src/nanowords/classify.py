@@ -217,7 +217,7 @@ def classify(kind: str, alphabet: Alphabet, max_length: int | None = None,
     for key, group in buckets.items():
         zeros = [it for it in group if it.predicted == ZERO]
         for it in zeros:
-            budget = max_length or (len(it.nanoword.word) + 8)
+            budget = len(it.nanoword.word) + 8 if max_length is None else max_length
             cert = search_contractible(it.nanoword, data, budget, max_states,
                                        use_macros=use_macros)
             if cert is not None:
@@ -230,8 +230,9 @@ def classify(kind: str, alphabet: Alphabet, max_length: int | None = None,
                 by_label.setdefault(it.predicted, []).append(it)
         for label, members in by_label.items():
             for one, two in zip(members, members[1:]):
-                budget = max_length or (max(len(one.nanoword.word),
-                                            len(two.nanoword.word)) + 4)
+                budget = max_length
+                if budget is None:
+                    budget = max(len(one.nanoword.word), len(two.nanoword.word)) + 4
                 cert = search_homotopic(one.nanoword, two.nanoword, data,
                                         budget, max_states, use_macros=use_macros)
                 if cert is not None:

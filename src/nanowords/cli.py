@@ -77,8 +77,8 @@ def cmd_contract(args, out: _Out) -> int:
     rec, w = _load_nanoword(args.input)
     data = HomotopyData(rec.alphabet)
     inserts = tuple(args.insert.split(",")) if args.insert else None
-    cert = search_contractible(w, data, args.max_length or len(w.word) + 8,
-                               args.max_states, insert_values=inserts,
+    budget = len(w.word) + 8 if args.max_length is None else args.max_length
+    cert = search_contractible(w, data, budget, args.max_states, insert_values=inserts,
                                use_macros=not args.no_macros)
     if cert is None:
         out.emit({"verdict": "UNKNOWN"}, ["UNKNOWN (budget exhausted)"])
@@ -104,9 +104,10 @@ def cmd_homotopic(args, out: _Out) -> int:
                  [f"NON-HOMOTOPIC (separated by {diff})"])
         return 0
     data = HomotopyData(rec1.alphabet)
-    cert = search_homotopic(w1, w2, data,
-                            args.max_length or max(len(w1.word), len(w2.word)) + 4,
-                            args.max_states)
+    budget = args.max_length
+    if budget is None:
+        budget = max(len(w1.word), len(w2.word)) + 4
+    cert = search_homotopic(w1, w2, data, budget, args.max_states)
     if cert is None:
         out.emit({"verdict": "UNKNOWN"}, ["UNKNOWN (equal fingerprints, no certificate)"])
         return 2

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, count, islice
 
 from .errors import BudgetInvalid, ParseError, PreconditionViolated, UnknownSymbol
 from .words import Alphabet, Nanoword, _key_of
@@ -51,37 +51,47 @@ class HomotopyData:
 
 
 PAIR_KINDS = ("M1", "M2", "L32")
-TRIPLE_KINDS = ("M3", "LI", "LII", "LIII")
 
-# site letter patterns: for sites (x1,y1),(x2,y2),(x3,y3) each entry says
-# which earlier slot each of x2,y2,x3,y3 must repeat (None = fresh letter).
-_TRIPLE_SHAPES = {
-    ("M3", "-"): ("x1", None, "y1", "y2"),
-    ("M3", "+"): (None, "y1", "x2", "x1"),
-    ("LI", "-"): (None, "x1", "y1", "x2"),
-    ("LI", "+"): ("y1", None, "y2", "x1"),
-    ("LII", "-"): (None, "x1", "x2", "y1"),
-    ("LII", "+"): ("y1", None, "x1", "y2"),
-    ("LIII", "-"): ("x1", None, "y2", "y1"),
-    ("LIII", "+"): (None, "y1", "x1", "x2"),
-}
+# each triple kind's "-" side over the sites (x1 y1)(x2 y2)(x3 y3), as the
+# docstring writes it with empty spacers, and the roles among A, B, C whose
+# projection its S-condition reads through tau
+_TRIPLE_TABLE = (
+    ("M3", "ABACBC", ""),
+    ("LI", "ABCABC", "B"),
+    ("LII", "ABCACB", "AB"),
+    ("LIII", "ABACCB", "BC"),
+)
+TRIPLE_KINDS = tuple(kind for kind, _, _ in _TRIPLE_TABLE)
 
 
-def _anchors(shape):
-    """Where a shape's second and third sites start, as (slot, offset) pairs.
+@dataclass(frozen=True)
+class _Shape:
+    """One side of a triple kind, derived from its row of ``_TRIPLE_TABLE``."""
 
-    Each of the two sites repeats x1 (slot 0) or y1 (slot 1) of the first
-    site, so it starts at the other occurrence of that letter, minus one when
-    the letter is the site's second entry.
-    """
-    out = [None, None]
-    for i, rule in enumerate(shape):
-        if rule in ("x1", "y1"):
-            out[i // 2] = (("x1", "y1").index(rule), i % 2)
-    return out[0] + out[1]
+    kind: str
+    sign: str
+    roles: tuple[int, ...]    # role (0 = A, 1 = B, 2 = C) of each site letter
+    first: tuple[int, ...]    # the site letter that first plays A, B, C
+    taus: tuple[bool, ...]    # whether the S-condition reads |A|, |B|, |C| through tau
+    anchors: tuple[int, ...]  # (slot, offset) of the second site, then of the third
 
 
-_TRIPLE_ANCHORS = {ks: _anchors(shape) for ks, shape in _TRIPLE_SHAPES.items()}
+def _shape(kind: str, sign: str, pattern: str, taus: str) -> _Shape:
+    if sign == "+":
+        pattern = "".join(pattern[i ^ 1] for i in range(6))
+    # the second and third sites each repeat x1 (slot 0) or y1 (slot 1), so
+    # each starts at the other occurrence of that letter, minus one when the
+    # letter is the site's second entry
+    anchors = ()
+    for site in (2, 4):
+        offset = 0 if pattern[site] in pattern[:2] else 1
+        anchors += (pattern.index(pattern[site + offset]), offset)
+    return _Shape(kind, sign, tuple("ABC".index(x) for x in pattern),
+                  tuple(map(pattern.index, "ABC")), tuple(x in taus for x in "ABC"), anchors)
+
+
+_TRIPLE_SHAPES = {(kind, sign): _shape(kind, sign, pattern, taus)
+                  for kind, pattern, taus in _TRIPLE_TABLE for sign in "-+"}
 
 
 @dataclass(frozen=True)
@@ -152,67 +162,24 @@ def _swap_sites(word, sites):
 
 
 def _fresh(word_letters, n):
+    """The first ``n`` letters ("+", k) that ``word_letters`` does not use."""
     taken = set(word_letters)
-    names = []
-    k = 0
-    while len(names) < n:
-        name = ("+", k)
-        if name not in taken:
-            names.append(name)
-        k += 1
-    return names
+    return list(islice((x for x in (("+", k) for k in count()) if x not in taken), n))
 
 
-def _triple_condition(data: HomotopyData, kind: str, pa: str, pb: str, pc: str) -> bool:
-    tau = data.alphabet.tau
-    if kind == "M3":
-        return data.allows(pa, pb, pc)
-    if kind == "LI":
-        return data.allows(pa, tau(pb), pc)
-    if kind == "LII":
-        return data.allows(tau(pa), tau(pb), pc)
-    if kind == "LIII":
-        return data.allows(pa, tau(pb), tau(pc))
-    raise ValueError(kind)
+def _match_triple(word, proj, data: HomotopyData, shape: _Shape, p, q, r) -> bool:
+    """Whether the sites p, q, r show ``shape``'s letter pattern and its
+    S-condition holds; ``proj[x]`` is the projection of letter ``x`` of ``word``.
 
-
-def _match_triple(word, proj, data: HomotopyData, kind: str, sign: str, p, q, r):
-    """Return (A, B, C) if the shape and the S-condition match, else None.
-
-    ``proj[x]`` is the projection of letter ``x`` of ``word``.
+    The sites are disjoint and every letter occurs twice, so letters that
+    match the pattern's three pairs are three distinct letters.
     """
-    x1, y1, x2, y2 = word[p], word[p + 1], word[q], word[q + 1]
-    x3, y3 = word[r], word[r + 1]
-    slots = {"x1": x1, "y1": y1}
-    expect = _TRIPLE_SHAPES[(kind, sign)]
-    actual = (x2, y2, x3, y3)
-    fresh = None
-    for val, rule in zip(actual, expect):
-        if rule is None:
-            if val in (x1, y1) or val == fresh:
-                return None
-            fresh = val
-        else:
-            slots.setdefault("x2", x2)
-            slots.setdefault("y2", y2)
-            if val != slots[rule]:
-                return None
-    # name the roles A, B, C
-    if sign == "-":
-        if kind in ("M3", "LIII"):
-            a, b, c = x1, y1, y2
-        else:  # LI, LII
-            a, b, c = x1, y1, x2
-    else:
-        if kind in ("M3", "LIII"):
-            b, a, c = x1, y1, x2
-        else:  # LI, LII
-            b, a, c = x1, y1, y2
-    if len({a, b, c}) != 3:
-        return None
-    if not _triple_condition(data, kind, proj[a], proj[b], proj[c]):
-        return None
-    return a, b, c
+    seen = [word[p], word[p + 1], word[q], word[q + 1], word[r], word[r + 1]]
+    abc = [seen[i] for i in shape.first]
+    if [abc[k] for k in shape.roles] != seen:
+        return False
+    tau = data.alphabet.tau
+    return data.allows(*[tau(proj[x]) if t else proj[x] for x, t in zip(abc, shape.taus)])
 
 
 def apply_move(w: Nanoword, move: Move, data: HomotopyData) -> Nanoword:
@@ -226,7 +193,7 @@ def apply_move(w: Nanoword, move: Move, data: HomotopyData) -> Nanoword:
         p, q, r = pos
         if not (0 <= p and p + 1 < q and q + 1 < r and r + 1 < n):
             raise PreconditionViolated(f"{move.format()}: sites overlap or overflow")
-        if _match_triple(word, proj, data, k, sign, p, q, r) is None:
+        if not _match_triple(word, proj, data, _TRIPLE_SHAPES[k, sign], p, q, r):
             raise PreconditionViolated(f"{move.format()}: pattern or S-condition fails")
         return Nanoword(w.alphabet, _swap_sites(word, pos), proj)
 
@@ -275,16 +242,11 @@ def apply_move(w: Nanoword, move: Move, data: HomotopyData) -> Nanoword:
 
 def invert_move(move: Move) -> Move:
     """The move that undoes ``move`` on its result (positions already shifted)."""
-    k, sign, pos, vals = move.kind, move.sign, move.positions, move.values
-    if k in TRIPLE_KINDS:
-        return Move(k, "+" if sign == "-" else "-", pos)
-    if k == "M1":
-        return Move(k, "+" if sign == "-" else "-", pos, vals)
-    if sign == "-":
-        i, j = pos
-        return Move(k, "+", (i, j - 2), vals)
-    i, j = pos
-    return Move(k, "-", (i, j + 2), vals)
+    sign = "+" if move.sign == "-" else "-"
+    pos = move.positions
+    if move.kind in ("M2", "L32"):
+        pos = (pos[0], pos[1] + (2 if sign == "-" else -2))
+    return Move(move.kind, sign, pos, move.values)
 
 
 def successor_keys(key, data: HomotopyData,
@@ -331,18 +293,18 @@ def successor_keys(key, data: HomotopyData,
     for i, x in enumerate(word):
         j = first.setdefault(x, i)
         other[i], other[j] = j, i
-    shapes = [(kind, sign, _TRIPLE_ANCHORS[kind, sign])
-              for kind in (TRIPLE_KINDS if use_macros else ("M3",)) for sign in "-+"]
+    shapes = [(shape, *shape.anchors) for shape in _TRIPLE_SHAPES.values()
+              if use_macros or shape.kind == "M3"]
     hits = []
     for p in range(n - 5):
         anchor = (other[p], other[p + 1])
-        for order, (kind, sign, (s1, o1, s2, o2)) in enumerate(shapes):
+        for order, (shape, s1, o1, s2, o2) in enumerate(shapes):
             q, r = anchor[s1] - o1, anchor[s2] - o2
             if (p + 1 < q and q + 1 < r and r + 1 < n
-                    and _match_triple(word, proj, data, kind, sign, p, q, r) is not None):
-                hits.append((p, q, r, order, kind, sign))
-    for p, q, r, _, kind, sign in sorted(hits):
-        emit(Move(kind, sign, (p, q, r)), _swap_sites(word, (p, q, r)))
+                    and _match_triple(word, proj, data, shape, p, q, r)):
+                hits.append((p, q, r, order, shape))
+    for p, q, r, _, shape in sorted(hits):
+        emit(Move(shape.kind, shape.sign, (p, q, r)), _swap_sites(word, (p, q, r)))
 
     if not forward_only:
         values = insert_values if insert_values is not None else data.alphabet.letters
@@ -436,32 +398,34 @@ def certificate_from_states(states, data: HomotopyData,
 
 
 class _Frontier:
-    """Visited set + heap of canonical keys; priority maps (key, depth) to a
-    sortable key."""
+    """Visited keys, each with its (parent, move, depth), and a heap of keys
+    to expand; ``priority`` maps (key, depth) to a sortable key.  The other
+    arguments are those of ``successor_keys``."""
 
-    def __init__(self, start, priority):
+    def __init__(self, start, priority, data, insert_values, max_length, use_macros):
         self.priority = priority
-        self.parents: dict = {start: (None, None, 0)}  # key -> (parent, move, depth)
+        self.successor_args = (data, insert_values, max_length, use_macros)
+        self.parents: dict = {start: (None, None, 0)}
         self.heap = [(priority(start, 0), start)]
 
-    def push(self, key, parent, move):
-        if key in self.parents:
-            return
-        depth = self.parents[parent][2] + 1
-        self.parents[key] = (parent, move, depth)
-        heapq.heappush(self.heap, (self.priority(key, depth), key))
-
-    def pop(self):
-        return heapq.heappop(self.heap)[1] if self.heap else None
+    def expand(self):
+        """Pop the best key; record and yield each successor not seen before."""
+        key = heapq.heappop(self.heap)[1]
+        depth = self.parents[key][2] + 1
+        for move, nxt in successor_keys(key, *self.successor_args):
+            if nxt not in self.parents:
+                self.parents[nxt] = (key, move, depth)
+                heapq.heappush(self.heap, (self.priority(nxt, depth), nxt))
+                yield nxt
 
     def trace(self, key) -> list[Move]:
+        """The moves from the start to ``key``."""
         moves = []
-        while True:
-            parent, move, _ = self.parents[key]
-            if parent is None:
-                return list(reversed(moves))
+        parent, move, _ = self.parents[key]
+        while parent is not None:
             moves.append(move)
-            key = parent
+            parent, move, _ = self.parents[parent]
+        return moves[::-1]
 
 
 def _greedy(key, depth):
@@ -472,18 +436,29 @@ def _breadth(key, depth):
     return (depth, len(key[0]), key)
 
 
-def _contract_pass(start, data, max_length, max_states, insert_values, use_macros):
-    front = _Frontier(start.key(), _greedy)
-    while len(front.parents) < max_states:
-        key = front.pop()
-        if key is None:
-            return None
-        for move, nxt in successor_keys(key, data, insert_values, max_length, use_macros):
+_EMPTY = ((), ())  # the key of the empty nanoword
+
+
+def _check_budget(data: HomotopyData, max_states, max_length, length, insert_values):
+    """Reject a search's inputs before it expands anything."""
+    if max_states <= 0:
+        raise BudgetInvalid("max_states must be positive")
+    if max_length < length:
+        raise BudgetInvalid("max_length below the input length")
+    for v in insert_values or ():
+        if v not in data.alphabet:
+            raise UnknownSymbol(f"insert value {v!r} is not an alphabet letter")
+
+
+def _descend(start, data, max_length, max_states, insert_values, use_macros) -> _Frontier:
+    """Shortest-first search from the key ``start`` until it reaches the empty
+    word, visits ``max_states`` keys or runs out of frontier."""
+    front = _Frontier(start, _greedy, data, insert_values, max_length, use_macros)
+    while _EMPTY not in front.parents and front.heap and len(front.parents) < max_states:
+        for nxt in front.expand():
             if not nxt[0]:
-                return Certificate(start, Nanoword.from_key(start.alphabet, nxt),
-                                   tuple(front.trace(key) + [move]))
-            front.push(nxt, key, move)
-    return None
+                break
+    return front
 
 
 def search_contractible(w: Nanoword, data: HomotopyData, max_length: int,
@@ -497,54 +472,36 @@ def search_contractible(w: Nanoword, data: HomotopyData, max_length: int,
     moves (worked contractions rarely need insertions once the derived
     macros are available); insertions join in a second pass.
     """
-    if max_states <= 0:
-        raise BudgetInvalid("max_states must be positive")
-    if max_length < len(w):
-        raise BudgetInvalid("max_length below the input length")
+    _check_budget(data, max_states, max_length, len(w), insert_values)
     start = w.canonical()
-    if not start.word:
-        return Certificate(start, start, ())
-    cert = _contract_pass(start, data, max_length, min(max_states, 50000),
-                          (), use_macros)
-    if cert is not None:
-        return cert
-    if insert_values == ():
+    front = _descend(start.key(), data, max_length, min(max_states, 50000), (), use_macros)
+    if _EMPTY not in front.parents and insert_values != ():
+        front = _descend(start.key(), data, max_length, max_states, insert_values, use_macros)
+    if _EMPTY not in front.parents:
         return None
-    return _contract_pass(start, data, max_length, max_states,
-                          insert_values, use_macros)
+    return Certificate(start, Nanoword.from_key(start.alphabet, _EMPTY),
+                       tuple(front.trace(_EMPTY)))
 
 
 def search_homotopic(w1: Nanoword, w2: Nanoword, data: HomotopyData,
                      max_length: int, max_states: int, insert_values=None,
                      use_macros: bool = True) -> Certificate | None:
     """Bidirectional breadth-first meet-in-the-middle search for w1 ~ w2."""
-    if max_states <= 0:
-        raise BudgetInvalid("max_states must be positive")
-    if max_length < max(len(w1), len(w2)):
-        raise BudgetInvalid("max_length below an input length")
+    _check_budget(data, max_states, max_length, max(len(w1), len(w2)), insert_values)
     s1, s2 = w1.canonical(), w2.canonical()
     if s1.key() == s2.key():
         return Certificate(s1, s2, ())
-
-    f1 = _Frontier(s1.key(), _breadth)
-    f2 = _Frontier(s2.key(), _breadth)
-
-    def build(meet_key):
-        fwd = f1.trace(meet_key)
-        back = f2.trace(meet_key)
-        return Certificate(s1, s2, tuple(fwd + [invert_move(m) for m in reversed(back)]))
-
+    f1 = _Frontier(s1.key(), _breadth, data, insert_values, max_length, use_macros)
+    f2 = _Frontier(s2.key(), _breadth, data, insert_values, max_length, use_macros)
     while len(f1.parents) + len(f2.parents) < max_states:
-        side, other = (f1, f2) if len(f1.heap) <= len(f2.heap) else (f2, f1)
+        # the side with the smaller live heap, the first side on a tie
+        side, other = sorted((f1, f2), key=lambda f: (not f.heap, len(f.heap)))
         if not side.heap:
-            side, other = other, side
-        key = side.pop()
-        if key is None:
             return None
-        for move, nxt in successor_keys(key, data, insert_values, max_length, use_macros):
-            side.push(nxt, key, move)
+        for nxt in side.expand():
             if nxt in other.parents:
-                return build(nxt)
+                back = [invert_move(m) for m in reversed(f2.trace(nxt))]
+                return Certificate(s1, s2, tuple(f1.trace(nxt) + back))
     return None
 
 
@@ -552,19 +509,9 @@ def norm_upper_bound(w: Nanoword, data: HomotopyData, max_states: int,
                      max_length: int | None = None, insert_values=None,
                      use_macros: bool = True) -> int:
     """min(length)/2 over every state reached in budget; at least the norm."""
-    if max_states <= 0:
-        raise BudgetInvalid("max_states must be positive")
     if max_length is None:
         max_length = len(w) + 4
-    start = w.canonical().key()
-    best = len(start[0])
-    front = _Frontier(start, _greedy)
-    while len(front.parents) < max_states and best > 0:
-        key = front.pop()
-        if key is None:
-            break
-        best = min(best, len(key[0]))
-        for move, nxt in successor_keys(key, data, insert_values, max_length, use_macros):
-            best = min(best, len(nxt[0]))
-            front.push(nxt, key, move)
-    return best // 2
+    _check_budget(data, max_states, max_length, len(w), insert_values)
+    front = _descend(w.canonical().key(), data, max_length, max_states,
+                     insert_values, use_macros)
+    return min(len(key[0]) for key in front.parents) // 2

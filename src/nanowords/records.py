@@ -100,6 +100,8 @@ def parse_record(text: str) -> Record:
         raise ParseError(f"unknown field {key!r}", line=num)
     if word_val is not None and plain_val is not None:
         raise ParseError("give either 'word:' or 'plainword:', not both", line=plain_line)
+    if plain_val is not None and proj_val is not None:
+        raise ParseError("'plainword:' takes no 'proj:' line", line=proj_line)
 
     word: EtaleWord | None = None
     if plain_val is not None:
@@ -116,6 +118,8 @@ def parse_record(text: str) -> Record:
             if "=" not in item:
                 raise ParseError(f"expected 'X=a', got {item!r}", line=proj_line)
             x, _, a = item.partition("=")
+            if x in proj:
+                raise ParseError(f"letter {x!r} projected twice", line=proj_line)
             proj[x] = a
         tokens = word_val.split()
         for t in tokens:

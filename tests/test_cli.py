@@ -89,6 +89,17 @@ def test_parse_errors_carry_line_numbers():
         parse_record("alphabet: a\nnonsense: 1\n")
 
 
+@pytest.mark.parametrize("text, line", [
+    ("alphabet: a b\nplainword: ab\nproj: A=a\n", 3),       # proj would be dropped
+    ("alphabet: a b\nproj: A=a\nplainword: ab\n", 2),
+    ("alphabet: a b\nword: A B A B\nproj: A=a B=b A=b\n", 3),  # A projected twice
+])
+def test_parse_record_rejects_ambiguous_projections(text, line):
+    with pytest.raises(ParseError) as err:
+        parse_record(text)
+    assert err.value.line == line
+
+
 def test_cli_invariants(tmp_path, capsys):
     path = _write(tmp_path, "w.rec", ABAB_FREE)
     assert main(["invariants", path]) == 0
@@ -120,6 +131,25 @@ def test_cli_contract_unknown_exit(tmp_path, capsys):
     code = main(["contract", path, "--max-states", "200"])
     assert code == 2
     assert "UNKNOWN" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["contract", "{aa}", "--insert", "q"], "insert value 'q' is not an alphabet letter"),
+    (["contract", "{abab}", "--insert", "q"], "insert value 'q' is not an alphabet letter"),
+    (["norm", "{abab}", "--max-length", "2"], "max_length below the input length"),
+    (["contract", "{aa}", "--max-length", "0"], "max_length below the input length"),
+    (["homotopic", "{aa}", "{aa}", "--max-length", "0"], "max_length below the input length"),
+    (["classify", "nanowords4", "{aa}", "--max-length", "0"],
+     "max_length below the input length"),
+])
+def test_cli_search_rejects_bad_inputs(tmp_path, capsys, argv, message):
+    """Bad insert letters and budgets, an explicit 0 included, fail before the
+    search, whether or not it would need insertions."""
+    paths = {"aa": _write(tmp_path, "aa.rec", "alphabet: a b\nword: A A\nproj: A=a\n"),
+             "abab": _write(tmp_path, "abab.rec", ABAB_ID)}
+    assert main([arg.format(**paths) for arg in argv]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"
 
 
 def test_cli_homotopic_non_homotopic(tmp_path, capsys):

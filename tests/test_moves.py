@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from nanowords import (Alphabet, HomotopyData, Move, Nanoword, apply_move,
                        nanoword_from_pattern, norm_upper_bound,
                        search_contractible, search_homotopic, successor_keys,
                        verify_certificate)
+from nanowords import moves
 from nanowords.errors import BudgetInvalid, PreconditionViolated, UnknownSymbol
 from nanowords.moves import (PAIR_KINDS, TRIPLE_KINDS, Certificate,
                              certificate_from_states, invert_move, parse_move)
@@ -173,6 +175,47 @@ def test_successor_keys_match_brute_force():
     assert seen == {(k, s) for k in PAIR_KINDS + TRIPLE_KINDS for s in "-+"}
 
 
+def _docstring_triples():
+    """The triple moves as the module docstring states them: kind, the two
+    sides with empty spacer words, and for each of A, B, C whether its
+    projection enters the S-condition through tau."""
+    line = re.compile(r"\* (\w+) +x(\w\w)y(\w\w)z(\w\w)t <-> "
+                      r"x(\w\w)y(\w\w)z(\w\w)t +when \((.*)\) in S")
+    out = []
+    for m in map(line.match, moves.__doc__.splitlines()):
+        if m:
+            terms = [t.strip() for t in m[8].split(",")]
+            assert [t[-2] for t in terms] == ["A", "B", "C"], m[0]
+            out.append((m[1], "".join(m.groups()[1:4]), "".join(m.groups()[4:7]),
+                        [t.startswith("tau") for t in terms]))
+    return out
+
+
+def test_triple_moves_match_the_module_docstring(al_mixed):
+    """Every triple kind, both signs, every projection triple over {a, A, c}:
+    the successors by triple moves are the docstring's other side exactly
+    when the docstring's condition holds for the diagonal S."""
+    data = HomotopyData(al_mixed)
+    triples = _docstring_triples()
+    assert [kind for kind, *_ in triples] == list(TRIPLE_KINDS)
+    for kind, minus, plus, taus in triples:
+        for sign, here, there in (("-", minus, plus), ("+", plus, minus)):
+            outcomes = set()
+            for letters in itertools.product(al_mixed.letters, repeat=3):
+                proj = dict(zip("ABC", letters))
+                read = {al_mixed.tau(a) if t else a for a, t in zip(letters, taus)}
+                want = []
+                if len(read) == 1:
+                    want = [(Move(kind, sign, (0, 2, 4)),
+                             nanoword_from_pattern(al_mixed, there, proj).key())]
+                w = nanoword_from_pattern(al_mixed, here, proj)
+                got = [(m, k) for m, k in successor_keys(w.key(), data, (), None, True)
+                       if m.kind in TRIPLE_KINDS]
+                assert got == want, (kind, sign, letters)
+                outcomes.add(bool(want))
+            assert outcomes == {True, False}, (kind, sign)
+
+
 def test_enumerate_moves_wraps_successor_keys(al_mixed):
     data = HomotopyData(al_mixed)
     rng = random.Random(5)
@@ -232,6 +275,34 @@ def test_budget_validation(al_id2):
         search_contractible(w, data, 10, 0)
     with pytest.raises(BudgetInvalid):
         search_contractible(w, data, 2, 100)
+
+
+def test_searches_check_inputs_before_expanding(al_id2, monkeypatch):
+    """Unknown insert values and bad budgets raise before any state is
+    expanded, whether or not the search would need insertions."""
+    data = HomotopyData(al_id2)
+    aa = nanoword_from_pattern(al_id2, "AA", {"A": "a"})
+    abab = nanoword_from_pattern(al_id2, "ABAB", {"A": "a", "B": "b"})
+
+    def expanded(*args):
+        raise AssertionError("a state was expanded")
+
+    monkeypatch.setattr(moves, "successor_keys", expanded)
+    for w in (aa, abab):
+        for search in (lambda **kw: search_contractible(w, data, 10, 100, **kw),
+                       lambda **kw: search_homotopic(w, aa, data, 10, 100, **kw),
+                       lambda **kw: norm_upper_bound(w, data, 100, **kw)):
+            with pytest.raises(UnknownSymbol, match="insert value 'q'"):
+                search(insert_values=("a", "q"))
+    for search in (lambda: search_contractible(abab, data, 2, 100),
+                   lambda: search_homotopic(aa, abab, data, 2, 100),
+                   lambda: norm_upper_bound(abab, data, 100, max_length=2),
+                   lambda: search_contractible(aa, data, 0, 100),
+                   lambda: search_contractible(aa, data, 10, 0),
+                   lambda: search_homotopic(aa, aa, data, 10, 0),
+                   lambda: norm_upper_bound(aa, data, 0)):
+        with pytest.raises(BudgetInvalid):
+            search()
 
 
 def test_contract_interlaced_square(al_free1):
