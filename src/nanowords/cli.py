@@ -76,7 +76,7 @@ def cmd_invariants(args, out: _Out) -> int:
 def cmd_contract(args, out: _Out) -> int:
     rec, w = _load_nanoword(args.input)
     data = HomotopyData(rec.alphabet)
-    inserts = tuple(args.insert.split(",")) if args.insert else None
+    inserts = None if args.insert is None else tuple(x for x in args.insert.split(",") if x)
     budget = len(w.word) + 8 if args.max_length is None else args.max_length
     cert = search_contractible(w, data, budget, args.max_states, insert_values=inserts,
                                use_macros=not args.no_macros)
@@ -150,7 +150,7 @@ def cmd_colorings(args, out: _Out) -> int:
 def cmd_nabla(args, out: _Out) -> int:
     rec, w = _load_nanoword(args.input)
     beta = _parse_beta(rec.alphabet, args.beta)
-    val = nabla(w, beta, args.sign)
+    val = nabla(w, beta)[args.sign]
     out.emit({"nabla": val.format()}, [val.format()])
     return 0
 

@@ -102,8 +102,8 @@ _ROWS = (
          lambda c, al: [f"colorings mod {k[1]} beta=[{' '.join(k[0])}]: "
                         + " / ".join(" ".join(map(str, row)) for row in mat)
                         for k, mat in sorted(c.items())]),
-    _Row("nabla", lambda fp: {(tuple(sorted(beta)), eps): nabla(fp.nanoword, beta, eps)
-                              for beta in fp.betas for eps in "+-"},
+    _Row("nabla", lambda fp: {(tuple(sorted(beta)), eps): v for beta in fp.betas
+                              for eps, v in nabla(fp.nanoword, beta).items()},
          lambda d: tuple((k, v.key()) for k, v in sorted(d.items())),
          lambda d, al: [f"nabla{eps}_[{' '.join(beta) or 'empty'}] = {v.format()}"
                         for (beta, eps), v in sorted(d.items())]),

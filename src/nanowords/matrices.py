@@ -13,6 +13,7 @@ output.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 
 from .errors import EmptyNanoword, InvalidSpec
 from .groups import GroupRingElement, PsiAbElement, PsiElement
@@ -71,8 +72,9 @@ def _relation_rows(w: Nanoword, beta, units, one) -> list[dict]:
     return rows
 
 
-def _weight(w: Nanoword, beta) -> GroupRingElement:
-    """r^w over Psi^ab: a factor -(a a.)^-1 for each letter valued outside beta."""
+def _weight(w: Nanoword, beta) -> tuple[tuple, int]:
+    """r^w over Psi^ab as (exponents, sign): a factor -(a a.)^-1 for each
+    letter valued outside beta."""
     al = w.alphabet
     unit, sign = PsiAbElement.identity(al), 1
     for x in w.letters:
@@ -80,7 +82,7 @@ def _weight(w: Nanoword, beta) -> GroupRingElement:
         if a not in beta:
             unit = unit * PsiAbElement.generator(al, a) * PsiAbElement.generator(al, a, bullet=True)
             sign = -sign
-    return GroupRingElement.of(unit.inverse(), sign)
+    return unit.inverse().nf, sign
 
 
 def weighted_matrix(w: Nanoword, beta) -> WeightedMatrix:
@@ -97,38 +99,105 @@ def weighted_matrix(w: Nanoword, beta) -> WeightedMatrix:
                             GroupRingElement.of(PsiElement.generator(al, a, bullet=True))),
         GroupRingElement.of(PsiElement.identity(al)))
     entries = {(i, j): v for i, row in enumerate(rows) for j, v in row.items()}
-    return WeightedMatrix(al, len(rows), len(rows) + 1, entries, _weight(w, beta))
+    exps, sign = _weight(w, beta)
+    return WeightedMatrix(al, len(rows), len(rows) + 1, entries,
+                          GroupRingElement.of(PsiAbElement(al, exps), sign))
 
 
-def _abelian_entries(w: Nanoword, beta, epsilon: str) -> dict:
-    """The relation rows over Psi^ab, without the last column ("+") or the
-    first ("-"): the square matrix whose determinant nabla normalizes."""
-    al = w.alphabet
-    rows = _relation_rows(
-        w, beta, lambda a: (GroupRingElement.of(PsiAbElement.generator(al, a)),
-                            GroupRingElement.of(PsiAbElement.generator(al, a, bullet=True))),
-        GroupRingElement.of(PsiAbElement.identity(al)))
-    drop, shift = (len(rows), 0) if epsilon == "+" else (0, 1)
-    return {(i, j - shift): v for i, row in enumerate(rows) for j, v in row.items() if j != drop}
+# ---------------------------------------------------------------------------
+# nabla: polynomials over Psi^ab as {flat exponent tuple: coefficient}
 
 
-def _det(alphabet, entries: dict, size: int) -> GroupRingElement:
-    """Cofactor expansion row by row, memoized on the remaining column set.
+def _monomial_product(alphabet: Alphabet):
+    """Product of flat Psi^ab exponent tuples: exponents add, mod 2 at fixed orbits."""
+    fixed = [k for i in alphabet.fixed_orbit_indices for k in (2 * i, 2 * i + 1)]
 
-    The memo collapses shared minors, but the cost still grows exponentially
-    with the size, so ``nabla`` calls it only on the few rows ``_eliminate``
-    leaves without a unit; tests expand whole matrices with it as the oracle.
+    def mono(g: tuple, h: tuple) -> tuple:
+        exps = list(map(add, g, h))
+        for k in fixed:
+            exps[k] &= 1
+        return tuple(exps)
+    return mono
+
+
+class _Poly(dict):
+    """Element of Z[Psi^ab] as a dict from flat exponent tuple to coefficient.
+
+    ``mono`` multiplies two exponent tuples.  Every sum and product drops
+    the coefficients that cancel, since Z[Psi^ab] has zero divisors such as
+    (1 - a a.)(1 + a a.) at a fixed point.
     """
-    by_row: list[list[tuple[int, GroupRingElement]]] = [[] for _ in range(size)]
+
+    __slots__ = ("mono",)
+
+    def __init__(self, mono, terms=()):
+        super().__init__(terms)
+        self.mono = mono
+
+    def _drop_zeros(self) -> "_Poly":
+        for g in [g for g, c in self.items() if not c]:
+            del self[g]
+        return self
+
+    def __add__(self, other):
+        out = _Poly(self.mono, self)
+        get = out.get
+        for g, c in other.items():
+            out[g] = get(g, 0) + c
+        return out._drop_zeros()
+
+    def __neg__(self):
+        return _Poly(self.mono, {g: -c for g, c in self.items()})
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __mul__(self, other):
+        mono, out = self.mono, _Poly(self.mono)
+        get = out.get
+        for g, c in self.items():
+            for h, d in other.items():
+                gh = mono(g, h)
+                out[gh] = get(gh, 0) + c * d
+        return out._drop_zeros()
+
+
+def _ring(alphabet: Alphabet, poly: dict, sign: int = 1) -> GroupRingElement:
+    """``sign`` times the polynomial ``poly`` as a group-ring element."""
+    return GroupRingElement(alphabet, {PsiAbElement(alphabet, g): sign * c
+                                       for g, c in poly.items()})
+
+
+def _abelian_entries(w: Nanoword, beta) -> dict:
+    """The relation rows over Psi^ab, all 2n + 1 columns, as polynomials."""
+    al = w.alphabet
+    mono = _monomial_product(al)
+    rows = _relation_rows(
+        w, beta, lambda a: (_Poly(mono, {PsiAbElement.generator(al, a).nf: 1}),
+                            _Poly(mono, {PsiAbElement.generator(al, a, bullet=True).nf: 1})),
+        _Poly(mono, {PsiAbElement.identity(al).nf: 1}))
+    return {(i, j): v for i, row in enumerate(rows) for j, v in row.items()}
+
+
+def _det(entries: dict, size: int, one, columns=None):
+    """Cofactor expansion over rows 0 .. size - 1 and ``columns`` (default
+    0 .. size - 1), row by row, memoized on the remaining column set.
+
+    The entries may lie in any commutative ring whose elements add, subtract
+    and multiply; ``one`` is its unit.  The memo collapses shared minors, but
+    the cost still grows exponentially with the size, so ``nabla`` calls it
+    only on the few rows ``_eliminate`` leaves without a unit; tests expand
+    whole matrices over the group ring with it as the oracle.
+    """
+    by_row: list[list[tuple[int, object]]] = [[] for _ in range(size)]
     for (i, j), v in entries.items():
         by_row[i].append((j, v))
     for row in by_row:
         row.sort()
     memo: dict = {}
-    zero = GroupRingElement.zero(alphabet)
-    one = GroupRingElement.of(PsiAbElement.identity(alphabet))
+    zero = one - one
 
-    def rec(row: int, cols: frozenset) -> GroupRingElement:
+    def rec(row: int, cols: frozenset):
         if row == size:
             return one
         key = cols
@@ -138,45 +207,55 @@ def _det(alphabet, entries: dict, size: int) -> GroupRingElement:
         total = zero
         alive = [(j, v) for j, v in by_row[row] if j in cols]
         for j, v in alive:
-            sign = 1 if sum(1 for c in cols if c < j) % 2 == 0 else -1
-            sub = rec(row + 1, cols - {j})
-            if not sub.is_zero():
-                total = total + (v * sub if sign > 0 else v * sub * -1)
+            sub = v * rec(row + 1, cols - {j})
+            total = total + sub if sum(1 for c in cols if c < j) % 2 == 0 else total - sub
         memo[key] = total
         return total
 
-    det = rec(0, frozenset(range(size)))
+    det = rec(0, frozenset(range(size) if columns is None else columns))
     memo.clear()  # rec's closure is a reference cycle: free the minors now, not at the next gc
     return det
 
 
-def _eliminate(alphabet, entries: dict, size: int) -> GroupRingElement:
-    """Determinant by pivoting on unit monomials, least Markowitz fill first.
+def _eliminate(alphabet, entries: dict, size: int, scale: tuple | None = None,
+               sign: int = 1) -> dict:
+    """Both maximal minors of the size x (size + 1) matrix ``entries``
+    (``{(i, j): {exponent tuple: coefficient}}``), times the monomial
+    ``scale`` and ``sign``: "+" drops the last column, "-" the first.
 
-    A pivot u = +-g at position (i, j) of the remaining block contributes
-    (-1)^(i+j) u; the Schur complement subtracts M[r][j] u^-1 M[i][c] with
-    u^-1 = +-g^-1, so nothing is ever divided.  A row left empty gives 0; the
-    block left when no entry is a unit goes to the cofactor expansion.
+    Pivots are unit monomials u = +-g in the interior columns 1 .. size - 1,
+    least Markowitz fill (r-1)(c-1) first.  The Schur complement subtracts
+    M[r][j] u^-1 M[i][c] with u^-1 = +-g^-1, so nothing is divided, and column
+    by column it is the Schur complement of both square matrices at once.  A
+    pivot at position (i, j) of the remaining block contributes (-1)^(i+j) u
+    to "+"; without the first column it sits one place further left, so the
+    two signs differ by (-1)^(number of pivots).  A row left empty makes both
+    minors 0; the k x (k + 1) block left when no interior entry is a unit goes
+    to the cofactor expansion, once per minor.
     """
+    mono = _monomial_product(alphabet)
+    identity = (0,) * (2 * len(alphabet.orbits))
+    scale = scale or identity
     rows: list[dict] = [{} for _ in range(size)]
-    cols: list[set] = [set() for _ in range(size)]
+    cols: list[set] = [set() for _ in range(size + 1)]
     for (i, j), v in entries.items():
         rows[i][j] = v
         cols[j].add(i)
-    live_rows, live_cols = set(range(size)), set(range(size))
-    scale, sign = PsiAbElement.identity(alphabet), 1
-    while live_rows:
+    live_rows, live_cols = set(range(size)), set(range(size + 1))
+    pivots = 0
+    while True:
         best = None
         for i in live_rows:
             row = rows[i]
             if not row:
-                return GroupRingElement.zero(alphabet)
+                return {"+": {}, "-": {}}
+            rest = len(row) - 1
             for j, v in row.items():
-                if len(v.terms) == 1:
-                    (g, c), = v.terms.items()
-                    if c in (1, -1):
-                        fill = (len(row) - 1) * (len(cols[j]) - 1)
-                        if best is None or fill < best[0]:
+                if len(v) == 1 and 0 < j < size:
+                    fill = rest * (len(cols[j]) - 1)
+                    if best is None or fill < best[0]:
+                        (g, c), = v.items()
+                        if c in (1, -1):
                             best = (fill, i, j, g, c)
             if best is not None and best[0] == 0:
                 break
@@ -184,54 +263,62 @@ def _eliminate(alphabet, entries: dict, size: int) -> GroupRingElement:
             break
         _, i, j, g, c = best
         position = sum(1 for r in live_rows if r < i) + sum(1 for k in live_cols if k < j)
-        scale = scale * g
+        scale = mono(scale, g)
         sign *= -c if position % 2 else c
-        minus_inverse = GroupRingElement.of(g.inverse(), -c)
+        pivots += 1
+        inverse = tuple(-e for e in g)
         pivot_row = rows[i]
         del pivot_row[j]
         cols[j].discard(i)
         for r in cols[j]:
             target = rows[r]
-            factor = target.pop(j) * minus_inverse
+            factor = [(mono(h, inverse), -c * d) for h, d in target.pop(j).items()]
             for k, v in pivot_row.items():
-                new = factor * v
-                if k in target:
-                    new = target[k] + new
-                if new.is_zero():  # Z[Psi^ab] has zero divisors, e.g. (1 - a a.)(1 + a a.)
-                    target.pop(k, None)
-                    cols[k].discard(r)
-                else:
+                new = dict(target.get(k, ()))
+                for h, d in factor:
+                    for h2, d2 in v.items():
+                        gh = mono(h, h2)
+                        new[gh] = new.get(gh, 0) + d * d2
+                new = {gh: x for gh, x in new.items() if x}
+                if new:
                     target[k] = new
                     cols[k].add(r)
+                else:
+                    target.pop(k, None)
+                    cols[k].discard(r)
         for k in pivot_row:
             cols[k].discard(i)
         live_rows.discard(i)
         live_cols.discard(j)
-    det = GroupRingElement.of(scale, sign)
-    if live_rows:
-        row_at = {r: n for n, r in enumerate(sorted(live_rows))}
-        col_at = {k: n for n, k in enumerate(sorted(live_cols))}
-        block = {(row_at[r], col_at[k]): v for r in live_rows for k, v in rows[r].items()}
-        det = det * _det(alphabet, block, len(row_at))
-    return det
+    row_at = {r: n for n, r in enumerate(sorted(live_rows))}
+    col_at = {k: n for n, k in enumerate(sorted(live_cols))}
+    block = {(row_at[r], col_at[k]): _Poly(mono, v) for r in live_rows for k, v in rows[r].items()}
+    size, one = len(row_at), _Poly(mono, {identity: 1})
+    minus_sign = -sign if pivots % 2 else sign
+    return {eps: {mono(scale, g): s * c for g, c in _det(block, size, one, columns).items()}
+            for eps, columns, s in (("+", range(size), sign), ("-", range(1, size + 1), minus_sign))}
 
 
-def nabla(w: Nanoword, beta, epsilon: str) -> GroupRingElement:
-    """Sign-normalized determinant invariant over the commutative quotient.
+def nabla(w: Nanoword, beta) -> dict[str, GroupRingElement]:
+    """Sign-normalized determinant invariants ``{"+": nabla^+, "-": nabla^-}``
+    over the commutative quotient.
 
-    epsilon "+" drops the last column, "-" the first; the augmentation of
-    the raw determinant is +-1 and fixes the sign, so aug(nabla) = 1.  The
-    empty nanoword returns 1 (forced by multiplicativity).
+    "+" drops the last column of the relation matrix, "-" the first, and one
+    elimination gives both; the weight r^w and the pivots enter as one
+    exponent shift.  The augmentation of each raw determinant is +-1 and
+    fixes its sign, so aug(nabla) = 1.  The empty nanoword gives 1 for both
+    (forced by multiplicativity).
     """
-    if epsilon not in ("+", "-"):
-        raise ValueError("epsilon is '+' or '-'")
+    al = w.alphabet
     if not w.word:
-        return GroupRingElement.of(PsiAbElement.identity(w.alphabet))
-    det = _eliminate(w.alphabet, _abelian_entries(w, beta, epsilon), len(w.word))
-    raw = _weight(w, beta) * det
-    s = raw.aug()
-    assert s in (1, -1), "augmentation of nabla must be a sign"
-    return raw * s
+        one = GroupRingElement.of(PsiAbElement.identity(al))
+        return {"+": one, "-": one}
+    out = {}
+    for eps, raw in _eliminate(al, _abelian_entries(w, beta), len(w.word), *_weight(w, beta)).items():
+        s = sum(raw.values())
+        assert s in (1, -1), "augmentation of nabla must be a sign"
+        out[eps] = _ring(al, raw, s)
+    return out
 
 
 # ---------------------------------------------------------------------------

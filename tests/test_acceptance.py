@@ -230,8 +230,8 @@ def test_c07_nabla_consistency():
             w = random_nanoword(al, rng.randrange(1, 6), rng)
             beta = set(al.letters)
             one = GroupRingElement.of(PsiAbElement.identity(al))
-            assert nabla(w, beta, "-") == one
-            assert nabla(w, beta, "+") == q_ab(lambda_invariant(w))
+            assert nabla(w, beta)["-"] == one
+            assert nabla(w, beta)["+"] == q_ab(lambda_invariant(w))
 
     _report(7, "nabla-_alpha = 1 and nabla+_alpha = q(lambda) on 200 random "
                "nanowords of length <= 10", body)

@@ -133,6 +133,18 @@ def test_cli_contract_unknown_exit(tmp_path, capsys):
     assert "UNKNOWN" in capsys.readouterr().out
 
 
+def test_cli_contract_with_no_insert_letters(tmp_path, capsys):
+    """``--insert ""`` allows no insertion letters at all.  Without macros,
+    A B A B over a<->b contracts only through an insertion, so the search
+    with no letters ends UNKNOWN."""
+    path = _write(tmp_path, "w.rec", "alphabet: a b\ninvolution: a<->b\n"
+                                     "word: A B A B\nproj: A=a B=b\n")
+    assert main(["contract", path, "--no-macros"]) == 0
+    assert "insert=(b)" in capsys.readouterr().out
+    assert main(["contract", path, "--no-macros", "--insert", ""]) == 2
+    assert capsys.readouterr().out == "UNKNOWN (budget exhausted)\n"
+
+
 @pytest.mark.parametrize("argv, message", [
     (["contract", "{aa}", "--insert", "q"], "insert value 'q' is not an alphabet letter"),
     (["contract", "{abab}", "--insert", "q"], "insert value 'q' is not an alphabet letter"),

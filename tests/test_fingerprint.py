@@ -175,4 +175,4 @@ def test_nabla_is_multiplicative_on_a_long_product():
     assert len(w.letters) == 22
     for beta in default_betas(al):
         for eps in "+-":
-            assert nabla(w, beta, eps) == nabla(w1, beta, eps) * nabla(w2, beta, eps)
+            assert nabla(w, beta)[eps] == nabla(w1, beta)[eps] * nabla(w2, beta)[eps]

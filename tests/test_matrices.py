@@ -10,7 +10,7 @@ from nanowords import (Alphabet, ColoringSpec, GroupRingElement, count_colorings
 from nanowords.errors import EmptyNanoword, InvalidSpec
 from nanowords.lambdainv import bar, lambda_invariant, q_ab
 from nanowords.fingerprint import default_betas
-from nanowords.matrices import _abelian_entries, _det, _eliminate, count_colorings_prime
+from nanowords.matrices import _abelian_entries, _det, _eliminate, _ring, count_colorings_prime
 from nanowords.groups import PsiAbElement, PsiElement, psi_abelianize
 from nanowords.intlinalg import ModularCounter, smith_normal_form
 from nanowords.words import Nanoword
@@ -67,8 +67,8 @@ def test_nabla_alpha_identities(w):
     if not w.word:
         return
     al = w.alphabet
-    assert nabla(w, set(al.letters), "-") == _one_ab(al)
-    assert nabla(w, set(al.letters), "+") == q_ab(lambda_invariant(w))
+    assert nabla(w, set(al.letters))["-"] == _one_ab(al)
+    assert nabla(w, set(al.letters))["+"] == q_ab(lambda_invariant(w))
 
 
 @given(nanowords_strategy(max_letters=3), nanowords_strategy(max_letters=3))
@@ -80,8 +80,8 @@ def test_nabla_multiplicative(w1, w2):
     betas = [set(al.letters), set()]
     for beta in betas:
         for eps in "+-":
-            assert nabla(product(w1, w2), beta, eps) == \
-                nabla(w1, beta, eps) * nabla(w2, beta, eps)
+            assert nabla(product(w1, w2), beta)[eps] == \
+                nabla(w1, beta)[eps] * nabla(w2, beta)[eps]
 
 
 @given(nanowords_strategy(max_letters=3))
@@ -94,20 +94,36 @@ def test_nabla_bar_and_opposite(w):
     for beta in betas:
         comp = set(al.letters) - beta
         for eps, other in (("+", "-"), ("-", "+")):
-            assert nabla(inverse(w), beta, eps) == bar(nabla(w, beta, eps))
-            assert nabla(opposite(w), comp, eps) == bar(nabla(w, beta, other))
+            assert nabla(inverse(w), beta)[eps] == bar(nabla(w, beta)[eps])
+            assert nabla(opposite(w), comp)[eps] == bar(nabla(w, beta)[other])
+
+
+def _square(entries: dict, eps: str, size: int) -> dict:
+    """The size x size matrix left when the last ("+") or the first ("-")
+    column of a size x (size + 1) matrix is dropped."""
+    drop, shift = (size, 0) if eps == "+" else (0, 1)
+    return {(i, j - shift): v for (i, j), v in entries.items() if j != drop}
+
+
+def _assert_minors(al, entries: dict, size: int) -> dict:
+    """``_eliminate`` gives both maximal minors of the polynomial matrix
+    ``entries`` as the cofactor expansion over the group ring does."""
+    ring = {k: _ring(al, v) for k, v in entries.items()}
+    minors = _eliminate(al, entries, size)
+    for eps in "+-":
+        assert _ring(al, minors[eps]) == _det(_square(ring, eps, size), size, _one_ab(al))
+    return minors
 
 
 def test_det_row_order_independence():
-    """Permuting the rows changes the raw determinant only by the permutation
-    sign, for the cofactor expansion and for the elimination alike."""
+    """Permuting the rows changes both minors only by the permutation sign,
+    for the cofactor expansion and for the elimination alike."""
     rng = random.Random(19)
     for al in ALPHABETS[:2]:
         for _ in range(10):
             w = random_nanoword(al, rng.randrange(1, 4), rng)
-            entries, size = _abelian_entries(w, set(al.letters), "-"), len(w.word)
-            base = _det(al, entries, size)
-            assert _eliminate(al, entries, size) == base
+            entries, size = _abelian_entries(w, set(al.letters)), len(w.word)
+            base = _assert_minors(al, entries, size)
             perm = list(range(size))
             rng.shuffle(perm)
             sign = 1
@@ -122,13 +138,23 @@ def test_det_row_order_independence():
                     cycle += 1
                 sign *= (-1) ** (cycle - 1)
             shuffled = {(perm[i], j): v for (i, j), v in entries.items()}
-            assert _det(al, shuffled, size) == base * sign
-            assert _eliminate(al, shuffled, size) == base * sign
+            for eps, v in _assert_minors(al, shuffled, size).items():
+                assert _ring(al, v) == _ring(al, base[eps], sign)
 
 
-def test_elimination_equals_cofactor_expansion():
-    """The production determinant equals the cofactor expansion term for term
-    at every default beta and both dropped columns."""
+def test_elimination_equals_cofactor_expansion(monkeypatch):
+    """Both signs of nabla equal the normalized cofactor expansion of the
+    whole square matrix, taken from the weighted matrix over Psi pushed
+    through the quotient, at every default beta; some leftover block has two
+    rows or more, so the sign rule of the two minors is exercised."""
+    import nanowords.matrices as mat
+    blocks = []
+
+    def spy(entries, size, one, columns=None):
+        blocks.append(size)
+        return _det(entries, size, one, columns)
+
+    monkeypatch.setattr(mat, "_det", spy)
     rng = random.Random(23)
     count = 0
     for al in ALPHABETS:
@@ -136,35 +162,39 @@ def test_elimination_equals_cofactor_expansion():
             for _ in range(4):
                 w = random_nanoword(al, n, rng)
                 for beta in default_betas(al):
+                    m = weighted_matrix(w, beta)
+                    entries = {k: v.map_terms(psi_abelianize) for k, v in m.entries.items()}
+                    values = nabla(w, beta)
                     for eps in "+-":
-                        entries, size = _abelian_entries(w, beta, eps), len(w.word)
-                        assert _eliminate(al, entries, size) == _det(al, entries, size)
+                        raw = m.weight * _det(_square(entries, eps, m.rows), m.rows, _one_ab(al))
+                        assert values[eps] == raw * raw.aug()
                         count += 1
     assert count > 800
+    assert max(blocks) >= 2
 
 
 def test_abelian_entries_are_the_weighted_matrix_abelianized():
-    """The rows built over Psi^ab equal the Psi rows pushed through the
-    quotient with the column dropped, entry for entry and in the same order,
-    so the elimination sees the same pivots."""
+    """The polynomial rows equal the Psi rows pushed through the quotient,
+    over all 2n + 1 columns, entry for entry and in the same order, so the
+    elimination sees the same pivots."""
     rng = random.Random(23)
     for al in ALPHABETS:
         for n in range(1, 9):
             for _ in range(4):
                 w = random_nanoword(al, n, rng)
                 for beta in default_betas(al):
-                    m = weighted_matrix(w, beta)
-                    for eps, drop in (("+", m.cols - 1), ("-", 0)):
-                        shift = 1 if drop == 0 else 0
-                        expected = [((i, j - shift), v.map_terms(psi_abelianize))
-                                    for (i, j), v in m.entries.items() if j != drop]
-                        assert list(_abelian_entries(w, beta, eps).items()) == expected
+                    expected = [(k, {g.nf: c for g, c in v.map_terms(psi_abelianize).terms.items()})
+                                for k, v in weighted_matrix(w, beta).entries.items()]
+                    assert list(_abelian_entries(w, beta).items()) == expected
 
 
-def _ab_ring(al, *terms):
-    """Sum of c * a^e a.^f over the one orbit of ``al``, from (c, e, f) triples."""
-    return sum((GroupRingElement.of(PsiAbElement(al, [e, f]), c) for c, e, f in terms),
-               GroupRingElement.zero(al))
+def _poly(*terms):
+    """Sum of c * a^e a.^f over the one orbit of a one-orbit alphabet, from
+    (c, e, f) triples, as a polynomial."""
+    out = {}
+    for c, e, f in terms:
+        out[(e, f)] = out.get((e, f), 0) + c
+    return out
 
 
 def test_elimination_hands_a_block_without_units_to_the_expansion(al_free1, monkeypatch):
@@ -172,55 +202,61 @@ def test_elimination_hands_a_block_without_units_to_the_expansion(al_free1, monk
     al = al_free1
     calls = []
 
-    def spy(alphabet, entries, size):
+    def spy(entries, size, one, columns=None):
         calls.append(size)
-        return _det(alphabet, entries, size)
+        return _det(entries, size, one, columns)
 
     monkeypatch.setattr(mat, "_det", spy)
-    # no entry is +-g: 2, 1 + a, 1 - a., 3 a a.
-    entries = {(0, 0): _ab_ring(al, (2, 0, 0)), (0, 1): _ab_ring(al, (1, 0, 0), (1, 1, 0)),
-               (1, 0): _ab_ring(al, (1, 0, 0), (-1, 0, 1)), (1, 1): _ab_ring(al, (3, 1, 1))}
-    assert mat._eliminate(al, entries, 2) == _det(al, entries, 2)
-    assert calls == [2]
-    # one unit pivot at an odd position, whose Schur complement turns
-    # 1 - a. into 2, then a 2 x 2 block with no unit left
-    entries3 = {(2 if i == 0 else i - 1, j + 1): v for (i, j), v in entries.items()}
-    entries3[(0, 0)] = _ab_ring(al, (1, 1, 0))
-    entries3[(1, 0)] = _ab_ring(al, (-1, 1, 0))
-    entries3[(1, 1)] = _ab_ring(al, (1, 0, 0), (1, 0, 1))
+    # the one interior column holds no +-g: 1 + a, 3 a a.; the outer
+    # columns hold units, which are never pivots
+    entries = {(0, 0): _poly((1, 1, 0)), (0, 1): _poly((1, 0, 0), (1, 1, 0)),
+               (0, 2): _poly((2, 0, 0)), (1, 0): _poly((-1, 0, 1)),
+               (1, 1): _poly((3, 1, 1)), (1, 2): _poly((1, 0, 0), (-1, 0, 1))}
+    _assert_minors(al, entries, 2)
+    assert calls == [2, 2]
+    # one unit pivot -a in column 1, whose Schur complement turns 1 - a. into
+    # 2, then a 2 x 3 block with no unit left in its interior column
+    entries3 = {(0, 0): _poly((1, 0, 0), (1, 1, 0)), (0, 1): _poly((1, 1, 0)),
+                (0, 2): _poly((1, 0, 0), (-1, 0, 1)), (0, 3): _poly((3, 1, 1)),
+                (1, 1): _poly((-1, 1, 0)), (1, 2): _poly((1, 0, 0), (1, 0, 1)),
+                (2, 0): _poly((1, 0, 1)), (2, 2): _poly((2, 0, 0)),
+                (2, 3): _poly((1, 0, 0), (1, 1, 0))}
     calls.clear()
-    assert mat._eliminate(al, entries3, 3) == _det(al, entries3, 3)
-    assert calls == [2]
+    _assert_minors(al, entries3, 3)
+    assert calls == [2, 2]
 
 
-def test_elimination_of_a_zero_row_is_zero(al_free1):
+def test_elimination_of_a_zero_row_is_zero(al_free1, monkeypatch):
+    """An empty row, given or left by the elimination, makes both minors 0
+    before any cofactor expansion."""
+    import nanowords.matrices as mat
     al = al_free1
-    unit = _ab_ring(al, (1, 1, 0))
-    entries = {(0, 0): unit, (0, 1): _ab_ring(al, (2, 0, 0)),
-               (2, 1): unit, (2, 2): _ab_ring(al, (1, 0, 0), (1, 0, 1))}
-    assert _det(al, entries, 3).is_zero()
-    assert _eliminate(al, entries, 3).is_zero()
+    monkeypatch.setattr(mat, "_det", None)
+    unit = _poly((1, 1, 0))
+    entries = {(0, 0): unit, (0, 1): _poly((2, 0, 0)), (0, 3): unit,
+               (2, 1): unit, (2, 2): _poly((1, 0, 0), (1, 0, 1)), (2, 3): unit}
+    assert _assert_minors(al, entries, 3) == {"+": {}, "-": {}}
     # a row that elimination empties: rows 0 and 1 are equal
-    twin = {(0, 0): unit, (0, 1): _ab_ring(al, (2, 0, 0)),
-            (1, 0): unit, (1, 1): _ab_ring(al, (2, 0, 0)), (2, 2): unit}
-    assert _eliminate(al, twin, 3).is_zero()
+    twin = {(0, 1): unit, (0, 2): _poly((2, 0, 0)),
+            (1, 1): unit, (1, 2): _poly((2, 0, 0)), (2, 3): unit}
+    assert _assert_minors(al, twin, 3) == {"+": {}, "-": {}}
 
 
 def test_elimination_over_zero_divisors(al_id2):
     """At a fixed point a a. squares to 1, so (1 - a a.)(1 + a a.) = 0: the
-    Schur complement can vanish at a position that held no entry."""
+    Schur complement can vanish at a position that held no entry, leaving
+    nabla^- zero and nabla^+ not."""
     al = al_id2
-    one, x = PsiAbElement.identity(al), PsiAbElement(al, [1, 1, 0, 0])
-    plus = GroupRingElement.of(one) + GroupRingElement.of(x)
-    minus = GroupRingElement.of(one) - GroupRingElement.of(x)
-    assert (plus * minus).is_zero()
-    entries = {(0, 0): GroupRingElement.of(one), (0, 1): plus, (1, 0): minus}
-    assert _det(al, entries, 2).is_zero()
-    assert _eliminate(al, entries, 2).is_zero()
+    one, x = (0, 0, 0, 0), (1, 1, 0, 0)
+    plus, minus = {one: 1, x: 1}, {one: 1, x: -1}
+    assert (_ring(al, plus) * _ring(al, minus)).is_zero()
+    entries = {(0, 1): {one: 1}, (0, 2): plus, (1, 0): {x: 1}, (1, 1): minus}
+    minors = _assert_minors(al, entries, 2)
+    assert minors == {"+": {x: -1}, "-": {}}
 
 
 def test_nabla_empty_is_one(al_id2):
-    assert nabla(Nanoword(al_id2, (), {}), {"a", "b"}, "+") == _one_ab(al_id2)
+    assert nabla(Nanoword(al_id2, (), {}), {"a", "b"}) == {"+": _one_ab(al_id2), "-": _one_ab(al_id2)}
 
 
 # ---------------------------------------------------------------------------
