@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Record the benchmark: perfbench/run.py on every workload, untraced, then traced.
 
-    python3 scripts/bench.py --seed 11 --out BENCH_12.json
-    python3 scripts/bench.py --seed 11 --out BENCH_12.json --checkout ../parent --label parent
+    python3 scripts/bench.py --seed 11 --out BENCH_<n>.json
+    python3 scripts/bench.py --seed 11 --out BENCH_<n>.json --checkout ../parent --label parent
 
 Nothing is timed here.  Each run's two stdout lines, the run information
 (Python version, core count, commit, source hash, digest, ...) and the

@@ -293,10 +293,10 @@ def _eliminate(alphabet, entries: dict, size: int, scale: tuple | None = None,
     row_at = {r: n for n, r in enumerate(sorted(live_rows))}
     col_at = {k: n for n, k in enumerate(sorted(live_cols))}
     block = {(row_at[r], col_at[k]): _Poly(mono, v) for r in live_rows for k, v in rows[r].items()}
-    size, one = len(row_at), _Poly(mono, {identity: 1})
+    k, one = len(row_at), _Poly(mono, {identity: 1})
     minus_sign = -sign if pivots % 2 else sign
-    return {eps: {mono(scale, g): s * c for g, c in _det(block, size, one, columns).items()}
-            for eps, columns, s in (("+", range(size), sign), ("-", range(1, size + 1), minus_sign))}
+    return {eps: {mono(scale, g): s * c for g, c in _det(block, k, one, columns).items()}
+            for eps, columns, s in (("+", range(k), sign), ("-", range(1, k + 1), minus_sign))}
 
 
 def nabla(w: Nanoword, beta) -> dict[str, GroupRingElement]:
