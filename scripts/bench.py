@@ -39,12 +39,10 @@ def main(argv=None) -> int:
     parser.add_argument("--checkout", default=str(ROOT),
                         help="repository checkout whose benchmark runs (default: this one)")
     parser.add_argument("--label", default="change", help="name of this record")
-    parser.add_argument("--seconds", type=float,
-                        help="seconds per run (default: run_seconds of BENCHMARK.json)")
     args = parser.parse_args(argv)
     checkout = Path(args.checkout).resolve()
     declared = json.loads((checkout / "BENCHMARK.json").read_text())
-    seconds = args.seconds or declared["run_seconds"]
+    seconds = declared["run_seconds"]
     runs = []
     for workload in (w["name"] for w in declared["workloads"]):
         for trace in (0, 1):

@@ -217,11 +217,11 @@ def _det(entries: dict, size: int, one, columns=None):
     return det
 
 
-def _eliminate(alphabet, entries: dict, size: int, scale: tuple | None = None,
-               sign: int = 1) -> dict:
+def _eliminate(alphabet, entries: dict, size: int, scale: tuple, sign: int) -> dict:
     """Both maximal minors of the size x (size + 1) matrix ``entries``
-    (``{(i, j): {exponent tuple: coefficient}}``), times the monomial
-    ``scale`` and ``sign``: "+" drops the last column, "-" the first.
+    (``{(i, j): _Poly}``), times the monomial ``scale`` and ``sign``, as
+    ``{exponent tuple: coefficient}``: "+" drops the last column, "-" the
+    first.
 
     Pivots are unit monomials u = +-g in the interior columns 1 .. size - 1,
     least Markowitz fill (r-1)(c-1) first.  The Schur complement subtracts
@@ -234,8 +234,6 @@ def _eliminate(alphabet, entries: dict, size: int, scale: tuple | None = None,
     to the cofactor expansion, once per minor.
     """
     mono = _monomial_product(alphabet)
-    identity = (0,) * (2 * len(alphabet.orbits))
-    scale = scale or identity
     rows: list[dict] = [{} for _ in range(size)]
     cols: list[set] = [set() for _ in range(size + 1)]
     for (i, j), v in entries.items():
@@ -266,20 +264,17 @@ def _eliminate(alphabet, entries: dict, size: int, scale: tuple | None = None,
         scale = mono(scale, g)
         sign *= -c if position % 2 else c
         pivots += 1
-        inverse = tuple(-e for e in g)
+        minus_inverse = _Poly(mono, {tuple(-e for e in g): -c})
         pivot_row = rows[i]
         del pivot_row[j]
         cols[j].discard(i)
         for r in cols[j]:
             target = rows[r]
-            factor = [(mono(h, inverse), -c * d) for h, d in target.pop(j).items()]
+            factor = target.pop(j) * minus_inverse
             for k, v in pivot_row.items():
-                new = dict(target.get(k, ()))
-                for h, d in factor:
-                    for h2, d2 in v.items():
-                        gh = mono(h, h2)
-                        new[gh] = new.get(gh, 0) + d * d2
-                new = {gh: x for gh, x in new.items() if x}
+                new = factor * v
+                if k in target:
+                    new = target[k] + new
                 if new:
                     target[k] = new
                     cols[k].add(r)
@@ -292,8 +287,8 @@ def _eliminate(alphabet, entries: dict, size: int, scale: tuple | None = None,
         live_cols.discard(j)
     row_at = {r: n for n, r in enumerate(sorted(live_rows))}
     col_at = {k: n for n, k in enumerate(sorted(live_cols))}
-    block = {(row_at[r], col_at[k]): _Poly(mono, v) for r in live_rows for k, v in rows[r].items()}
-    k, one = len(row_at), _Poly(mono, {identity: 1})
+    block = {(row_at[r], col_at[k]): v for r in live_rows for k, v in rows[r].items()}
+    k, one = len(row_at), _Poly(mono, {(0,) * len(scale): 1})
     minus_sign = -sign if pivots % 2 else sign
     return {eps: {mono(scale, g): s * c for g, c in _det(block, k, one, columns).items()}
             for eps, columns, s in (("+", range(k), sign), ("-", range(1, k + 1), minus_sign))}

@@ -10,7 +10,8 @@ from nanowords import (Alphabet, ColoringSpec, GroupRingElement, count_colorings
 from nanowords.errors import EmptyNanoword, InvalidSpec
 from nanowords.lambdainv import bar, lambda_invariant, q_ab
 from nanowords.fingerprint import default_betas
-from nanowords.matrices import _abelian_entries, _det, _eliminate, _ring, count_colorings_prime
+from nanowords.matrices import (_abelian_entries, _det, _eliminate, _monomial_product, _Poly, _ring,
+                                count_colorings_prime)
 from nanowords.groups import PsiAbElement, PsiElement, psi_abelianize
 from nanowords.intlinalg import ModularCounter, smith_normal_form
 from nanowords.words import Nanoword
@@ -109,7 +110,9 @@ def _assert_minors(al, entries: dict, size: int) -> dict:
     """``_eliminate`` gives both maximal minors of the polynomial matrix
     ``entries`` as the cofactor expansion over the group ring does."""
     ring = {k: _ring(al, v) for k, v in entries.items()}
-    minors = _eliminate(al, entries, size)
+    mono = _monomial_product(al)
+    minors = _eliminate(al, {k: _Poly(mono, v) for k, v in entries.items()}, size,
+                        (0,) * (2 * len(al.orbits)), 1)
     for eps in "+-":
         assert _ring(al, minors[eps]) == _det(_square(ring, eps, size), size, _one_ab(al))
     return minors
