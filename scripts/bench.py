@@ -6,11 +6,14 @@
 
 Nothing is timed here.  Each run's two stdout lines, the run information
 (Python version, core count, commit, source hash, digest, ...) and the
-result, are stored as printed.  The workloads and the run length come from
-the checkout's BENCHMARK.json.  ``--checkout`` runs the benchmark of another
-checkout of the repository (default: this one).  When ``--out`` exists, the
-new record is appended to its ``records``, so one file can hold the runs of
-a parent and of a change at one seed.
+result, are stored as printed, except that a traced run keeps only the
+``digest`` and ``src_sha256`` of its information line: its result already
+holds the declared per-layer rows, and its full layer table takes 15-20 KB.
+The workloads and the run length come from the checkout's BENCHMARK.json.
+``--checkout`` runs the benchmark of another checkout of the repository
+(default: this one).  When ``--out`` exists, the new record is appended to
+its ``records``, so one file can hold the runs of a parent and of a change
+at one seed.
 """
 
 import argparse
@@ -29,6 +32,8 @@ def run(checkout: Path, workload: str, seed: int, seconds: float, trace: int) ->
     if done.returncode != 0:
         sys.exit(f"error: {' '.join(cmd)} exited {done.returncode}:\n{done.stderr}")
     info, result = map(json.loads, done.stdout.strip().splitlines()[-2:])
+    if trace:
+        info = {key: info[key] for key in ("digest", "src_sha256")}
     return {"workload": workload, "trace": trace, "info": info, "result": result}
 
 

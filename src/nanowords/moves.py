@@ -16,8 +16,9 @@ search trees shallow; they can be switched off):
 
 Search is deterministic: states are canonical keys (``Nanoword.key()``),
 expanded in a fixed priority order, and budget exhaustion yields Unknown
-(never a disproof).  Moves are applied to the key directly; a ``Nanoword`` is
-built only for a certificate's end.
+(never a disproof).  Moves are applied to the key directly, and successors are
+made one at a time as plain (kind, sign, positions, values) records; a ``Move``
+is built only for a certificate's path, and a ``Nanoword`` only for its end.
 """
 
 from __future__ import annotations
@@ -252,27 +253,26 @@ def invert_move(move: Move) -> Move:
 def successor_keys(key, data: HomotopyData,
                    insert_values: tuple[str, ...] | None = None,
                    max_length: int | None = None,
-                   use_macros: bool = False,
-                   forward_only: bool = False):
-    """All single-move successors of ``key`` as (move, key); ``key`` must be
-    canonical, as ``Nanoword.key()`` returns it.
+                   use_macros: bool = False):
+    """Yield every single-move successor of ``key`` as (record, key); ``key``
+    must be canonical, as ``Nanoword.key()`` returns it.
 
-    Forward moves are exhaustive; insertions run over positions x
-    ``insert_values`` and are gated by ``max_length``.  The order is fixed:
-    deletions, then triple moves by sites, kind and sign, then insertions.
+    A record is the tuple (kind, sign, positions, values) of ``Move``'s
+    fields, so ``Move(*record)`` rebuilds the move.  Successors are made one
+    at a time, so a caller that stops early skips the rest.  Forward moves
+    are exhaustive; insertions run over positions x ``insert_values`` (every
+    alphabet letter when None, none when empty) and are gated by
+    ``max_length``.  The order is fixed: deletions, then triple moves by
+    sites, kind and sign, then insertions.
     """
     word, row = key
     proj = (None,) + row            # proj[x] for the letters 1..m of ``word``
     n = len(word)
     tau = data.alphabet.tau
-    out = []
-
-    def emit(move, seq):
-        out.append((move, _key_of(seq, proj)))
 
     for i in range(n - 1):
         if word[i] == word[i + 1]:
-            emit(Move("M1", "-", (i,), (proj[word[i]],)), word[:i] + word[i + 2:])
+            yield ("M1", "-", (i,), (proj[word[i]],)), _key_of(word[:i] + word[i + 2:], proj)
     for i in range(n - 1):
         a, b = word[i], word[i + 1]
         if a == b or proj[b] != tau(proj[a]):
@@ -280,11 +280,11 @@ def successor_keys(key, data: HomotopyData,
         for j in range(i + 2, n - 1):
             pair = (word[j], word[j + 1])
             if pair == (b, a):
-                emit(Move("M2", "-", (i, j), (proj[a],)),
-                     word[:i] + word[i + 2:j] + word[j + 2:])
+                yield (("M2", "-", (i, j), (proj[a],)),
+                       _key_of(word[:i] + word[i + 2:j] + word[j + 2:], proj))
             if use_macros and pair == (a, b) and data.second_gate(proj[b]):
-                emit(Move("L32", "-", (i, j), (proj[a],)),
-                     word[:i] + word[i + 2:j] + word[j + 2:])
+                yield (("L32", "-", (i, j), (proj[a],)),
+                       _key_of(word[:i] + word[i + 2:j] + word[j + 2:], proj))
 
     # a triple move's first site fixes the other two through the second
     # occurrences of its letters: one candidate per first site and shape
@@ -304,48 +304,46 @@ def successor_keys(key, data: HomotopyData,
                     and _match_triple(word, proj, data, shape, p, q, r)):
                 hits.append((p, q, r, order, shape))
     for p, q, r, _, shape in sorted(hits):
-        emit(Move(shape.kind, shape.sign, (p, q, r)), _swap_sites(word, (p, q, r)))
+        yield ((shape.kind, shape.sign, (p, q, r), ()),
+               _key_of(_swap_sites(word, (p, q, r)), proj))
 
-    if not forward_only:
-        values = insert_values if insert_values is not None else data.alphabet.letters
+    values = insert_values if insert_values is not None else data.alphabet.letters
+    if not values:
+        return
+    # ``word`` is canonical, so the letters before position i are 1..top[i];
+    # letters inserted at i take the next names and later letters shift up
+    top = list(accumulate(word, max, initial=0))
+    if max_length is None or n + 2 <= max_length:
+        for i in range(n + 1):
+            t = top[i]
+            pattern = word[:i] + (t + 1, t + 1) + tuple(x + 1 if x > t else x
+                                                         for x in word[i:])
+            for v in values:
+                yield ("M1", "+", (i,), (v,)), (pattern, row[:t] + (v,) + row[t:])
+    if max_length is None or n + 4 <= max_length:
         pairs = [(v, tau(v), use_macros and data.second_gate(tau(v))) for v in values]
-        # ``word`` is canonical, so the letters before position i are 1..top[i];
-        # letters inserted at i take the next names and later letters shift up
-        top = list(accumulate(word, max, initial=0))
-        if max_length is None or n + 2 <= max_length:
-            for i in range(n + 1):
-                t = top[i]
-                pattern = word[:i] + (t + 1, t + 1) + tuple(x + 1 if x > t else x
-                                                             for x in word[i:])
-                for v in values:
-                    out.append((Move("M1", "+", (i,), (v,)),
-                                (pattern, row[:t] + (v,) + row[t:])))
-        if max_length is None or n + 4 <= max_length:
-            for i in range(n + 1):
-                t = top[i]
-                lifted = tuple(x + 2 if x > t else x for x in word)
-                head = word[:i] + (t + 1, t + 2)
-                rows = [(v, row[:t] + (v, tv) + row[t:], l32) for v, tv, l32 in pairs]
-                for j in range(i, n + 1):
-                    middle, tail = head + lifted[i:j], lifted[j:]
-                    m2 = middle + (t + 2, t + 1) + tail
-                    for v, vrow, l32 in rows:
-                        out.append((Move("M2", "+", (i, j), (v,)), (m2, vrow)))
-                        if l32:
-                            out.append((Move("L32", "+", (i, j), (v,)),
-                                        (middle + (t + 1, t + 2) + tail, vrow)))
-    return out
+        for i in range(n + 1):
+            t = top[i]
+            lifted = tuple(x + 2 if x > t else x for x in word)
+            head = word[:i] + (t + 1, t + 2)
+            rows = [(v, row[:t] + (v, tv) + row[t:], l32) for v, tv, l32 in pairs]
+            for j in range(i, n + 1):
+                middle, tail = head + lifted[i:j], lifted[j:]
+                m2 = middle + (t + 2, t + 1) + tail
+                for v, vrow, l32 in rows:
+                    yield ("M2", "+", (i, j), (v,)), (m2, vrow)
+                    if l32:
+                        yield ("L32", "+", (i, j), (v,)), (middle + (t + 1, t + 2) + tail, vrow)
 
 
 def enumerate_moves(w: Nanoword, data: HomotopyData,
                     insert_values: tuple[str, ...] | None = None,
                     max_length: int | None = None,
-                    use_macros: bool = False,
-                    forward_only: bool = False):
+                    use_macros: bool = False):
     """All single-move successors of ``w`` as (move, canonical nanoword)."""
-    return [(move, Nanoword.from_key(w.alphabet, k))
-            for move, k in successor_keys(w.key(), data, insert_values, max_length,
-                                          use_macros, forward_only)]
+    return [(Move(*record), Nanoword.from_key(w.alphabet, k))
+            for record, k in successor_keys(w.key(), data, insert_values, max_length,
+                                            use_macros)]
 
 
 # ---------------------------------------------------------------------------
@@ -383,12 +381,12 @@ def certificate_from_states(states, data: HomotopyData,
     cur = start.key()
     for target in states[1:]:
         tkey = target.key()
-        found = next((move for move, nxt in successor_keys(cur, data, insert_values,
-                                                           use_macros=use_macros)
+        found = next((record for record, nxt in successor_keys(cur, data, insert_values,
+                                                               use_macros=use_macros)
                       if nxt == tkey), None)
         if found is None:
             raise PreconditionViolated("consecutive states are not one move apart")
-        moves.append(found)
+        moves.append(Move(*found))
         cur = tkey
     return Certificate(start, Nanoword.from_key(start.alphabet, cur), tuple(moves))
 
@@ -398,9 +396,9 @@ def certificate_from_states(states, data: HomotopyData,
 
 
 class _Frontier:
-    """Visited keys, each with its (parent, move, depth), and a heap of keys
-    to expand; ``priority`` maps (key, depth) to a sortable key.  The other
-    arguments are those of ``successor_keys``."""
+    """Visited keys, each with its (parent, move record, depth), and a heap
+    of keys to expand; ``priority`` maps (key, depth) to a sortable key.  The
+    other arguments are those of ``successor_keys``."""
 
     def __init__(self, start, priority, data, insert_values, max_length, use_macros):
         self.priority = priority
@@ -412,19 +410,19 @@ class _Frontier:
         """Pop the best key; record and yield each successor not seen before."""
         key = heapq.heappop(self.heap)[1]
         depth = self.parents[key][2] + 1
-        for move, nxt in successor_keys(key, *self.successor_args):
+        for record, nxt in successor_keys(key, *self.successor_args):
             if nxt not in self.parents:
-                self.parents[nxt] = (key, move, depth)
+                self.parents[nxt] = (key, record, depth)
                 heapq.heappush(self.heap, (self.priority(nxt, depth), nxt))
                 yield nxt
 
     def trace(self, key) -> list[Move]:
         """The moves from the start to ``key``."""
         moves = []
-        parent, move, _ = self.parents[key]
+        parent, record, _ = self.parents[key]
         while parent is not None:
-            moves.append(move)
-            parent, move, _ = self.parents[parent]
+            moves.append(Move(*record))
+            parent, record, _ = self.parents[parent]
         return moves[::-1]
 
 
@@ -486,7 +484,15 @@ def search_contractible(w: Nanoword, data: HomotopyData, max_length: int,
 def search_homotopic(w1: Nanoword, w2: Nanoword, data: HomotopyData,
                      max_length: int, max_states: int, insert_values=None,
                      use_macros: bool = True) -> Certificate | None:
-    """Bidirectional breadth-first meet-in-the-middle search for w1 ~ w2."""
+    """Bidirectional breadth-first meet-in-the-middle search for w1 ~ w2.
+
+    None never means non-homotopic.  It means the budget ran out or, when
+    ``insert_values`` is None, that one side's component under ``max_length``
+    was exhausted without a meet: every move's inverse is then a move within
+    ``max_length``, so that component is closed and no path of moves within
+    ``max_length`` joins the two words (a longer one still may).  With a
+    restricted insert set the search goes on until both sides are exhausted.
+    """
     _check_budget(data, max_states, max_length, max(len(w1), len(w2)), insert_values)
     s1, s2 = w1.canonical(), w2.canonical()
     if s1.key() == s2.key():
@@ -496,7 +502,7 @@ def search_homotopic(w1: Nanoword, w2: Nanoword, data: HomotopyData,
     while len(f1.parents) + len(f2.parents) < max_states:
         # the side with the smaller live heap, the first side on a tie
         side, other = sorted((f1, f2), key=lambda f: (not f.heap, len(f.heap)))
-        if not side.heap:
+        if not side.heap or (insert_values is None and not other.heap):
             return None
         for nxt in side.expand():
             if nxt in other.parents:

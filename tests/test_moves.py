@@ -169,9 +169,11 @@ def test_successor_keys_match_brute_force():
                     want = [(m, k) for m, k in ref
                             if max_length is None or len(k[0]) <= max_length]
                     got = successor_keys(w.key(), data, None, max_length, use_macros)
-                    assert got == want, (w, data, use_macros, max_length)
+                    assert [(Move(*r), k) for r, k in got] == want, (w, data, use_macros,
+                                                                     max_length)
                 want = [(m, k) for m, k in ref if not (m.sign == "+" and m.kind in PAIR_KINDS)]
-                assert successor_keys(w.key(), data, None, None, use_macros, True) == want
+                got = successor_keys(w.key(), data, (), None, use_macros)
+                assert [(Move(*r), k) for r, k in got] == want
     assert seen == {(k, s) for k in PAIR_KINDS + TRIPLE_KINDS for s in "-+"}
 
 
@@ -209,8 +211,8 @@ def test_triple_moves_match_the_module_docstring(al_mixed):
                     want = [(Move(kind, sign, (0, 2, 4)),
                              nanoword_from_pattern(al_mixed, there, proj).key())]
                 w = nanoword_from_pattern(al_mixed, here, proj)
-                got = [(m, k) for m, k in successor_keys(w.key(), data, (), None, True)
-                       if m.kind in TRIPLE_KINDS]
+                got = [(Move(*r), k) for r, k in successor_keys(w.key(), data, (), None, True)
+                       if r[0] in TRIPLE_KINDS]
                 assert got == want, (kind, sign, letters)
                 outcomes.add(bool(want))
             assert outcomes == {True, False}, (kind, sign)
@@ -223,7 +225,7 @@ def test_enumerate_moves_wraps_successor_keys(al_mixed):
         w = random_nanoword(al_mixed, size, rng)
         moves = enumerate_moves(w, data, max_length=len(w.word) + 4, use_macros=True)
         keys = successor_keys(w.key(), data, None, len(w.word) + 4, True)
-        assert [(m, v.key()) for m, v in moves] == keys
+        assert [(m, v.key()) for m, v in moves] == [(Move(*r), k) for r, k in keys]
         assert all(v == v.canonical() for _, v in moves)
 
 
@@ -390,6 +392,96 @@ def test_insertion_chain_replays(al_free1):
     cert = certificate_from_states(states, data)
     assert verify_certificate(cert, data)
     assert any(m.sign == "+" and m.kind in ("M2", "L32") for m in cert.moves)
+
+
+def test_exhausted_component_ends_the_search(al_free1, monkeypatch):
+    """With every insertion allowed, each move's inverse is a move within
+    ``max_length``, so a side whose heap empties is a whole component and the
+    search stops there: the states it expands depend on ``max_length`` only,
+    not on ``max_states``.  With restricted insertions it goes on."""
+    al = Alphabet(["c"])
+    data = HomotopyData(al)
+    w = nanoword_from_pattern(al, "12132434", dict.fromkeys("1234", "c"))
+    empty = Nanoword(al, (), {})
+    expanded = []
+    real = moves.successor_keys
+
+    def counted(key, *args):
+        expanded.append(key)
+        return real(key, *args)
+
+    monkeypatch.setattr(moves, "successor_keys", counted)
+    for max_length, count in ((12, 159), (14, 1805)):
+        for max_states in (10 ** 4, 10 ** 6):
+            expanded.clear()
+            assert search_homotopic(w, empty, data, max_length, max_states) is None
+            assert len(expanded) == count, (max_length, max_states)
+    # without insertions the empty word's side exhausts after one pop, yet
+    # the other side still reaches it
+    abba = nanoword_from_pattern(al_free1, "ABBA", {"A": "a", "B": "A"})
+    cert = search_homotopic(Nanoword(al_free1, (), {}), abba, HomotopyData(al_free1), 8, 100,
+                            insert_values=())
+    assert cert.format() == "M2+ @pos=(1,1) insert=(a)\n"
+
+
+def test_search_stops_drawing_successors_at_the_meet(al_free1, monkeypatch):
+    """Successors are made lazily, so the expansion that meets the other side
+    stops there, short of its state's full successor list."""
+    data = HomotopyData(al_free1)
+    proj = {"A": "a", "B": "a", "C": "a", "D": "a"}
+    w = nanoword_from_pattern(al_free1, "ABACBC", proj)
+    v = nanoword_from_pattern(al_free1, "DACACD", proj)
+    draws = []
+    real = moves.successor_keys
+
+    def counted(key, *args):
+        draw = [key, args, 0]
+        draws.append(draw)
+        for item in real(key, *args):
+            draw[2] += 1
+            yield item
+
+    monkeypatch.setattr(moves, "successor_keys", counted)
+    cert = search_homotopic(w, v, data, 10, 100000)
+    assert cert is not None and verify_certificate(cert, data)
+    key, args, drawn = draws[-1]
+    assert drawn < len(list(real(key, *args)))
+
+
+def test_traced_moves_round_trip(monkeypatch):
+    """Every ``Move`` that a search rebuilds from its records formats to a
+    line that ``parse_move`` reads back as the same move; ``format`` writes
+    values only for insertions.  The searches cover every kind and sign."""
+    al = ALPHABETS[3]
+    data = HomotopyData(al)
+    traced = []
+    real = moves._Frontier.trace
+
+    def spy(self, key):
+        out = real(self, key)
+        traced.extend(out)
+        return out
+
+    monkeypatch.setattr(moves._Frontier, "trace", spy)
+    proj = dict.fromkeys("ABC", "c")
+    for _, minus, plus, _ in _docstring_triples():
+        w, v = (nanoword_from_pattern(al, side, proj) for side in (minus, plus))
+        assert search_homotopic(w, v, data, 6, 1000, insert_values=()) is not None
+        assert search_homotopic(v, w, data, 6, 1000, insert_values=()) is not None
+    rng = random.Random(7)
+    for _ in range(30):
+        w = cur = random_nanoword(al, rng.randrange(2, 4), rng)
+        for _ in range(3):
+            options = enumerate_moves(cur, data, max_length=len(w.word) + 4, use_macros=True)
+            cur = options[rng.randrange(len(options))][1]
+        assert search_homotopic(w, cur, data, len(w.word) + 4, 20000) is not None
+        search_contractible(w, data, len(w.word) + 4, 2000)
+    assert {(m.kind, m.sign) for m in traced} == {(k, s) for k in PAIR_KINDS + TRIPLE_KINDS
+                                                  for s in "-+"}
+    for m in traced:
+        assert type(m) is Move
+        inserts = m.sign == "+" and m.kind in PAIR_KINDS
+        assert parse_move(m.format()) == (m if inserts else Move(m.kind, m.sign, m.positions))
 
 
 def test_isomorphic_inputs_give_empty_certificate(al_id2):

@@ -373,8 +373,7 @@ def test_form_moves():
     # (iii)* matches the third homotopy move on linking forms
     for _ in range(40):
         w = random_nanoword(al, 4, rng)
-        for move, nxt in enumerate_moves(w, data, insert_values=(),
-                                         use_macros=False, forward_only=True):
+        for move, nxt in enumerate_moves(w, data, insert_values=(), use_macros=False):
             if move.kind != "M3" or move.sign != "-":
                 continue
             f = linking_form(w)
