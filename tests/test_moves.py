@@ -426,7 +426,8 @@ def test_exhausted_component_ends_the_search(al_free1, monkeypatch):
 
 def test_search_stops_drawing_successors_at_the_meet(al_free1, monkeypatch):
     """Successors are made lazily, so the expansion that meets the other side
-    stops there, short of its state's full successor list."""
+    stops there, short of its state's full successor list, and drawing one
+    successor computes no other."""
     data = HomotopyData(al_free1)
     proj = {"A": "a", "B": "a", "C": "a", "D": "a"}
     w = nanoword_from_pattern(al_free1, "ABACBC", proj)
@@ -446,6 +447,12 @@ def test_search_stops_drawing_successors_at_the_meet(al_free1, monkeypatch):
     assert cert is not None and verify_certificate(cert, data)
     key, args, drawn = draws[-1]
     assert drawn < len(list(real(key, *args)))
+    # drawing the first of three deletions makes one key, not all three
+    made = []
+    key_of = moves._key_of
+    monkeypatch.setattr(moves, "_key_of", lambda seq, proj: made.append(seq) or key_of(seq, proj))
+    first = next(iter(real(nanoword_from_pattern(al_free1, "AABBCC", proj).key(), data)))
+    assert first[0] == ("M1", "-", (0,), ("a",)) and len(made) == 1
 
 
 def test_traced_moves_round_trip(monkeypatch):
