@@ -13,7 +13,7 @@ The workloads and the run length come from the checkout's BENCHMARK.json.
 ``--checkout`` runs the benchmark of another checkout of the repository
 (default: this one).  When ``--out`` exists, the new record is appended to
 its ``records``, so one file can hold the runs of a parent and of a change
-at one seed.
+at one seed.  The file holds one run per line.
 """
 
 import argparse
@@ -37,6 +37,17 @@ def run(checkout: Path, workload: str, seed: int, seconds: float, trace: int) ->
     return {"workload": workload, "trace": trace, "info": info, "result": result}
 
 
+def dumps(bench: dict) -> str:
+    """``bench`` as JSON with each record's fields on its first line and each
+    of its runs on a line of its own."""
+    records = []
+    for record in bench["records"]:
+        fields = json.dumps({k: v for k, v in record.items() if k != "runs"}, sort_keys=True)
+        runs = ",\n".join("  " + json.dumps(run, sort_keys=True) for run in record["runs"])
+        records.append(f' {fields[:-1]}, "runs": [\n{runs}\n ]}}')
+    return '{"records": [\n' + ",\n".join(records) + "\n]}\n"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, required=True)
@@ -58,7 +69,7 @@ def main(argv=None) -> int:
     bench = json.loads(out.read_text()) if out.exists() else {"records": []}
     bench["records"].append({"label": args.label, "seed": args.seed, "seconds": seconds,
                              "runs": runs})
-    out.write_text(json.dumps(bench, indent=1, sort_keys=True) + "\n")
+    out.write_text(dumps(bench))
     return 0
 
 

@@ -200,7 +200,7 @@ class _UnionFind:
 
 
 def classify(kind: str, alphabet: Alphabet, max_length: int | None = None,
-             max_states: int = 100000, use_macros: bool = True) -> ClassificationResult:
+             max_states: int = 100000) -> ClassificationResult:
     if kind not in FAMILIES:
         raise ValueError(f"unknown family {kind!r}; pick one of {sorted(FAMILIES)}")
     items = FAMILIES[kind](alphabet)
@@ -217,9 +217,7 @@ def classify(kind: str, alphabet: Alphabet, max_length: int | None = None,
     for key, group in buckets.items():
         zeros = [it for it in group if it.predicted == ZERO]
         for it in zeros:
-            budget = len(it.nanoword.word) + 8 if max_length is None else max_length
-            cert = search_contractible(it.nanoword, data, budget, max_states,
-                                       use_macros=use_macros)
+            cert = search_contractible(it.nanoword, data, max_length, max_states)
             if cert is not None:
                 uf.union(it.name, "<empty>")
             else:
@@ -230,11 +228,8 @@ def classify(kind: str, alphabet: Alphabet, max_length: int | None = None,
                 by_label.setdefault(it.predicted, []).append(it)
         for label, members in by_label.items():
             for one, two in zip(members, members[1:]):
-                budget = max_length
-                if budget is None:
-                    budget = max(len(one.nanoword.word), len(two.nanoword.word)) + 4
                 cert = search_homotopic(one.nanoword, two.nanoword, data,
-                                        budget, max_states, use_macros=use_macros)
+                                        max_length, max_states)
                 if cert is not None:
                     uf.union(one.name, two.name)
                 else:

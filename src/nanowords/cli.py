@@ -77,8 +77,7 @@ def cmd_contract(args, out: _Out) -> int:
     rec, w = _load_nanoword(args.input)
     data = HomotopyData(rec.alphabet)
     inserts = None if args.insert is None else tuple(x for x in args.insert.split(",") if x)
-    budget = len(w.word) + 8 if args.max_length is None else args.max_length
-    cert = search_contractible(w, data, budget, args.max_states, insert_values=inserts,
+    cert = search_contractible(w, data, args.max_length, args.max_states, insert_values=inserts,
                                use_macros=not args.no_macros)
     if cert is None:
         out.emit({"verdict": "UNKNOWN"}, ["UNKNOWN (budget exhausted)"])
@@ -104,10 +103,7 @@ def cmd_homotopic(args, out: _Out) -> int:
                  [f"NON-HOMOTOPIC (separated by {diff})"])
         return 0
     data = HomotopyData(rec1.alphabet)
-    budget = args.max_length
-    if budget is None:
-        budget = max(len(w1.word), len(w2.word)) + 4
-    cert = search_homotopic(w1, w2, data, budget, args.max_states)
+    cert = search_homotopic(w1, w2, data, args.max_length, args.max_states)
     if cert is None:
         out.emit({"verdict": "UNKNOWN"}, ["UNKNOWN (equal fingerprints, no certificate)"])
         return 2

@@ -17,21 +17,31 @@ form ``nf`` of an ``_Abelian`` element is a flat exponent vector, that of a
 exponents at fixed orbits are taken mod 2.  Equal normal forms over one
 alphabet are equal elements.  Everything is stored on the orientation basis:
 a generator outside alpha0 enters as exponent -1 of its orbit representative.
-Group-ring elements over any of these groups are finite integer combinations.
+
+Each class multiplies normal forms with one method ``_product``: an
+``_Abelian`` product adds exponents, mod 2 at fixed orbits, and a ``_Free``
+one reduces the concatenation.  Element products and group-ring products
+both go through it, so a group-ring element over any of these groups is a
+finite integer combination stored as ``{normal form: coefficient}``, and no
+element object is built per product.
 """
 
 from __future__ import annotations
 
 from operator import add
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .errors import AlphabetMismatch, UnknownSymbol
 from .intlinalg import solve_integer
 from .words import Alphabet
 
 
+def _same_alphabet(x, y) -> bool:
+    return x.alphabet is y.alphabet or x.alphabet == y.alphabet
+
+
 def _check_same(x, y):
-    if type(x) is not type(y) or x.alphabet != y.alphabet:
+    if type(x) is not type(y) or not _same_alphabet(x, y):
         raise AlphabetMismatch("operands live in different groups")
 
 
@@ -68,12 +78,23 @@ def _reduce(syllables, torsion) -> tuple:
 class _Element:
     """Group element given by its normal form ``nf`` over ``alphabet``.
 
-    Subclasses set ``nf`` and supply ``identity``, ``__mul__``, ``inverse``
+    Subclasses set ``nf`` and supply ``identity``, ``_product``, ``inverse``
     and either ``_blocks`` or their own ``format``.
     """
 
     __slots__ = ("alphabet", "nf")
     prefix = ""  # printed before every generator name
+
+    @classmethod
+    def _wrap(cls, alphabet: Alphabet, nf):
+        """The element whose normal form is ``nf``, taken as given."""
+        x = object.__new__(cls)
+        x.alphabet, x.nf = alphabet, nf
+        return x
+
+    def __mul__(self, other):
+        _check_same(self, other)
+        return self._wrap(self.alphabet, self._product(self.alphabet, self.nf, other.nf))
 
     def is_identity(self) -> bool:
         return self.nf == self.identity(self.alphabet).nf
@@ -96,8 +117,7 @@ class _Element:
                         for k, e in enumerate(exps) if e) or "1"
 
     def __eq__(self, other):
-        return (type(other) is type(self) and self.nf == other.nf
-                and self.alphabet == other.alphabet)
+        return type(other) is type(self) and self.nf == other.nf and _same_alphabet(self, other)
 
     def __hash__(self):
         return hash(self.nf)
@@ -122,9 +142,17 @@ class _Abelian(_Element):
         nf, w, n = list(exps), self.width, len(alphabet.orbits)
         if len(nf) != w * n:
             raise AlphabetMismatch(f"{self._name} takes {w} x {n} exponents, not {len(nf)}")
+        self.nf = self._product(alphabet, nf, [0] * len(nf))  # the normal form of nf * 1
+
+    @classmethod
+    def _product(cls, alphabet: Alphabet, g, h) -> tuple:
+        """Exponents add, mod 2 at fixed orbits."""
+        exps = list(map(add, g, h))
+        w = cls.width
         for i in alphabet.fixed_orbit_indices:
-            nf[w * i:w * i + w] = [e % 2 for e in nf[w * i:w * i + w]]
-        self.nf = tuple(nf)
+            for k in range(w * i, w * i + w):
+                exps[k] &= 1
+        return tuple(exps)
 
     @classmethod
     def identity(cls, alphabet: Alphabet):
@@ -137,10 +165,6 @@ class _Abelian(_Element):
         exps = [0] * (w * len(alphabet.orbits))
         exps[w * i:w * i + w] = block
         return cls(alphabet, exps)
-
-    def __mul__(self, other):
-        _check_same(self, other)
-        return type(self)(self.alphabet, map(add, self.nf, other.nf))
 
     def inverse(self):
         return type(self)(self.alphabet, [-e for e in self.nf])
@@ -235,9 +259,9 @@ class _Free(_Element):
         i, block = _generator_block(cls.width, alphabet, a, bullet)
         return cls(alphabet, ((i, *block),))
 
-    def __mul__(self, other):
-        _check_same(self, other)
-        return type(self)(self.alphabet, self.nf + other.nf)
+    @staticmethod
+    def _product(alphabet: Alphabet, g: tuple, h: tuple) -> tuple:
+        return _reduce(g + h, alphabet.fixed_orbit_indices)
 
     def inverse(self):
         return type(self)(self.alphabet, reversed(self.tau_star().nf))
@@ -341,15 +365,14 @@ class PiTildeElement(_Element):
     def generator(cls, alphabet: Alphabet, a: str) -> "PiTildeElement":
         return cls(alphabet, [0] * len(alphabet.orbits), PiWord.generator(alphabet, a))
 
-    def __mul__(self, other: "PiTildeElement") -> "PiTildeElement":
-        _check_same(self, other)
-        al = self.alphabet
-        central = [x + y for x, y in zip(self.nf[0], other.nf[0])]
-        stack = [list(s) for s in self.nf[1]]
-        for orbit, e in other.nf[1]:
+    @staticmethod
+    def _product(alphabet: Alphabet, g: tuple, h: tuple) -> tuple:
+        central = [x + y for x, y in zip(g[0], h[0])]
+        stack = [list(s) for s in g[1]]
+        for orbit, e in h[1]:
             while stack and stack[-1][0] == orbit:
                 o, e0 = stack.pop()
-                if al.orbit_is_fixed(orbit):
+                if alphabet.orbit_is_fixed(orbit):
                     # e0 = e = 1; the pair collapses and contributes a c
                     central[orbit] += 1
                     e = 0
@@ -365,9 +388,9 @@ class PiTildeElement(_Element):
                 continue
             if e:
                 stack.append([orbit, e])
-        word = PiWord(al, tuple((o, e) for o, e in stack))
-        assert word.nf == tuple((o, e) for o, e in stack), "base was already reduced"
-        return PiTildeElement(al, central, word)
+        word = tuple((o, e) for o, e in stack)
+        assert _reduce(word, alphabet.fixed_orbit_indices) == word, "base was already reduced"
+        return tuple(central), word
 
     def inverse(self) -> "PiTildeElement":
         # s(x) s(x^-1) = c^L(x) with L counting letters per orbit
@@ -393,13 +416,23 @@ class PiTildeElement(_Element):
 
 
 class GroupRingElement:
-    """Finite integer combination of group normal forms (any group above)."""
+    """Finite integer combination of the elements of one group above.
 
-    __slots__ = ("alphabet", "terms")
+    ``terms`` maps normal forms of elements of the class ``group`` to their
+    coefficients, none of them zero; ``items`` gives the elements themselves.
+    ``zero`` has no group yet, so it adds to and multiplies with elements of
+    any group.
+    """
 
-    def __init__(self, alphabet: Alphabet, terms: Mapping | None = None):
-        self.alphabet = alphabet
-        self.terms = {g: c for g, c in terms.items() if c} if terms else {}
+    __slots__ = ("alphabet", "group", "terms")
+
+    def __init__(self, alphabet: Alphabet, group: type | None = None, terms: dict | None = None):
+        """``terms`` is taken over, not copied: its zero coefficients are deleted."""
+        self.alphabet, self.group = alphabet, group
+        self.terms = {} if terms is None else terms
+        if 0 in self.terms.values():
+            for g in [g for g, c in self.terms.items() if not c]:
+                del self.terms[g]
 
     @classmethod
     def zero(cls, alphabet: Alphabet) -> "GroupRingElement":
@@ -407,67 +440,83 @@ class GroupRingElement:
 
     @classmethod
     def of(cls, g, coeff: int = 1) -> "GroupRingElement":
-        return cls(g.alphabet, {g: coeff})
+        return cls(g.alphabet, type(g), {g.nf: coeff})
+
+    def _group_with(self, other) -> type | None:
+        """The group of a sum or product with ``other``."""
+        if type(other) is GroupRingElement and _same_alphabet(self, other):
+            if self.group is other.group or other.group is None:
+                return self.group
+            if self.group is None:
+                return other.group
+        raise AlphabetMismatch("operands live in different group rings")
 
     def __add__(self, other):
-        _check_same(self, other)
+        group = self._group_with(other)
         out = dict(self.terms)
+        get = out.get
         for g, c in other.terms.items():
-            out[g] = out.get(g, 0) + c
-        return GroupRingElement(self.alphabet, out)
+            out[g] = get(g, 0) + c
+        return GroupRingElement(self.alphabet, group, out)
 
     def __neg__(self):
-        return GroupRingElement(self.alphabet, {g: -c for g, c in self.terms.items()})
+        return GroupRingElement(self.alphabet, self.group, {g: -c for g, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return GroupRingElement(self.alphabet, {g: c * other for g, c in self.terms.items()})
-        _check_same(self, other)
-        out: dict = {}
-        for g, c in self.terms.items():
-            for h, d in other.terms.items():
-                gh = g * h
-                out[gh] = out.get(gh, 0) + c * d
-        return GroupRingElement(self.alphabet, out)
+            return GroupRingElement(self.alphabet, self.group,
+                                    {g: c * other for g, c in self.terms.items()})
+        group, al, out = self._group_with(other), self.alphabet, {}
+        if self.terms and other.terms:
+            product, get = group._product, out.get
+            for g, c in self.terms.items():
+                for h, d in other.terms.items():
+                    gh = product(al, g, h)
+                    out[gh] = get(gh, 0) + c * d
+        return GroupRingElement(al, group, out)
 
     __rmul__ = __mul__
 
+    def items(self):
+        """The pairs (element, coefficient), in no particular order."""
+        return ((self.group._wrap(self.alphabet, g), c) for g, c in self.terms.items())
+
     def map_terms(self, fn) -> "GroupRingElement":
         """Apply a group map termwise (linear extension)."""
-        out: dict = {}
-        for g, c in self.terms.items():
+        group, out = None, {}
+        for g, c in self.items():
             h = fn(g)
-            out[h] = out.get(h, 0) + c
-        return GroupRingElement(self.alphabet, out)
+            group = type(h)
+            out[h.nf] = out.get(h.nf, 0) + c
+        return GroupRingElement(self.alphabet, group, out)
 
     def reduce_mod(self, m: int) -> "GroupRingElement":
-        return GroupRingElement(self.alphabet, {g: c % m for g, c in self.terms.items()})
+        return GroupRingElement(self.alphabet, self.group,
+                                {g: c % m for g, c in self.terms.items()})
 
     def aug(self) -> int:
         """Sum of coefficients."""
         return sum(self.terms.values())
 
     def coeff(self, g) -> int:
-        return self.terms.get(g, 0)
+        return self.terms.get(g.nf, 0) if type(g) is self.group else 0
 
     def is_zero(self) -> bool:
         return not self.terms
 
-    def support(self):
-        return sorted(self.terms, key=lambda g: g.sort_key())
+    def _sorted(self) -> list:
+        return sorted(self.items(), key=lambda t: t[0].sort_key())
 
     def key(self):
-        return tuple((g.sort_key(), c) for g, c in
-                     sorted(self.terms.items(), key=lambda t: t[0].sort_key()))
+        return tuple((g.sort_key(), c) for g, c in self._sorted())
 
     def format(self) -> str:
         """Signed sum in lexicographic term order, e.g. ``2·b^-1 - b``."""
         parts = []
-        for g in self.support():
-            c = self.terms[g]
+        for g, c in self._sorted():
             mono = g.format()
             if mono == "1":
                 body = str(abs(c))
@@ -482,8 +531,8 @@ class GroupRingElement:
         return " ".join(parts) or "0"
 
     def __eq__(self, other):
-        return isinstance(other, GroupRingElement) and self.terms == other.terms \
-            and self.alphabet == other.alphabet
+        return (isinstance(other, GroupRingElement) and self.terms == other.terms
+                and (self.group is other.group or not self.terms) and _same_alphabet(self, other))
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))

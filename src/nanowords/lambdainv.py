@@ -122,11 +122,10 @@ def lambda_by_substitution(w: Nanoword) -> GroupRingElement:
 
 def lambda_split(x: GroupRingElement) -> dict[tuple[int, int], GroupRingElement]:
     """Four components by (deg mod 2, deg_bullet mod 2) of each monomial."""
-    out = {(i, j): GroupRingElement.zero(x.alphabet) for i in (0, 1) for j in (0, 1)}
-    for g, c in x.terms.items():
-        key = (g.deg() % 2, g.deg_bullet() % 2)
-        out[key] = out[key] + GroupRingElement.of(g, c)
-    return out
+    parts: dict = {(i, j): {} for i in (0, 1) for j in (0, 1)}
+    for g, c in x.items():
+        parts[g.deg() % 2, g.deg_bullet() % 2][g.nf] = c
+    return {key: GroupRingElement(x.alphabet, x.group, terms) for key, terms in parts.items()}
 
 
 def psi_expand(x: GroupRingElement) -> dict[tuple[PiWord, PiWord], int]:
@@ -137,7 +136,7 @@ def psi_expand(x: GroupRingElement) -> dict[tuple[PiWord, PiWord], int]:
     """
     al = x.alphabet
     out: dict[tuple[PiWord, PiWord], int] = {}
-    for g, c in x.terms.items():
+    for g, c in x.items():
         key = (PiWord(al, [(o, e) for o, e, _ in g.nf]),
                PiWord(al, [(o, eb) for o, _, eb in g.nf]))
         out[key] = out.get(key, 0) + c
@@ -147,13 +146,8 @@ def psi_expand(x: GroupRingElement) -> dict[tuple[PiWord, PiWord], int]:
 
 
 def _pi_image(x: GroupRingElement, plain_exp, bullet_exp) -> GroupRingElement:
-    al = x.alphabet
-    out: dict = {}
-    for g, c in x.terms.items():
-        word = PiWord(al, [s for o, e, eb in g.nf
-                           for s in ((o, plain_exp(e)), (o, bullet_exp(eb)))])
-        out[word] = out.get(word, 0) + c
-    return GroupRingElement(al, out)
+    return x.map_terms(lambda g: PiWord(x.alphabet, [
+        s for o, e, eb in g.nf for s in ((o, plain_exp(e)), (o, bullet_exp(eb)))]))
 
 
 def map_p(x: GroupRingElement) -> GroupRingElement:

@@ -13,7 +13,6 @@ output.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add
 
 from .errors import EmptyNanoword, InvalidSpec
 from .groups import GroupRingElement, PsiAbElement, PsiElement
@@ -72,9 +71,8 @@ def _relation_rows(w: Nanoword, beta, units, one) -> list[dict]:
     return rows
 
 
-def _weight(w: Nanoword, beta) -> tuple[tuple, int]:
-    """r^w over Psi^ab as (exponents, sign): a factor -(a a.)^-1 for each
-    letter valued outside beta."""
+def _weight(w: Nanoword, beta) -> GroupRingElement:
+    """r^w over Psi^ab: a factor -(a a.)^-1 for each letter valued outside beta."""
     al = w.alphabet
     unit, sign = PsiAbElement.identity(al), 1
     for x in w.letters:
@@ -82,7 +80,18 @@ def _weight(w: Nanoword, beta) -> tuple[tuple, int]:
         if a not in beta:
             unit = unit * PsiAbElement.generator(al, a) * PsiAbElement.generator(al, a, bullet=True)
             sign = -sign
-    return unit.inverse().nf, sign
+    return GroupRingElement.of(unit.inverse(), sign)
+
+
+def _entries(w: Nanoword, beta, group) -> dict:
+    """The relation rows over the ring of ``group`` (Psi or Psi^ab) as
+    ``{(row, column): entry}``."""
+    al = w.alphabet
+    rows = _relation_rows(
+        w, beta, lambda a: (GroupRingElement.of(group.generator(al, a)),
+                            GroupRingElement.of(group.generator(al, a, bullet=True))),
+        GroupRingElement.of(group.identity(al)))
+    return {(i, j): v for i, row in enumerate(rows) for j, v in row.items()}
 
 
 def weighted_matrix(w: Nanoword, beta) -> WeightedMatrix:
@@ -93,90 +102,13 @@ def weighted_matrix(w: Nanoword, beta) -> WeightedMatrix:
     """
     if not w.word:
         raise EmptyNanoword("the weighted matrix needs a non-empty nanoword")
-    al = w.alphabet
-    rows = _relation_rows(
-        w, beta, lambda a: (GroupRingElement.of(PsiElement.generator(al, a)),
-                            GroupRingElement.of(PsiElement.generator(al, a, bullet=True))),
-        GroupRingElement.of(PsiElement.identity(al)))
-    entries = {(i, j): v for i, row in enumerate(rows) for j, v in row.items()}
-    exps, sign = _weight(w, beta)
-    return WeightedMatrix(al, len(rows), len(rows) + 1, entries,
-                          GroupRingElement.of(PsiAbElement(al, exps), sign))
+    size = len(w.word)
+    return WeightedMatrix(w.alphabet, size, size + 1, _entries(w, beta, PsiElement),
+                          _weight(w, beta))
 
 
 # ---------------------------------------------------------------------------
-# nabla: polynomials over Psi^ab as {flat exponent tuple: coefficient}
-
-
-def _monomial_product(alphabet: Alphabet):
-    """Product of flat Psi^ab exponent tuples: exponents add, mod 2 at fixed orbits."""
-    fixed = [k for i in alphabet.fixed_orbit_indices for k in (2 * i, 2 * i + 1)]
-
-    def mono(g: tuple, h: tuple) -> tuple:
-        exps = list(map(add, g, h))
-        for k in fixed:
-            exps[k] &= 1
-        return tuple(exps)
-    return mono
-
-
-class _Poly(dict):
-    """Element of Z[Psi^ab] as a dict from flat exponent tuple to coefficient.
-
-    ``mono`` multiplies two exponent tuples.  Every sum and product drops
-    the coefficients that cancel, since Z[Psi^ab] has zero divisors such as
-    (1 - a a.)(1 + a a.) at a fixed point.
-    """
-
-    __slots__ = ("mono",)
-
-    def __init__(self, mono, terms=()):
-        super().__init__(terms)
-        self.mono = mono
-
-    def _drop_zeros(self) -> "_Poly":
-        for g in [g for g, c in self.items() if not c]:
-            del self[g]
-        return self
-
-    def __add__(self, other):
-        out = _Poly(self.mono, self)
-        get = out.get
-        for g, c in other.items():
-            out[g] = get(g, 0) + c
-        return out._drop_zeros()
-
-    def __neg__(self):
-        return _Poly(self.mono, {g: -c for g, c in self.items()})
-
-    def __sub__(self, other):
-        return self + -other
-
-    def __mul__(self, other):
-        mono, out = self.mono, _Poly(self.mono)
-        get = out.get
-        for g, c in self.items():
-            for h, d in other.items():
-                gh = mono(g, h)
-                out[gh] = get(gh, 0) + c * d
-        return out._drop_zeros()
-
-
-def _ring(alphabet: Alphabet, poly: dict, sign: int = 1) -> GroupRingElement:
-    """``sign`` times the polynomial ``poly`` as a group-ring element."""
-    return GroupRingElement(alphabet, {PsiAbElement(alphabet, g): sign * c
-                                       for g, c in poly.items()})
-
-
-def _abelian_entries(w: Nanoword, beta) -> dict:
-    """The relation rows over Psi^ab, all 2n + 1 columns, as polynomials."""
-    al = w.alphabet
-    mono = _monomial_product(al)
-    rows = _relation_rows(
-        w, beta, lambda a: (_Poly(mono, {PsiAbElement.generator(al, a).nf: 1}),
-                            _Poly(mono, {PsiAbElement.generator(al, a, bullet=True).nf: 1})),
-        _Poly(mono, {PsiAbElement.identity(al).nf: 1}))
-    return {(i, j): v for i, row in enumerate(rows) for j, v in row.items()}
+# nabla
 
 
 def _det(entries: dict, size: int, one, columns=None):
@@ -217,11 +149,9 @@ def _det(entries: dict, size: int, one, columns=None):
     return det
 
 
-def _eliminate(alphabet, entries: dict, size: int, scale: tuple, sign: int) -> dict:
-    """Both maximal minors of the size x (size + 1) matrix ``entries``
-    (``{(i, j): _Poly}``), times the monomial ``scale`` and ``sign``, as
-    ``{exponent tuple: coefficient}``: "+" drops the last column, "-" the
-    first.
+def _eliminate(entries: dict, size: int, scale: GroupRingElement) -> dict:
+    """Both maximal minors of the size x (size + 1) matrix ``entries`` over
+    Z[Psi^ab], times ``scale``: "+" drops the last column, "-" the first.
 
     Pivots are unit monomials u = +-g in the interior columns 1 .. size - 1,
     least Markowitz fill (r-1)(c-1) first.  The Schur complement subtracts
@@ -233,7 +163,6 @@ def _eliminate(alphabet, entries: dict, size: int, scale: tuple, sign: int) -> d
     minors 0; the k x (k + 1) block left when no interior entry is a unit goes
     to the cofactor expansion, once per minor.
     """
-    mono = _monomial_product(alphabet)
     rows: list[dict] = [{} for _ in range(size)]
     cols: list[set] = [set() for _ in range(size + 1)]
     for (i, j), v in entries.items():
@@ -246,25 +175,26 @@ def _eliminate(alphabet, entries: dict, size: int, scale: tuple, sign: int) -> d
         for i in live_rows:
             row = rows[i]
             if not row:
-                return {"+": {}, "-": {}}
+                zero = GroupRingElement.zero(scale.alphabet)
+                return {"+": zero, "-": zero}
             rest = len(row) - 1
             for j, v in row.items():
-                if len(v) == 1 and 0 < j < size:
+                if len(v.terms) == 1 and 0 < j < size:
                     fill = rest * (len(cols[j]) - 1)
                     if best is None or fill < best[0]:
-                        (g, c), = v.items()
+                        (c,) = v.terms.values()
                         if c in (1, -1):
-                            best = (fill, i, j, g, c)
+                            best = (fill, i, j, v)
             if best is not None and best[0] == 0:
                 break
         if best is None:
             break
-        _, i, j, g, c = best
+        _, i, j, unit = best
         position = sum(1 for r in live_rows if r < i) + sum(1 for k in live_cols if k < j)
-        scale = mono(scale, g)
-        sign *= -c if position % 2 else c
+        scale = scale * (-unit if position % 2 else unit)
         pivots += 1
-        minus_inverse = _Poly(mono, {tuple(-e for e in g): -c})
+        (g, c), = unit.items()
+        minus_inverse = GroupRingElement.of(g.inverse(), -c)
         pivot_row = rows[i]
         del pivot_row[j]
         cols[j].discard(i)
@@ -275,7 +205,7 @@ def _eliminate(alphabet, entries: dict, size: int, scale: tuple, sign: int) -> d
                 new = factor * v
                 if k in target:
                     new = target[k] + new
-                if new:
+                if new.terms:
                     target[k] = new
                     cols[k].add(r)
                 else:
@@ -288,10 +218,9 @@ def _eliminate(alphabet, entries: dict, size: int, scale: tuple, sign: int) -> d
     row_at = {r: n for n, r in enumerate(sorted(live_rows))}
     col_at = {k: n for n, k in enumerate(sorted(live_cols))}
     block = {(row_at[r], col_at[k]): v for r in live_rows for k, v in rows[r].items()}
-    k, one = len(row_at), _Poly(mono, {(0,) * len(scale): 1})
-    minus_sign = -sign if pivots % 2 else sign
-    return {eps: {mono(scale, g): s * c for g, c in _det(block, k, one, columns).items()}
-            for eps, columns, s in (("+", range(k), sign), ("-", range(1, k + 1), minus_sign))}
+    k, one = len(row_at), GroupRingElement.of(scale.group.identity(scale.alphabet))
+    return {"+": scale * _det(block, k, one),
+            "-": (-scale if pivots % 2 else scale) * _det(block, k, one, range(1, k + 1))}
 
 
 def nabla(w: Nanoword, beta) -> dict[str, GroupRingElement]:
@@ -300,19 +229,19 @@ def nabla(w: Nanoword, beta) -> dict[str, GroupRingElement]:
 
     "+" drops the last column of the relation matrix, "-" the first, and one
     elimination gives both; the weight r^w and the pivots enter as one
-    exponent shift.  The augmentation of each raw determinant is +-1 and
-    fixes its sign, so aug(nabla) = 1.  The empty nanoword gives 1 for both
-    (forced by multiplicativity).
+    scale, a signed monomial.  The augmentation of each raw determinant is
+    +-1 and fixes its sign, so aug(nabla) = 1.  The empty nanoword gives 1 for
+    both (forced by multiplicativity).
     """
-    al = w.alphabet
     if not w.word:
-        one = GroupRingElement.of(PsiAbElement.identity(al))
+        one = GroupRingElement.of(PsiAbElement.identity(w.alphabet))
         return {"+": one, "-": one}
     out = {}
-    for eps, raw in _eliminate(al, _abelian_entries(w, beta), len(w.word), *_weight(w, beta)).items():
-        s = sum(raw.values())
+    for eps, raw in _eliminate(_entries(w, beta, PsiAbElement), len(w.word),
+                               _weight(w, beta)).items():
+        s = raw.aug()
         assert s in (1, -1), "augmentation of nabla must be a sign"
-        out[eps] = _ring(al, raw, s)
+        out[eps] = raw if s == 1 else -raw
     return out
 
 

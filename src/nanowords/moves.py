@@ -459,17 +459,20 @@ def _descend(start, data, max_length, max_states, insert_values, use_macros) -> 
     return front
 
 
-def search_contractible(w: Nanoword, data: HomotopyData, max_length: int,
+def search_contractible(w: Nanoword, data: HomotopyData, max_length: int | None,
                         max_states: int, insert_values=None,
                         use_macros: bool = True) -> Certificate | None:
     """Certificate that w is homotopic to the empty nanoword, or None (Unknown).
 
     None never means non-contractible; it means the budget ran out.
-    ``max_states`` caps the visited set (canonical forms seen), which keeps
-    run time proportional to the budget.  A first pass uses only non-growing
-    moves (worked contractions rarely need insertions once the derived
-    macros are available); insertions join in a second pass.
+    ``max_length`` None means len(w) + 8.  ``max_states`` caps the visited
+    set (canonical forms seen), which keeps run time proportional to the
+    budget.  A first pass uses only non-growing moves (worked contractions
+    rarely need insertions once the derived macros are available);
+    insertions join in a second pass.
     """
+    if max_length is None:
+        max_length = len(w) + 8
     _check_budget(data, max_states, max_length, len(w), insert_values)
     start = w.canonical()
     front = _descend(start.key(), data, max_length, min(max_states, 50000), (), use_macros)
@@ -482,7 +485,7 @@ def search_contractible(w: Nanoword, data: HomotopyData, max_length: int,
 
 
 def search_homotopic(w1: Nanoword, w2: Nanoword, data: HomotopyData,
-                     max_length: int, max_states: int, insert_values=None,
+                     max_length: int | None, max_states: int, insert_values=None,
                      use_macros: bool = True) -> Certificate | None:
     """Bidirectional breadth-first meet-in-the-middle search for w1 ~ w2.
 
@@ -492,7 +495,10 @@ def search_homotopic(w1: Nanoword, w2: Nanoword, data: HomotopyData,
     ``max_length``, so that component is closed and no path of moves within
     ``max_length`` joins the two words (a longer one still may).  With a
     restricted insert set the search goes on until both sides are exhausted.
+    ``max_length`` None means max(len(w1), len(w2)) + 4.
     """
+    if max_length is None:
+        max_length = max(len(w1), len(w2)) + 4
     _check_budget(data, max_states, max_length, max(len(w1), len(w2)), insert_values)
     s1, s2 = w1.canonical(), w2.canonical()
     if s1.key() == s2.key():

@@ -48,27 +48,26 @@ def linking_form(w: Nanoword) -> AlphaForm:
     """The (letters, n_w, lk_w) form with lk(D,E) = (DoE)(EoD)^{-1}.
 
     DoE multiplies |F| over letters F with exactly one occurrence inside
-    D's span and whose second occurrence lies inside E's span.
+    D's span and whose second occurrence lies inside E's span.  One pass over
+    the letters F builds DoE for every ordered pair: F multiplies |F| into
+    each pair (D, E) whose spans hold its first and its second occurrence.
     """
-    letters = w.letters
+    al, letters = w.alphabet, w.letters
     occ = {x: w.occurrences(x) for x in letters}
-
-    def circ(d, e):
-        i_d, j_d = occ[d]
-        i_e, j_e = occ[e]
-        out = PiElement.identity(w.alphabet)
-        for f in letters:
-            i_f, j_f = occ[f]
-            if i_d < i_f < j_d and i_e < j_f < j_e:
-                out = out * PiElement.generator(w.alphabet, w.proj[f])
-        return out
-
-    n = interlacement(w)
-    lk = {}
-    for d in letters:
+    one = PiElement.identity(al)
+    circ: dict = {}
+    for f in letters:
+        i_f, j_f = occ[f]
+        gen = PiElement.generator(al, w.proj[f])
+        outer = [d for d in letters if occ[d][0] < i_f < occ[d][1]]
         for e in letters:
-            lk[(d, e)] = circ(d, e) * circ(e, d).inverse()
-    return AlphaForm(w.alphabet, letters, w.proj,
+            if occ[e][0] < j_f < occ[e][1]:
+                for d in outer:
+                    circ[d, e] = circ.get((d, e), one) * gen
+    n = interlacement(w)
+    lk = {(d, e): circ.get((d, e), one) * circ.get((e, d), one).inverse()
+          for d in letters for e in letters}
+    return AlphaForm(al, letters, w.proj,
                      {(a, b): n.n(a, b) for a in letters for b in letters}, lk)
 
 

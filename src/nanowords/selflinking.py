@@ -93,7 +93,7 @@ def _partial(alphabet, x: GroupRingElement, b: str, torsion: bool) -> int:
     """d_b: send a monomial to its b-exponent, extended additively."""
     bi = alphabet.orbit_index(b)
     total = 0
-    for g, c in x.terms.items():
+    for g, c in x.items():
         total += c * g.nf[bi]
     return total % 2 if torsion else total
 
@@ -127,7 +127,6 @@ def norm_lower_bound(w: Nanoword) -> int:
     u = self_link_function(w)
     deg_bound = 0
     for v in u.values.values():
-        for g, c in v.terms.items():
-            if c:
-                deg_bound = max(deg_bound, 1 + g.degree())
+        for g, _ in v.items():
+            deg_bound = max(deg_bound, 1 + g.degree())
     return max(deg_bound, rho(linking_pairing(w)))

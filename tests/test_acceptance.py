@@ -45,7 +45,7 @@ def _report(num, desc, body):
     print(f"[criterion {num:02d}] PASS  {desc}")
 
 
-def _ring(al, *monomials):
+def _psi_sum(al, *monomials):
     out = GroupRingElement.zero(al)
     for coeff, toks in monomials:
         g = PsiElement.identity(al)
@@ -156,7 +156,7 @@ def test_c04_pairings():
 def test_c05_lambda_goldens():
     def body():
         w = nanoword_from_pattern(AL_FREE2, "ABAB", {"A": "a", "B": "b"})
-        assert lambda_invariant(w) == _ring(
+        assert lambda_invariant(w) == _psi_sum(
             AL_FREE2, (1, ("a", "b", "a.", "b.")), (1, ("b.",)),
             (-1, ("a", "a.", "b.")), (1, ("a",)), (-1, ("a", "b", "b.")))
 
@@ -168,15 +168,15 @@ def test_c05_lambda_goldens():
         lam = {k: lambda_invariant(nanoword_from_pattern(
             al6, p, {"A": "a", "B": "b", "C": "c"})) for k, p in pat.items()}
         # the permutation formula instances, one split component each
-        assert lambda_split(lam["w1"])[(1, 1)] == _ring(
+        assert lambda_split(lam["w1"])[(1, 1)] == _psi_sum(
             al6, (1, ("a", "c.")), (-1, ("a", "a.", "b.", "c.")),
             (-1, ("a", "b", "c", "c.")), (1, ("a", "b", "c", "a.", "b.", "c.")))
-        assert lambda_split(lam["w2"])[(1, 0)] == _ring(
+        assert lambda_split(lam["w2"])[(1, 0)] == _psi_sum(
             al6, (1, ("a",)), (-1, ("a", "b", "c", "c.", "b.")))
-        assert lambda_split(lam["w3"])[(0, 1)] == _ring(
+        assert lambda_split(lam["w3"])[(0, 1)] == _psi_sum(
             al6, (1, ("c.",)), (-1, ("a", "b", "b.", "a.", "c.")))
-        assert lambda_split(lam["w4"])[(0, 0)] == _ring(al6, (1, ()))
-        assert lambda_split(lam["w5"])[(1, 1)] == _ring(
+        assert lambda_split(lam["w4"])[(0, 0)] == _psi_sum(al6, (1, ()))
+        assert lambda_split(lam["w5"])[(1, 1)] == _psi_sum(
             al6, (1, ("a", "c.")), (-1, ("c", "c.")), (-1, ("a", "a.")),
             (1, ("a", "b", "a.", "c", "b.", "c.")))
 
@@ -190,13 +190,13 @@ def test_c05_lambda_goldens():
             alm, ["A3", "A2", "B", "A3", "A1", "A2", "A1", "B"], proj)
         s1 = lambda_split(lambda_invariant(waabab))[(1, 1)]
         s2 = lambda_split(lambda_invariant(wabaab))[(1, 1)]
-        assert s1 == _ring(alm, (1, ("a", "a.")), (-1, ("a", "b.")))
-        assert s2 == _ring(alm, (1, ("a", "b.")), (-1, ("b", "b.")))
+        assert s1 == _psi_sum(alm, (1, ("a", "a.")), (-1, ("a", "b.")))
+        assert s2 == _psi_sum(alm, (1, ("a", "b.")), (-1, ("b", "b.")))
         assert s1 != s2
 
         one_letter = Alphabet(["a"])
         rng = random.Random(5)
-        one = _ring(one_letter, (1, ()))
+        one = _psi_sum(one_letter, (1, ()))
         for _ in range(50):
             v = random_nanoword(one_letter, rng.randrange(0, 5), rng)
             assert lambda_invariant(v) == one

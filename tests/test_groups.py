@@ -1,4 +1,5 @@
 import random
+from operator import add
 
 import pytest
 from hypothesis import given, settings
@@ -216,18 +217,89 @@ def test_natural_maps_commute(al, seed):
 def test_ring_axioms_and_aug(al, seed):
     rng = random.Random(seed)
 
-    def rand_ring():
+    def random_element():
         out = GroupRingElement.zero(al)
         for _ in range(rng.randrange(4)):
             out = out + GroupRingElement.of(_random_psi(al, rng, 4),
                                             rng.choice([-2, -1, 1, 2]))
         return out
 
-    x, y, z = rand_ring(), rand_ring(), rand_ring()
+    x, y, z = random_element(), random_element(), random_element()
     assert (x + y) * z == x * z + y * z
     assert x * (y + z) == x * y + x * z
     assert (x * y) * z == x * (y * z)
     assert (x * y).aug() == x.aug() * y.aug()
+
+
+# each family of the group ring: its class, a random element, and the
+# normal form the validating constructor takes for a product
+RING_FAMILIES = [
+    (PiElement, lambda al, rng: PiElement(al, [rng.randrange(-3, 4) for _ in al.orbits]),
+     lambda g, h: map(add, g, h)),
+    (PsiAbElement,
+     lambda al, rng: PsiAbElement(al, [rng.randrange(-3, 4) for _ in range(2 * len(al.orbits))]),
+     lambda g, h: map(add, g, h)),
+    (PiWord, _random_pi_word, add),
+    (PsiElement, _random_psi, add),
+]
+
+
+def _combination(pairs) -> dict:
+    """``{element: coefficient}`` summed term by term, zeros dropped."""
+    out: dict = {}
+    for g, c in pairs:
+        out[g] = out.get(g, 0) + c
+    return {g: c for g, c in out.items() if c}
+
+
+@given(alphabets_strategy(), st.integers(0, 10 ** 9))
+@settings(max_examples=60)
+def test_ring_arithmetic_matches_the_element_constructors(al, seed):
+    """Sums and products on normal forms equal the combinations built term by
+    term from elements that the validating constructors make of the added or
+    concatenated normal forms."""
+    rng = random.Random(seed)
+    for cls, element, glue in RING_FAMILIES:
+        xs, ys = ([(element(al, rng), rng.choice([-2, -1, 1, 2])) for _ in range(rng.randrange(5))]
+                  for _ in range(2))
+        x, y = GroupRingElement.zero(al), GroupRingElement.zero(al)
+        for g, c in xs:
+            x = x + GroupRingElement.of(g, c)
+        for g, c in ys:
+            y = y + GroupRingElement.of(g, c)
+        assert dict(x.items()) == _combination(xs)
+        assert dict((x + y).items()) == _combination(xs + ys)
+        assert dict((x * y).items()) == _combination(
+            [(cls(al, glue(g.nf, h.nf)), c * d) for g, c in xs for h, d in ys])
+
+
+def test_zero_adds_and_multiplies_in_every_family():
+    rng = random.Random(3)
+    for al in ALPHABETS:
+        zero = GroupRingElement.zero(al)
+        for cls, element, _ in RING_FAMILIES:
+            x = GroupRingElement.of(element(al, rng), 2) + \
+                GroupRingElement.of(cls.generator(al, "a"))
+            assert zero + x == x == x + zero
+            assert zero - x == -x and x - x == zero
+            assert zero * x == zero == x * zero and (zero * zero).is_zero()
+            assert (zero + x) * x == x * x and dict((x * x).items())
+            assert all(type(g) is cls for g, _ in (zero + x).items())
+
+
+def test_ring_operands_from_different_alphabets_or_families():
+    al, other = ALPHABETS[2], ALPHABETS[3]
+    for cls, _, _ in RING_FAMILIES:
+        x = GroupRingElement.of(cls.generator(al, "a"))
+        foreign = [GroupRingElement.of(cls.generator(other, "a")), GroupRingElement.zero(other)]
+        foreign += [GroupRingElement.of(c.generator(al, "a"))
+                    for c, _, _ in RING_FAMILIES if c is not cls]
+        for y in foreign:
+            for op in (lambda: x + y, lambda: y + x, lambda: x * y, lambda: y * x, lambda: x - y):
+                with pytest.raises(AlphabetMismatch):
+                    op()
+        with pytest.raises(AlphabetMismatch):  # a group element is not a ring element
+            x * cls.generator(al, "a")
 
 
 def test_alphabet_mismatch():

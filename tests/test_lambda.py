@@ -223,7 +223,7 @@ def test_degree_bound(w):
         return
     diff = lambda_invariant(w) - GroupRingElement.of(w_star(w))
     adjacent_pair = any(x == y for x, y in zip(w.word, w.word[1:]))
-    for g, c in diff.terms.items():
+    for g, c in diff.items():
         assert max(g.deg(), g.deg_bullet()) <= len(w.word) // 2
         if not adjacent_pair:
             assert g.deg() + g.deg_bullet() < len(w.word)

@@ -10,8 +10,7 @@ from nanowords import (Alphabet, ColoringSpec, GroupRingElement, count_colorings
 from nanowords.errors import EmptyNanoword, InvalidSpec
 from nanowords.lambdainv import bar, lambda_invariant, q_ab
 from nanowords.fingerprint import default_betas
-from nanowords.matrices import (_abelian_entries, _det, _eliminate, _monomial_product, _Poly, _ring,
-                                count_colorings_prime)
+from nanowords.matrices import _det, _eliminate, _entries, count_colorings_prime
 from nanowords.groups import PsiAbElement, PsiElement, psi_abelianize
 from nanowords.intlinalg import ModularCounter, smith_normal_form
 from nanowords.words import Nanoword
@@ -107,14 +106,11 @@ def _square(entries: dict, eps: str, size: int) -> dict:
 
 
 def _assert_minors(al, entries: dict, size: int) -> dict:
-    """``_eliminate`` gives both maximal minors of the polynomial matrix
-    ``entries`` as the cofactor expansion over the group ring does."""
-    ring = {k: _ring(al, v) for k, v in entries.items()}
-    mono = _monomial_product(al)
-    minors = _eliminate(al, {k: _Poly(mono, v) for k, v in entries.items()}, size,
-                        (0,) * (2 * len(al.orbits)), 1)
+    """``_eliminate`` gives both maximal minors of the matrix ``entries`` over
+    Z[Psi^ab] as the cofactor expansion does."""
+    minors = _eliminate(entries, size, _one_ab(al))
     for eps in "+-":
-        assert _ring(al, minors[eps]) == _det(_square(ring, eps, size), size, _one_ab(al))
+        assert minors[eps] == _det(_square(entries, eps, size), size, _one_ab(al))
     return minors
 
 
@@ -125,7 +121,7 @@ def test_det_row_order_independence():
     for al in ALPHABETS[:2]:
         for _ in range(10):
             w = random_nanoword(al, rng.randrange(1, 4), rng)
-            entries, size = _abelian_entries(w, set(al.letters)), len(w.word)
+            entries, size = _entries(w, set(al.letters), PsiAbElement), len(w.word)
             base = _assert_minors(al, entries, size)
             perm = list(range(size))
             rng.shuffle(perm)
@@ -142,7 +138,7 @@ def test_det_row_order_independence():
                 sign *= (-1) ** (cycle - 1)
             shuffled = {(perm[i], j): v for (i, j), v in entries.items()}
             for eps, v in _assert_minors(al, shuffled, size).items():
-                assert _ring(al, v) == _ring(al, base[eps], sign)
+                assert v == base[eps] * sign
 
 
 def test_elimination_equals_cofactor_expansion(monkeypatch):
@@ -186,17 +182,17 @@ def test_abelian_entries_are_the_weighted_matrix_abelianized():
             for _ in range(4):
                 w = random_nanoword(al, n, rng)
                 for beta in default_betas(al):
-                    expected = [(k, {g.nf: c for g, c in v.map_terms(psi_abelianize).terms.items()})
+                    expected = [(k, v.map_terms(psi_abelianize))
                                 for k, v in weighted_matrix(w, beta).entries.items()]
-                    assert list(_abelian_entries(w, beta).items()) == expected
+                    assert list(_entries(w, beta, PsiAbElement).items()) == expected
 
 
-def _poly(*terms):
-    """Sum of c * a^e a.^f over the one orbit of a one-orbit alphabet, from
-    (c, e, f) triples, as a polynomial."""
-    out = {}
+def _poly(al, *terms):
+    """Sum of c * a^e a.^f over the one orbit of the one-orbit alphabet
+    ``al``, from (c, e, f) triples."""
+    out = GroupRingElement.zero(al)
     for c, e, f in terms:
-        out[(e, f)] = out.get((e, f), 0) + c
+        out = out + GroupRingElement.of(PsiAbElement(al, (e, f)), c)
     return out
 
 
@@ -212,18 +208,18 @@ def test_elimination_hands_a_block_without_units_to_the_expansion(al_free1, monk
     monkeypatch.setattr(mat, "_det", spy)
     # the one interior column holds no +-g: 1 + a, 3 a a.; the outer
     # columns hold units, which are never pivots
-    entries = {(0, 0): _poly((1, 1, 0)), (0, 1): _poly((1, 0, 0), (1, 1, 0)),
-               (0, 2): _poly((2, 0, 0)), (1, 0): _poly((-1, 0, 1)),
-               (1, 1): _poly((3, 1, 1)), (1, 2): _poly((1, 0, 0), (-1, 0, 1))}
+    entries = {(0, 0): _poly(al, (1, 1, 0)), (0, 1): _poly(al, (1, 0, 0), (1, 1, 0)),
+               (0, 2): _poly(al, (2, 0, 0)), (1, 0): _poly(al, (-1, 0, 1)),
+               (1, 1): _poly(al, (3, 1, 1)), (1, 2): _poly(al, (1, 0, 0), (-1, 0, 1))}
     _assert_minors(al, entries, 2)
     assert calls == [2, 2]
     # one unit pivot -a in column 1, whose Schur complement turns 1 - a. into
     # 2, then a 2 x 3 block with no unit left in its interior column
-    entries3 = {(0, 0): _poly((1, 0, 0), (1, 1, 0)), (0, 1): _poly((1, 1, 0)),
-                (0, 2): _poly((1, 0, 0), (-1, 0, 1)), (0, 3): _poly((3, 1, 1)),
-                (1, 1): _poly((-1, 1, 0)), (1, 2): _poly((1, 0, 0), (1, 0, 1)),
-                (2, 0): _poly((1, 0, 1)), (2, 2): _poly((2, 0, 0)),
-                (2, 3): _poly((1, 0, 0), (1, 1, 0))}
+    entries3 = {(0, 0): _poly(al, (1, 0, 0), (1, 1, 0)), (0, 1): _poly(al, (1, 1, 0)),
+                (0, 2): _poly(al, (1, 0, 0), (-1, 0, 1)), (0, 3): _poly(al, (3, 1, 1)),
+                (1, 1): _poly(al, (-1, 1, 0)), (1, 2): _poly(al, (1, 0, 0), (1, 0, 1)),
+                (2, 0): _poly(al, (1, 0, 1)), (2, 2): _poly(al, (2, 0, 0)),
+                (2, 3): _poly(al, (1, 0, 0), (1, 1, 0))}
     calls.clear()
     _assert_minors(al, entries3, 3)
     assert calls == [2, 2]
@@ -235,14 +231,15 @@ def test_elimination_of_a_zero_row_is_zero(al_free1, monkeypatch):
     import nanowords.matrices as mat
     al = al_free1
     monkeypatch.setattr(mat, "_det", None)
-    unit = _poly((1, 1, 0))
-    entries = {(0, 0): unit, (0, 1): _poly((2, 0, 0)), (0, 3): unit,
-               (2, 1): unit, (2, 2): _poly((1, 0, 0), (1, 0, 1)), (2, 3): unit}
-    assert _assert_minors(al, entries, 3) == {"+": {}, "-": {}}
+    unit = _poly(al, (1, 1, 0))
+    entries = {(0, 0): unit, (0, 1): _poly(al, (2, 0, 0)), (0, 3): unit,
+               (2, 1): unit, (2, 2): _poly(al, (1, 0, 0), (1, 0, 1)), (2, 3): unit}
+    zero = GroupRingElement.zero(al)
+    assert _assert_minors(al, entries, 3) == {"+": zero, "-": zero}
     # a row that elimination empties: rows 0 and 1 are equal
-    twin = {(0, 1): unit, (0, 2): _poly((2, 0, 0)),
-            (1, 1): unit, (1, 2): _poly((2, 0, 0)), (2, 3): unit}
-    assert _assert_minors(al, twin, 3) == {"+": {}, "-": {}}
+    twin = {(0, 1): unit, (0, 2): _poly(al, (2, 0, 0)),
+            (1, 1): unit, (1, 2): _poly(al, (2, 0, 0)), (2, 3): unit}
+    assert _assert_minors(al, twin, 3) == {"+": zero, "-": zero}
 
 
 def test_elimination_over_zero_divisors(al_id2):
@@ -250,12 +247,12 @@ def test_elimination_over_zero_divisors(al_id2):
     Schur complement can vanish at a position that held no entry, leaving
     nabla^- zero and nabla^+ not."""
     al = al_id2
-    one, x = (0, 0, 0, 0), (1, 1, 0, 0)
-    plus, minus = {one: 1, x: 1}, {one: 1, x: -1}
-    assert (_ring(al, plus) * _ring(al, minus)).is_zero()
-    entries = {(0, 1): {one: 1}, (0, 2): plus, (1, 0): {x: 1}, (1, 1): minus}
+    one, x = _one_ab(al), GroupRingElement.of(PsiAbElement(al, (1, 1, 0, 0)))
+    plus, minus = one + x, one - x
+    assert (plus * minus).is_zero()
+    entries = {(0, 1): one, (0, 2): plus, (1, 0): x, (1, 1): minus}
     minors = _assert_minors(al, entries, 2)
-    assert minors == {"+": {x: -1}, "-": {}}
+    assert minors == {"+": -x, "-": GroupRingElement.zero(al)}
 
 
 def test_nabla_empty_is_one(al_id2):

@@ -84,6 +84,22 @@ def test_macros_are_derivable_from_primitive_moves():
     assert cert.format() == goldens["primitive ABAB empty"]
 
 
+def test_no_length_budget_means_the_default_one():
+    """``max_length`` None is len + 8 for a contraction and max(len) + 4 for
+    a homotopy search."""
+    al = Alphabet(["e", "E"], {"e": "E", "E": "e"})
+    data = HomotopyData(al)
+    w = nanoword_from_pattern(al, "ABAB", {"A": "e", "B": "E"})
+    default = search_contractible(w, data, len(w) + 8, 300000, use_macros=False)
+    assert default is not None
+    assert search_contractible(w, data, None, 300000, use_macros=False).format() == default.format()
+    w1 = nanoword_from_pattern(al, "ABCABC", {"A": "e", "B": "E", "C": "e"})
+    w2 = nanoword_from_pattern(al, "BAACCB", {"A": "e", "B": "E", "C": "e"})
+    default = search_homotopic(w1, w2, data, max(len(w1), len(w2)) + 4, 300000)
+    assert default is not None
+    assert search_homotopic(w1, w2, data, None, 300000).format() == default.format()
+
+
 def test_custom_move_triples(al_id2):
     # S configurable: the third move obeys exactly the listed triples
     w = nanoword_from_pattern(al_id2, "ABACBC", {"A": "a", "B": "b", "C": "a"})
