@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from .classify import FAMILIES, classify
 from .errors import NanowordError, PreconditionViolated
@@ -223,7 +224,11 @@ def cmd_verify_cert(args, out: _Out) -> int:
     return 0 if ok else 1
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process.  It holds no command functions:
+    ``main`` looks ``cmd_<command>`` up at call time, so a patched module
+    binding (a tracer, a test) is seen."""
     top = argparse.ArgumentParser(
         prog="nanowords",
         description="homotopy invariants and certificate search for words "
@@ -241,7 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="tau-invariant subset (letters, comma separated); repeatable")
     p.add_argument("--stats", action="store_true",
                    help="print the seconds each field took to stderr")
-    p.set_defaults(fn=cmd_invariants)
 
     p = sub.add_parser("contract", help="search for a contracting certificate")
     p.add_argument("input")
@@ -249,20 +253,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--insert", help="letters allowed for insertion moves")
     p.add_argument("--no-macros", action="store_true")
     p.add_argument("--cert", help="write the certificate to this file")
-    p.set_defaults(fn=cmd_contract)
 
     p = sub.add_parser("homotopic", help="decide homotopy of two records")
     p.add_argument("input1")
     p.add_argument("input2")
     budgets(p)
     p.add_argument("--cert")
-    p.set_defaults(fn=cmd_homotopic)
 
     p = sub.add_parser("covering", help="delete letters with classes outside H")
     p.add_argument("input")
     p.add_argument("--subgroup", required=True,
                    help="generators of H, e.g. \"ab, a^2\"")
-    p.set_defaults(fn=cmd_covering)
 
     p = sub.add_parser("colorings", help="count colorings with given input/output")
     p.add_argument("input")
@@ -271,46 +272,40 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tricolor", action="store_true")
     p.add_argument("--p", help="unit values, e.g. \"a=1,b=1\"")
     p.add_argument("--pb", help="bullet unit values")
-    p.set_defaults(fn=cmd_colorings)
 
     p = sub.add_parser("nabla", help="sign-normalized determinant invariant")
     p.add_argument("input")
     p.add_argument("--beta", default="all")
     p.add_argument("--sign", choices=("+", "-"), default="+")
-    p.set_defaults(fn=cmd_nabla)
 
     p = sub.add_parser("lambda", help="path-sum invariant, split and psi table")
     p.add_argument("input")
-    p.set_defaults(fn=cmd_lambda)
 
     p = sub.add_parser("charseq", help="reduced characteristic sequence")
     p.add_argument("input")
-    p.set_defaults(fn=cmd_charseq)
 
     p = sub.add_parser("norm", help="lower and upper bounds for the norm")
     p.add_argument("input")
     budgets(p, states=20000)
-    p.set_defaults(fn=cmd_norm)
 
     p = sub.add_parser("classify", help="reproduce a classification table")
     p.add_argument("family", choices=sorted(FAMILIES))
     p.add_argument("input", help="record carrying the alphabet")
     budgets(p)
-    p.set_defaults(fn=cmd_classify)
 
     p = sub.add_parser("verify-cert", help="replay a certificate")
     p.add_argument("input")
     p.add_argument("cert")
     p.add_argument("--target", help="expected end record (default: empty)")
-    p.set_defaults(fn=cmd_verify_cert)
     return top
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     out = _Out(args.format)
+    fn = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.fn(args, out)
+        return fn(args, out)
     except (NanowordError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -78,8 +78,10 @@ def _reduce(syllables, torsion) -> tuple:
 class _Element:
     """Group element given by its normal form ``nf`` over ``alphabet``.
 
-    Subclasses set ``nf`` and supply ``identity``, ``_product``, ``inverse``
-    and either ``_blocks`` or their own ``format``.
+    Subclasses set ``nf`` and supply ``_make_identity``, ``_make_generator``,
+    ``_product``, ``inverse`` and either ``_blocks`` or their own ``format``.
+    Elements are immutable, so ``identity`` and ``generator`` make each one
+    once per alphabet and class and hand out that object afterwards.
     """
 
     __slots__ = ("alphabet", "nf")
@@ -90,6 +92,27 @@ class _Element:
         """The element whose normal form is ``nf``, taken as given."""
         x = object.__new__(cls)
         x.alphabet, x.nf = alphabet, nf
+        return x
+
+    @classmethod
+    def identity(cls, alphabet: Alphabet):
+        return cls._shared(alphabet, None, False)
+
+    @classmethod
+    def generator(cls, alphabet: Alphabet, a: str, bullet: bool = False):
+        """The generator ``a``, or ``a.`` when ``bullet``."""
+        return cls._shared(alphabet, a, bullet)
+
+    @classmethod
+    def _shared(cls, alphabet: Alphabet, a: str | None, bullet: bool):
+        """The element stored in ``alphabet`` for (class, a, bullet), made on
+        the first request; ``a`` None is the identity.  An unknown letter
+        raises before anything is stored."""
+        table, key = alphabet._elements, (cls, a, bullet)
+        x = table.get(key)
+        if x is None:
+            x = table[key] = (cls._make_identity(alphabet) if a is None
+                              else cls._make_generator(alphabet, a, bullet))
         return x
 
     def __mul__(self, other):
@@ -147,19 +170,22 @@ class _Abelian(_Element):
     @classmethod
     def _product(cls, alphabet: Alphabet, g, h) -> tuple:
         """Exponents add, mod 2 at fixed orbits."""
+        fixed = alphabet.fixed_orbit_indices
+        if not fixed:
+            return tuple(map(add, g, h))
         exps = list(map(add, g, h))
         w = cls.width
-        for i in alphabet.fixed_orbit_indices:
+        for i in fixed:
             for k in range(w * i, w * i + w):
                 exps[k] &= 1
         return tuple(exps)
 
     @classmethod
-    def identity(cls, alphabet: Alphabet):
+    def _make_identity(cls, alphabet: Alphabet):
         return cls(alphabet, [0] * (cls.width * len(alphabet.orbits)))
 
     @classmethod
-    def generator(cls, alphabet: Alphabet, a: str, bullet: bool = False):
+    def _make_generator(cls, alphabet: Alphabet, a: str, bullet: bool):
         w = cls.width
         i, block = _generator_block(w, alphabet, a, bullet)
         exps = [0] * (w * len(alphabet.orbits))
@@ -251,11 +277,11 @@ class _Free(_Element):
         self.nf = _reduce(syllables, alphabet.fixed_orbit_indices)
 
     @classmethod
-    def identity(cls, alphabet: Alphabet):
+    def _make_identity(cls, alphabet: Alphabet):
         return cls(alphabet)
 
     @classmethod
-    def generator(cls, alphabet: Alphabet, a: str, bullet: bool = False):
+    def _make_generator(cls, alphabet: Alphabet, a: str, bullet: bool):
         i, block = _generator_block(cls.width, alphabet, a, bullet)
         return cls(alphabet, ((i, *block),))
 
@@ -358,12 +384,12 @@ class PiTildeElement(_Element):
         assert len(self.nf[0]) == len(alphabet.orbits)
 
     @classmethod
-    def identity(cls, alphabet: Alphabet) -> "PiTildeElement":
+    def _make_identity(cls, alphabet: Alphabet) -> "PiTildeElement":
         return cls(alphabet, [0] * len(alphabet.orbits), PiWord.identity(alphabet))
 
     @classmethod
-    def generator(cls, alphabet: Alphabet, a: str) -> "PiTildeElement":
-        return cls(alphabet, [0] * len(alphabet.orbits), PiWord.generator(alphabet, a))
+    def _make_generator(cls, alphabet: Alphabet, a: str, bullet: bool) -> "PiTildeElement":
+        return cls(alphabet, [0] * len(alphabet.orbits), PiWord.generator(alphabet, a, bullet))
 
     @staticmethod
     def _product(alphabet: Alphabet, g: tuple, h: tuple) -> tuple:

@@ -124,7 +124,8 @@ class ModularCounter:
     """Counts solutions of a x = b (mod m) for many right-hand sides b.
 
     The Smith form of ``a`` over Z/m is computed once; each count is then a
-    product over the diagonal of gcd contributions.
+    product over the diagonal of gcd contributions.  A count reads only the
+    columns of U at the nonzero entries of b.
     """
 
     def __init__(self, a: Matrix, m: int):
@@ -142,7 +143,8 @@ class ModularCounter:
         m = self.m
         if self.rows == 0:
             return m ** self.cols
-        c = [sum(self.u[i][j] * b[j] for j in range(self.rows)) % m for i in range(self.rows)]
+        nonzero = [(j, x) for j, x in enumerate(b) if x]
+        c = [sum(row[j] * x for j, x in nonzero) % m for row in self.u]
         total = 1
         for i in range(self.rows):
             di = (self.d[i][i] if i < self.cols else 0) % m

@@ -272,6 +272,10 @@ class ColoringSpec:
             for a in alphabet.letters:
                 if a not in fn:
                     raise InvalidSpec(f"{name} undefined on {a!r}")
+            for a in fn:
+                if a not in alphabet:
+                    raise InvalidSpec(f"{name} given on {a!r}, not an alphabet letter")
+            for a in alphabet.letters:
                 fn[a] %= modulus
                 if (fn[a] * fn[alphabet.tau(a)]) % modulus != 1:
                     raise InvalidSpec(f"{name}({a}) {name}(tau {a}) != 1 (mod {modulus})")

@@ -69,6 +69,8 @@ class Alphabet:
             for a in self.orbits[self._orbit_index[r]]:
                 self._rep[a] = r
         self.fixed_orbit_indices = tuple(i for i, o in enumerate(orbits) if len(o) == 1)
+        # group identities and generators, made once: (class, letter, bullet) -> element
+        self._elements: dict = {}
 
     def _orbit_key(self, a: str) -> str:
         return min(a, self._tau[a])

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nanowords.cli import main
+from nanowords.cli import build_parser, main
 from nanowords.errors import ParseError
 from nanowords.moves import PAIR_KINDS, TRIPLE_KINDS, parse_move
 from nanowords.records import parse_record
@@ -230,6 +230,39 @@ def test_cli_colorings(tmp_path, capsys):
     rows = capsys.readouterr().out.strip().splitlines()
     assert len(rows) == 3
     assert all(len(r.split()) == 3 for r in rows)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--p", "a=1"], "p undefined on 'b'"),
+    (["--pb", "a=1"], "p. undefined on 'b'"),
+    (["--p", "a=1,b=1,q=1"], "p given on 'q', not an alphabet letter"),
+    (["--p", "a=2,b=1"], "p(a) p(tau a) != 1 (mod 3)"),
+])
+def test_cli_colorings_rejects_bad_unit_values(tmp_path, capsys, argv, message):
+    """Over a<->b, unit values must be given on every letter and only on
+    letters; each gap is a typed error, never a traceback."""
+    path = _write(tmp_path, "w.rec", "alphabet: a b\ninvolution: a<->b\n"
+                                     "word: A B A B\nproj: A=a B=b\n")
+    assert main(["colorings", path, *argv]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_cli_main_called_again_in_one_process(tmp_path, capsys, monkeypatch):
+    """The parser is built once per process and keeps nothing between calls:
+    an ``--beta`` given once is gone on the next call, and a command function
+    patched after the first call is the one that runs."""
+    path = _write(tmp_path, "w.rec", ABAB_FREE)
+    build_parser.cache_clear()
+    assert main(["invariants", path]) == 0
+    fresh = capsys.readouterr().out
+    assert main(["invariants", path, "--beta", "a,A"]) == 0
+    assert capsys.readouterr().out != fresh
+    assert main(["invariants", path]) == 0
+    assert capsys.readouterr().out == fresh
+    seen = []
+    monkeypatch.setattr("nanowords.cli.cmd_homotopic", lambda args, out: seen.append(args) or 7)
+    assert main(["homotopic", path, path]) == 7
+    assert [(a.input1, a.input2) for a in seen] == [(path, path)]
 
 
 def test_cli_nabla_lambda_charseq_norm(tmp_path, capsys):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nanowords import (GroupRingElement, PiElement, PiTildeElement, PiWord,
+from nanowords import (Alphabet, GroupRingElement, PiElement, PiTildeElement, PiWord,
                        PsiAbElement, PsiElement, SubgroupOfPi)
 from nanowords.errors import AlphabetMismatch
 from nanowords.groups import parse_pi, psi_abelianize
@@ -307,6 +307,32 @@ def test_alphabet_mismatch():
     y = PiElement.generator(ALPHABETS[1], "a")
     with pytest.raises(AlphabetMismatch):
         x * y
+
+
+def test_identities_and_generators_are_made_once_per_alphabet():
+    """``identity`` and ``generator`` hand out one object per alphabet, class,
+    letter and bullet.  An equal but distinct alphabet makes its own, which
+    multiply and compare with the first as before, and an unknown letter
+    raises without storing anything."""
+    for al in ALPHABETS:
+        twin = Alphabet(al.letters, {a: al.tau(a) for a in al.letters}, al.orientation)
+        for cls in (PiElement, PsiAbElement, PiWord, PsiElement, PiTildeElement):
+            one = cls.identity(al)
+            assert cls.identity(al) is one and one.is_identity()
+            assert cls.identity(twin) is not one and cls.identity(twin) == one
+            for a in al.letters:
+                g, h = cls.generator(al, a), cls.generator(twin, a)
+                assert cls.generator(al, a) is g and h is not g
+                assert h == g and hash(h) == hash(g)
+                assert g * h == g * g == h * g and (g * h.inverse()).is_identity()
+                assert (g * h).alphabet is al and (h * g).alphabet is twin
+                if cls in (PsiAbElement, PsiElement):
+                    dot = cls.generator(al, a, bullet=True)
+                    assert cls.generator(al, a, bullet=True) is dot and dot != g
+            stored = dict(al._elements)
+            with pytest.raises(KeyError):
+                cls.generator(al, "zz")
+            assert al._elements == stored
 
 
 def test_exponent_vectors_of_the_wrong_length():

@@ -363,7 +363,7 @@ def test_count_matrix_shapes():
 def test_smith_form_mod_m_counts_like_brute_force():
     """Over Z/m the form stays reduced, d = u a v holds mod m, and the
     counts equal enumeration, composite moduli included."""
-    rng = random.Random(29)
+    rng, pins = random.Random(29), random.Random(31)
     for _ in range(60):
         rows, cols, m = rng.randrange(1, 4), rng.randrange(1, 4), rng.randrange(2, 13)
         a = [[rng.randrange(-6, 7) for _ in range(cols)] for _ in range(rows)]
@@ -375,8 +375,9 @@ def test_smith_form_mod_m_counts_like_brute_force():
         assert all(d[i][j] == 0 for i in range(rows) for j in range(cols) if i != j)
         counter = ModularCounter(a, m)
         xs = [[t // m ** c % m for c in range(cols)] for t in range(m ** cols)]
-        for _ in range(3):
-            b = [rng.randrange(m) for _ in range(rows)]
+        # random right-hand sides, then the pinned shape: zeros, then k and l
+        pinned = [([0] * rows + [pins.randrange(m), pins.randrange(m)])[-rows:] for _ in range(3)]
+        for b in [[rng.randrange(m) for _ in range(rows)] for _ in range(3)] + pinned:
             brute = sum(1 for x in xs if all(
                 (sum(r[c] * x[c] for c in range(cols)) - b[i]) % m == 0 for i, r in enumerate(a)))
             assert counter.count(b) == brute

@@ -13,6 +13,7 @@ from nanowords import (Alphabet, HomotopyData, Move, Nanoword, apply_move,
                        verify_certificate)
 from nanowords import moves
 from nanowords.errors import BudgetInvalid, PreconditionViolated, UnknownSymbol
+from nanowords.fingerprint import Fingerprint
 from nanowords.moves import (PAIR_KINDS, TRIPLE_KINDS, Certificate,
                              certificate_from_states, invert_move, parse_move)
 
@@ -438,6 +439,32 @@ def test_exhausted_component_ends_the_search(al_free1, monkeypatch):
     cert = search_homotopic(Nanoword(al_free1, (), {}), abba, HomotopyData(al_free1), 8, 100,
                             insert_values=())
     assert cert.format() == "M2+ @pos=(1,1) insert=(a)\n"
+
+
+@pytest.mark.parametrize("pattern, count", [
+    ("12132434", 159), ("12134324", 455), ("12313424", 455)])
+def test_gauss_word_blind_spot(pattern, count, monkeypatch):
+    """Over {c} these three 8-letter reduced forms have the empty word's
+    fingerprint key, and within 12 letters no path of moves joins them to it:
+    the search exhausts a component (the same expansions at either state
+    budget) and answers UNKNOWN.  A known limit of the fingerprint, pinned."""
+    al = Alphabet(["c"])
+    data = HomotopyData(al)
+    w = nanoword_from_pattern(al, pattern, dict.fromkeys("1234", "c"))
+    empty = Nanoword(al, (), {})
+    assert Fingerprint(w).key() == Fingerprint(empty).key()
+    expanded = []
+    real = moves.successor_keys
+
+    def counted(key, *args):
+        expanded.append(key)
+        return real(key, *args)
+
+    monkeypatch.setattr(moves, "successor_keys", counted)
+    for max_states in (10 ** 4, 10 ** 6):
+        expanded.clear()
+        assert search_homotopic(w, empty, data, 12, max_states) is None
+        assert len(expanded) == count, max_states
 
 
 def test_search_stops_drawing_successors_at_the_meet(al_free1, monkeypatch):
