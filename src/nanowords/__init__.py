@@ -12,8 +12,8 @@ from .pairings import (compress, linking_form, linking_pairing, pairing_u,
                        pairings_isomorphic, rho, rho_ax, to_pairing)
 from .matrices import (ColoringSpec, count_colorings, count_colorings_bruteforce,
                        nabla, weighted_matrix)
-from .lambdainv import (lambda_checks, lambda_graph, lambda_invariant,
-                        lambda_prime, lambda_split, psi_expand)
+from .lambdainv import (lambda_checks, lambda_invariant, lambda_prime, lambda_split,
+                        psi_expand)
 from .keis import CharSeq, char_sequence, charseq_inverse, kei_act, kei_star
 from .moves import (Certificate, HomotopyData, Move, apply_move, enumerate_moves,
                     norm_upper_bound, search_contractible, search_homotopic,

@@ -48,6 +48,8 @@ def _check_same(x, y):
 def _generator_block(width: int, alphabet: Alphabet, a: str, bullet: bool):
     """Orbit of ``a`` and the exponents of ``a`` (``a.`` when ``bullet``) on
     it: -1 outside alpha0, so +1 at a fixed letter, its own representative."""
+    if a not in alphabet:
+        raise UnknownSymbol(f"{a!r} is not an alphabet letter")
     exps = [0] * width
     exps[bullet] = 1 if alphabet.rep(a) == a else -1
     return alphabet.orbit_index(a), exps
@@ -222,23 +224,18 @@ def parse_pi(alphabet: Alphabet, text: str) -> PiElement:
 
     Raises ``UnknownSymbol`` naming the first letter outside the alphabet.
     """
-    def generator(name):
-        if name not in alphabet:
-            raise UnknownSymbol(f"{name!r} is not an alphabet letter")
-        return PiElement.generator(alphabet, name)
-
     out = PiElement.identity(alphabet)
     for token in text.replace(",", " ").split():
         if token == "1":
             continue
         if "^" in token:
             name, _, exp = token.partition("^")
-            out = out * (generator(name) ** int(exp))
+            out = out * (PiElement.generator(alphabet, name) ** int(exp))
         elif token in alphabet:
-            out = out * generator(token)
+            out = out * PiElement.generator(alphabet, token)
         else:
             for ch in token:
-                out = out * generator(ch)
+                out = out * PiElement.generator(alphabet, ch)
     return out
 
 

@@ -9,7 +9,6 @@ gamma', gamma~ and the orbit-pair function mu.
 
 from __future__ import annotations
 
-from .errors import UnknownLetter
 from .groups import (PiElement, PiTildeElement, PiWord, SubgroupOfPi)
 from .words import Alphabet, Letter, Nanoword
 
@@ -33,14 +32,13 @@ class InterlacementMatrix:
 
 def interlacement(w: Nanoword) -> InterlacementMatrix:
     letters = w.letters
-    occ = {x: w.occurrences(x) for x in letters}
     entries = {}
     for x in letters:
-        ix, jx = occ[x]
+        ix, jx = w.occurrences(x)
         for y in letters:
             if x == y:
                 continue
-            iy, jy = occ[y]
+            iy, jy = w.occurrences(y)
             if ix < iy < jx < jy:
                 entries[(x, y)] = 1
             elif iy < ix < jy < jx:
@@ -50,8 +48,7 @@ def interlacement(w: Nanoword) -> InterlacementMatrix:
 
 def letter_class(w: Nanoword, a: Letter, matrix: InterlacementMatrix | None = None) -> PiElement:
     """[A]_w = prod_B |B|^{n_w(A,B)} in pi."""
-    if a not in w.proj or w.multiplicity(a) != 2:
-        raise UnknownLetter(f"{a!r} is not a letter of the nanoword")
+    w.occurrences(a)  # raises UnknownLetter unless a is a letter of w
     matrix = matrix or interlacement(w)
     out = PiElement.identity(w.alphabet)
     for b in matrix.letters:
@@ -88,23 +85,12 @@ def covering(w: Nanoword, subgroups: dict[str, SubgroupOfPi] | SubgroupOfPi) -> 
 # gamma and friends
 
 
-def _first_positions(w: Nanoword) -> set[int]:
-    seen: set[Letter] = set()
-    first = set()
-    for pos, x in enumerate(w.word):
-        if x not in seen:
-            seen.add(x)
-            first.add(pos)
-    return first
-
-
 def gamma(w: Nanoword) -> PiWord:
     """z_{|A|} at first occurrences, its inverse (= z_{tau|A|}) at second."""
-    first = _first_positions(w)
     out = PiWord.identity(w.alphabet)
-    for pos, x in enumerate(w.word):
+    for pos, x in enumerate(w.word, start=1):
         a = w.proj[x]
-        g = PiWord.generator(w.alphabet, a if pos in first else w.alphabet.tau(a))
+        g = PiWord.generator(w.alphabet, a if pos == w.occurrences(x)[0] else w.alphabet.tau(a))
         out = out * g
     return out
 
@@ -121,11 +107,10 @@ def gamma_tilde(w: Nanoword) -> PiTildeElement:
     is the lift that is killed by interlaced squares such as ABAB with
     |A| = |B|.
     """
-    first = _first_positions(w)
     out = PiTildeElement.identity(w.alphabet)
-    for pos, x in enumerate(w.word):
+    for pos, x in enumerate(w.word, start=1):
         g = PiTildeElement.generator(w.alphabet, w.proj[x])
-        out = out * (g if pos in first else g.inverse())
+        out = out * (g if pos == w.occurrences(x)[0] else g.inverse())
     return out
 
 

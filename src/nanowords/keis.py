@@ -42,10 +42,6 @@ class FElement:
     def generator(cls, psi: PsiElement, sign: int = 1) -> "FElement":
         return cls(psi.alphabet, ((psi, sign),))
 
-    @classmethod
-    def identity(cls, alphabet: Alphabet) -> "FElement":
-        return cls(alphabet)
-
     def __mul__(self, other: "FElement") -> "FElement":
         return FElement(self.alphabet, self.letters + other.letters)
 
@@ -75,18 +71,11 @@ def _require_free(alphabet: Alphabet):
         raise TauHasFixedPoint("the free kei needs a fixed-point-free involution")
 
 
-def _gen(alphabet, a, bullet=False, power=1) -> PsiElement:
-    g = PsiElement.generator(alphabet, a, bullet=bullet)
-    if power == -1:
-        g = g.inverse()
-    return g
-
-
 def kei_act(a: str, x: FElement) -> FElement:
     """The translation action of the alphabet letter a on F."""
     al = x.alphabet
     _require_free(al)
-    return x.translate(_gen(al, a))
+    return x.translate(PsiElement.generator(al, a))
 
 
 def kei_star(x: FElement, a: str, y: FElement) -> FElement:
@@ -94,12 +83,12 @@ def kei_star(x: FElement, a: str, y: FElement) -> FElement:
     al = x.alphabet
     _require_free(al)
     if al.rep(a) == a:
-        ab = _gen(al, a, bullet=True)
-        aa = _gen(al, a)
+        ab = PsiElement.generator(al, a, bullet=True)
+        aa = PsiElement.generator(al, a)
         return y * x.translate(ab) * y.translate(ab * aa).inverse()
     r = al.rep(a)  # a = tau(r)
-    rb_inv = _gen(al, r, bullet=True).inverse()
-    r_inv = _gen(al, r).inverse()
+    rb_inv = PsiElement.generator(al, r, bullet=True).inverse()
+    r_inv = PsiElement.generator(al, r).inverse()
     return y.translate(rb_inv * r_inv).inverse() * x.translate(rb_inv) * y
 
 
@@ -147,16 +136,14 @@ def char_sequence(w: Nanoword) -> CharSeq:
     the state just before the first occurrence.
     """
     _require_free(w.alphabet)
-    w = w.canonical()
     states = [FElement.generator(PsiElement.identity(w.alphabet))]
-    first_at: dict = {}
     for pos, x in enumerate(w.word, start=1):
         a = w.proj[x]
-        if x not in first_at:
-            first_at[x] = pos
+        i = w.occurrences(x)[0]
+        if pos == i:
             states.append(kei_act(a, states[pos - 1]))
         else:
-            states.append(kei_star(states[pos - 1], a, states[first_at[x] - 1]))
+            states.append(kei_star(states[pos - 1], a, states[i - 1]))
     return CharSeq.from_f(states[-1])
 
 

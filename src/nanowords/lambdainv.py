@@ -3,9 +3,9 @@
 With beta the whole alphabet, the letter-relation module is free of rank 1
 on the input x_0, so the output is x_2n = lam' x_0 for a unique ring element
 lam'.  Reading monomials right to left gives lam, computed here as a path
-sum on a graph with one segment per position and one backward arc per
-second occurrence.  A second, independent computation solves the relation
-rows by forward substitution; the two must agree.
+sum in one pass over the word: a segment per position and a backward arc
+at each second occurrence.  A second, independent computation solves the
+relation rows by forward substitution; the two must agree.
 """
 
 from __future__ import annotations
@@ -14,58 +14,25 @@ from .groups import GroupRingElement, PiWord, PsiElement, psi_abelianize
 from .words import Nanoword
 
 
-class LambdaGraph:
-    """Vertices 0..2n; segment [i-1, i] weighted k_i, arcs (i -> i') weighted l_i."""
-
-    def __init__(self, alphabet, size: int, segments: list[PsiElement],
-                 arcs: dict[int, tuple[int, GroupRingElement]]):
-        self.alphabet = alphabet
-        self.size = size
-        self.segments = segments  # segments[i] is the weight of [i, i+1]
-        self.arcs = arcs          # arcs[i] = (i', weight) with i' < i - 1
-
-    def path_count(self) -> int:
-        counts = [1] + [0] * self.size
-        for i in range(1, self.size + 1):
-            counts[i] = counts[i - 1]
-            if i in self.arcs:
-                counts[i] += counts[self.arcs[i][0]]
-        return counts[self.size]
-
-
-def lambda_graph(w: Nanoword) -> LambdaGraph:
-    w = w.canonical()
-    al = w.alphabet
-    one = PsiElement.identity(al)
-    segments = [one] * len(w.word)
-    arcs: dict[int, tuple[int, GroupRingElement]] = {}
-    for x in w.letters:
-        i_a, j_a = w.occurrences(x)
-        a = w.proj[x]
-        g = PsiElement.generator(al, a)
-        gb = PsiElement.generator(al, a, bullet=True)
-        segments[i_a - 1] = g
-        segments[j_a - 1] = gb
-        mixed = GroupRingElement.of(one) - GroupRingElement.of(g * gb)
-        arcs[j_a] = (i_a - 1, mixed)
-    return LambdaGraph(al, len(w.word), segments, arcs)
-
-
 def lambda_invariant(w: Nanoword) -> GroupRingElement:
-    """Sum over descending paths of the weights written right to left."""
+    """Sum over descending paths of the weights written right to left.
+
+    One pass over the positions: f[pos] = f[pos - 1] a at the first
+    occurrence i of a letter valued a, and f[pos - 1] a. + f[i - 1] (1 - a a.)
+    at its second one.
+    """
     al = w.alphabet
     one = GroupRingElement.of(PsiElement.identity(al))
-    if not w.word:
-        return one
-    g = lambda_graph(w)
-    f = [one] + [None] * g.size
-    for i in range(1, g.size + 1):
-        val = f[i - 1] * GroupRingElement.of(g.segments[i - 1])
-        if i in g.arcs:
-            tgt, weight = g.arcs[i]
-            val = val + f[tgt] * weight
-        f[i] = val
-    return f[g.size]
+    f = [one]
+    for pos, x in enumerate(w.word, start=1):
+        a = w.proj[x]
+        i = w.occurrences(x)[0]
+        g = PsiElement.generator(al, a, bullet=pos != i)
+        val = f[pos - 1] * GroupRingElement.of(g)
+        if pos != i:
+            val = val + f[i - 1] * (one - GroupRingElement.of(PsiElement.generator(al, a) * g))
+        f.append(val)
+    return f[-1]
 
 
 def lambda_prime(w: Nanoword) -> GroupRingElement:
@@ -181,14 +148,10 @@ def lambda_checks(w: Nanoword) -> dict[str, bool]:
 
 def w_star(w: Nanoword) -> PsiElement:
     """The leading monomial: a at first occurrences, a. at second ones."""
-    w = w.canonical()
     al = w.alphabet
-    seen = set()
     out = PsiElement.identity(al)
-    for x in w.word:
-        bullet = x in seen
-        seen.add(x)
-        out = out * PsiElement.generator(al, w.proj[x], bullet=bullet)
+    for pos, x in enumerate(w.word, start=1):
+        out = out * PsiElement.generator(al, w.proj[x], bullet=pos != w.occurrences(x)[0])
     return out
 
 

@@ -231,11 +231,8 @@ def nabla(w: Nanoword, beta) -> dict[str, GroupRingElement]:
     elimination gives both; the weight r^w and the pivots enter as one
     scale, a signed monomial.  The augmentation of each raw determinant is
     +-1 and fixes its sign, so aug(nabla) = 1.  The empty nanoword gives 1 for
-    both (forced by multiplicativity).
+    both (forced by multiplicativity): its relation matrix is 0 x 1.
     """
-    if not w.word:
-        one = GroupRingElement.of(PsiAbElement.identity(w.alphabet))
-        return {"+": one, "-": one}
     out = {}
     for eps, raw in _eliminate(_entries(w, beta, PsiAbElement), len(w.word),
                                _weight(w, beta)).items():
@@ -312,8 +309,6 @@ def _count_pinned(w: Nanoword, spec: ColoringSpec, solver) -> list[list[int]]:
     right-hand side to its number of solutions mod m."""
     m = spec.modulus
     n2 = len(w.word)
-    if n2 == 0:
-        return [[1 if k == l else 0 for l in range(m)] for k in range(m)]
     rows = _coloring_matrix(w, spec)
     count = solver(rows + [[1] + [0] * n2, [0] * n2 + [1]], m)
     zeros = [0] * len(rows)
@@ -339,10 +334,6 @@ def count_colorings_bruteforce(w: Nanoword, spec: ColoringSpec) -> list[list[int
     m = spec.modulus
     n2 = len(w.word)
     out = [[0] * m for _ in range(m)]
-    if n2 == 0:
-        for k in range(m):
-            out[k][k] = 1
-        return out
     rows = _coloring_matrix(w, spec)
     total = m ** (n2 + 1)
     if total > 10 ** 6:

@@ -53,15 +53,14 @@ def linking_form(w: Nanoword) -> AlphaForm:
     each pair (D, E) whose spans hold its first and its second occurrence.
     """
     al, letters = w.alphabet, w.letters
-    occ = {x: w.occurrences(x) for x in letters}
     one = PiElement.identity(al)
     circ: dict = {}
     for f in letters:
-        i_f, j_f = occ[f]
+        i_f, j_f = w.occurrences(f)
         gen = PiElement.generator(al, w.proj[f])
-        outer = [d for d in letters if occ[d][0] < i_f < occ[d][1]]
+        outer = [d for d in letters if w.occurrences(d)[0] < i_f < w.occurrences(d)[1]]
         for e in letters:
-            if occ[e][0] < j_f < occ[e][1]:
+            if w.occurrences(e)[0] < j_f < w.occurrences(e)[1]:
                 for d in outer:
                     circ[d, e] = circ.get((d, e), one) * gen
     n = interlacement(w)

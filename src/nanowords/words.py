@@ -139,16 +139,10 @@ class EtaleWord:
             if a not in alphabet:
                 raise UnknownSymbol(f"|{x!r}| = {a!r} is not an alphabet letter")
 
-    @property
+    @cached_property
     def letters(self) -> tuple[Letter, ...]:
         """Letter set in order of first occurrence (unused letters dropped)."""
-        seen: dict[Letter, None] = {}
-        for x in self.word:
-            seen.setdefault(x)
-        return tuple(seen)
-
-    def multiplicity(self, x: Letter) -> int:
-        return self.word.count(x)
+        return tuple(dict.fromkeys(self.word))
 
     def __len__(self):
         return len(self.word)
@@ -179,13 +173,22 @@ class Nanoword(EtaleWord):
         if bad:
             raise ValueError(f"not a Gauss word: letters {bad!r} do not occur exactly twice")
 
+    @cached_property
+    def _occurrences(self) -> dict[Letter, tuple[int, int]]:
+        """The table ``{x: (i_x, j_x)}``, made in one pass over the word."""
+        table: dict[Letter, tuple[int, ...]] = {}
+        for pos, x in enumerate(self.word, start=1):
+            table[x] = table.get(x, ()) + (pos,)
+        return table
+
     def occurrences(self, x: Letter) -> tuple[int, int]:
-        """1-based positions (i_x, j_x) of the two occurrences of ``x``."""
-        i = self.word.index(x) + 1
-        j = len(self.word) - tuple(reversed(self.word)).index(x)
-        if i == j:
-            raise UnknownLetter(f"{x!r} does not occur twice")
-        return i, j
+        """1-based positions (i_x, j_x) of the two occurrences of ``x``.
+
+        Every invariant reads the positions of a letter from here."""
+        try:
+            return self._occurrences[x]
+        except KeyError:
+            raise UnknownLetter(f"{x!r} is not a letter of the nanoword") from None
 
     def canonical(self) -> "Nanoword":
         """Rename letters 1, 2, ... by first occurrence and prune unused ones.

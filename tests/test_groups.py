@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from nanowords import (Alphabet, GroupRingElement, PiElement, PiTildeElement, PiWord,
                        PsiAbElement, PsiElement, SubgroupOfPi)
-from nanowords.errors import AlphabetMismatch
+from nanowords.errors import AlphabetMismatch, UnknownSymbol
 from nanowords.groups import parse_pi, psi_abelianize
 
 from conftest import ALPHABETS, alphabets_strategy
@@ -330,7 +330,7 @@ def test_identities_and_generators_are_made_once_per_alphabet():
                     dot = cls.generator(al, a, bullet=True)
                     assert cls.generator(al, a, bullet=True) is dot and dot != g
             stored = dict(al._elements)
-            with pytest.raises(KeyError):
+            with pytest.raises(UnknownSymbol):
                 cls.generator(al, "zz")
             assert al._elements == stored
 

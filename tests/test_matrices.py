@@ -255,8 +255,10 @@ def test_elimination_over_zero_divisors(al_id2):
     assert minors == {"+": -x, "-": GroupRingElement.zero(al)}
 
 
-def test_nabla_empty_is_one(al_id2):
-    assert nabla(Nanoword(al_id2, (), {}), {"a", "b"}) == {"+": _one_ab(al_id2), "-": _one_ab(al_id2)}
+def test_nabla_empty_is_one():
+    for al in ALPHABETS:
+        for beta in (set(al.letters), set()):
+            assert nabla(Nanoword(al, (), {}), beta) == {"+": _one_ab(al), "-": _one_ab(al)}
 
 
 # ---------------------------------------------------------------------------
@@ -319,10 +321,20 @@ def test_z5_coloring_separates_orientation():
     assert counts == count_colorings_prime(w, spec)
 
 
-def test_empty_nanoword_counts(al_id2):
-    spec = ColoringSpec.tricoloring(al_id2, {"a"})
-    counts = count_colorings(Nanoword(al_id2, (), {}), spec)
-    assert counts == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+def test_empty_nanoword_counts():
+    """The two pins alone count the identity matrix, by every route."""
+    for al in ALPHABETS:
+        empty = Nanoword(al, (), {})
+        for beta in (set(al.letters), set()):
+            tri = ColoringSpec.tricoloring(al, beta)
+            identity = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+            assert count_colorings(empty, tri) == identity
+            assert count_colorings_prime(empty, tri) == identity
+            assert count_colorings_bruteforce(empty, tri) == identity
+            mod4 = ColoringSpec.make(al, beta, 4)
+            assert count_colorings(empty, mod4) == [[int(k == l) for l in range(4)]
+                                                    for k in range(4)]
+            assert count_colorings_bruteforce(empty, mod4) == count_colorings(empty, mod4)
 
 
 @given(nanowords_strategy(max_letters=3), st.integers(0, 10 ** 9))

@@ -4,11 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nanowords import (Alphabet, EtaleWord, Nanoword, desingularize, from_word,
-                       inverse, nanoword_from_pattern, opposite, product)
-from nanowords.errors import UnknownSymbol
+from nanowords import (Alphabet, EtaleWord, Nanoword, char_sequence, desingularize,
+                       from_word, gamma, gamma_tilde, inverse, lambda_invariant,
+                       letter_classes, nanoword_from_pattern, opposite, product)
+from nanowords.errors import UnknownLetter, UnknownSymbol
+from nanowords.lambdainv import w_star
 
-from conftest import nanowords_strategy, random_nanoword
+from conftest import ALPHABETS, nanowords_strategy, random_nanoword
 
 
 def test_alphabet_orbits_and_orientation():
@@ -84,6 +86,32 @@ def test_canonical_collapses_relabelings(w, seed):
                  {rename[x]: w.proj[x] for x in names})
     assert v.canonical().key() == w.canonical().key()
     assert v.isomorphic(w)
+
+
+def test_invariants_read_positions_not_letter_names():
+    """Renamed to non-string names whose order is not the first-occurrence
+    order, a word keeps every invariant read off the occurrence table."""
+    rng = random.Random(16)
+    for al in ALPHABETS:
+        for n in range(7):
+            c = random_nanoword(al, n, rng)  # a canonical word
+            names = [("x", k) for k in range(n)]
+            rng.shuffle(names)
+            rename = dict(zip(c.letters, names))
+            v = Nanoword(al, [rename[x] for x in c.word],
+                         {rename[x]: c.proj[x] for x in c.letters})
+            for x in c.letters:
+                assert v.occurrences(rename[x]) == c.occurrences(x) == tuple(
+                    pos for pos, y in enumerate(c.word, start=1) if y == x)
+            assert gamma(v) == gamma(c) and gamma_tilde(v) == gamma_tilde(c)
+            assert lambda_invariant(v) == lambda_invariant(c)
+            assert w_star(v) == w_star(c)
+            classes = letter_classes(v)
+            assert {x: classes[rename[x]] for x in c.letters} == letter_classes(c)
+            if al.is_fixed_point_free:
+                assert char_sequence(v) == char_sequence(c)
+            with pytest.raises(UnknownLetter):
+                v.occurrences("zz")
 
 
 def test_product_unit(al_id2):
