@@ -12,7 +12,7 @@ import sys
 from functools import cache
 
 from .classify import FAMILIES, classify
-from .errors import NanowordError, PreconditionViolated
+from .errors import InvalidSpec, NanowordError, PreconditionViolated
 from .fingerprint import Fingerprint, format_fingerprint
 from .groups import SubgroupOfPi, parse_pi
 from .interlacement import covering, letter_classes
@@ -50,7 +50,13 @@ def _parse_units(text: str):
     out = {}
     for item in text.replace(",", " ").split():
         name, _, val = item.partition("=")
-        out[name] = int(val)
+        try:
+            value = int(val)
+        except ValueError:
+            raise InvalidSpec(f"unit value {item!r} is not letter=integer") from None
+        if name in out:
+            raise InvalidSpec(f"unit value given twice on {name!r}")
+        out[name] = value
     return out
 
 

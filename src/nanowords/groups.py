@@ -31,7 +31,7 @@ from __future__ import annotations
 from operator import add
 from typing import Iterable
 
-from .errors import AlphabetMismatch, UnknownSymbol
+from .errors import AlphabetMismatch, ParseError, UnknownSymbol
 from .intlinalg import solve_integer
 from .words import Alphabet
 
@@ -222,7 +222,8 @@ class PiElement(_Abelian):
 def parse_pi(alphabet: Alphabet, text: str) -> PiElement:
     """Parse ``a^2 b`` or condensed ``ab`` (single-char letters) into pi.
 
-    Raises ``UnknownSymbol`` naming the first letter outside the alphabet.
+    Raises ``UnknownSymbol`` naming the first letter outside the alphabet,
+    and ``ParseError`` naming a token whose exponent is not an integer.
     """
     out = PiElement.identity(alphabet)
     for token in text.replace(",", " ").split():
@@ -230,7 +231,11 @@ def parse_pi(alphabet: Alphabet, text: str) -> PiElement:
             continue
         if "^" in token:
             name, _, exp = token.partition("^")
-            out = out * (PiElement.generator(alphabet, name) ** int(exp))
+            try:
+                power = int(exp)
+            except ValueError:
+                raise ParseError(f"exponent of {token!r} is not an integer") from None
+            out = out * (PiElement.generator(alphabet, name) ** power)
         elif token in alphabet:
             out = out * PiElement.generator(alphabet, token)
         else:
@@ -588,7 +593,7 @@ class SubgroupOfPi:
             col[i] = 2
             cols.append(col)
         # matrix with one row per orbit coordinate
-        self._matrix = [[col[r] for col in cols] for r in range(n)] if cols else [[] for _ in range(n)]
+        self._matrix = [[col[r] for col in cols] for r in range(n)]
 
     @classmethod
     def whole(cls, alphabet: Alphabet) -> "SubgroupOfPi":
@@ -601,8 +606,6 @@ class SubgroupOfPi:
     def contains(self, x: PiElement) -> bool:
         if x.alphabet != self.alphabet:
             raise AlphabetMismatch("membership test across alphabets")
-        if not self._matrix or not self._matrix[0]:
-            return x.is_identity()
         return solve_integer(self._matrix, list(x.nf))
 
     def __repr__(self):

@@ -2,81 +2,60 @@
 
 Everything works on plain lists of Python ints; matrix sizes here stay far
 below the point where asymptotics matter, and exactness is non-negotiable.
-The Smith form keeps the left transform U (with D = U A V) because solution
-counting needs to push right-hand sides through it; library normal forms
-that discard the transforms are useless for that.  Counting mod m computes
-the form over Z/m, since over Z the coefficients of U blow up.
+A system a x = b is reduced as the augmented matrix [a | b]: row operations
+carry the right-hand-side columns along, while column operations and swaps
+act on the unknowns only.  The reduced system d y = b' then has the same
+solvability as a x = b and, mod m, as many solutions.  Every right-hand side
+a caller needs is known before the reduction starts, so no transform is
+kept (Kannan and Bachem reduce the augmented matrix the same way).  Counting
+mod m reduces over Z/m, where no coefficient grows past m.
 """
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, prod
 
 Matrix = list[list[int]]
 
 
-def _identity(n: int) -> Matrix:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+def smith_normal_form(a: Matrix, unknowns: int, modulus: int | None = None) -> Matrix:
+    """Reduce the augmented matrix ``a``, whose first ``unknowns`` columns are
+    the unknowns' and whose other columns are right-hand sides.
 
-
-def smith_normal_form(a: Matrix, modulus: int | None = None) -> tuple[Matrix, Matrix, Matrix]:
-    """Return (d, u, v) with d = u a v, u and v unimodular, d diagonal.
-
-    With ``modulus`` m every entry of d, u and v is kept reduced mod m and the
-    identity holds mod m.  Z/m is a principal ideal ring and the operations
-    stay invertible mod m; the pivot is the least nonzero residue and each
-    Euclid step leaves a smaller remainder, so the loop still ends, and no
-    coefficient grows past m.  Without it the form is exact over Z.
+    Returns the reduced matrix: its unknowns' block is diagonal, and each
+    right-hand side has been through every row operation.  With ``modulus``
+    m every entry is kept reduced mod m.  Z/m is a principal ideal ring and
+    the operations stay invertible mod m; the pivot is the least nonzero
+    residue and each Euclid step leaves a smaller remainder, so the loop
+    still ends.  Without it the form is exact over Z.
 
     No divisibility chain is enforced on the diagonal; counting and solving
     below only need diagonality.
     """
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    if modulus is None:
-        def red(x):
-            return x
-    else:
-        def red(x):
-            return x % modulus
+    rows, cols = len(a), unknowns
+    red = (lambda x: x) if modulus is None else (lambda x: x % modulus)
     d = [[red(x) for x in row] for row in a]
-    u = _identity(rows)
-    v = _identity(cols)
 
-    def row_op(i, j, q):  # row i -= q * row j
+    def row_op(i, j, q):  # row i -= q * row j, right-hand sides included
         d[i] = [red(x - q * y) for x, y in zip(d[i], d[j])]
-        u[i] = [red(x - q * y) for x, y in zip(u[i], u[j])]
 
-    def col_op(i, j, q):  # col i -= q * col j
+    def col_op(i, j, q):  # unknown i -= q * unknown j
         for r in range(rows):
             d[r][i] = red(d[r][i] - q * d[r][j])
-        for r in range(cols):
-            v[r][i] = red(v[r][i] - q * v[r][j])
-
-    def swap_rows(i, j):
-        d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
 
     def swap_cols(i, j):
         for r in range(rows):
             d[r][i], d[r][j] = d[r][j], d[r][i]
-        for r in range(cols):
-            v[r][i], v[r][j] = v[r][j], v[r][i]
 
     k = 0
     while k < min(rows, cols):
-        # find a pivot of minimal absolute value in the trailing block
-        pivot = None
-        best = None
-        for i in range(k, rows):
-            for j in range(k, cols):
-                x = d[i][j]
-                if x and (best is None or abs(x) < best):
-                    best, pivot = abs(x), (i, j)
-        if pivot is None:
+        # a pivot of minimal absolute value in the trailing block, first by row
+        nonzero = [(abs(d[i][j]), i, j)
+                   for i in range(k, rows) for j in range(k, cols) if d[i][j]]
+        if not nonzero:
             break
-        pi, pj = pivot
-        swap_rows(k, pi)
+        _, pi, pj = min(nonzero)
+        d[k], d[pi] = d[pi], d[k]
         swap_cols(k, pj)
         while True:
             dirty = False
@@ -85,7 +64,7 @@ def smith_normal_form(a: Matrix, modulus: int | None = None) -> tuple[Matrix, Ma
                     q = d[i][k] // d[k][k]
                     row_op(i, k, q)
                     if d[i][k]:
-                        swap_rows(k, i)
+                        d[k], d[i] = d[i], d[k]
                         dirty = True
             for j in range(k + 1, cols):
                 if d[k][j]:
@@ -97,65 +76,47 @@ def smith_normal_form(a: Matrix, modulus: int | None = None) -> tuple[Matrix, Ma
             if not dirty:
                 break
         k += 1
-    return d, u, v
+    return d
 
 
 def solve_integer(a: Matrix, b: list[int]) -> bool:
-    """Does a x = b have an integer solution x?"""
-    rows = len(a)
-    if rows == 0:
-        return not any(b)
-    cols = len(a[0])
-    if cols == 0:
-        return not any(b)
-    d, u, _v = smith_normal_form(a)
-    c = [sum(u[i][j] * b[j] for j in range(rows)) for i in range(rows)]
-    for i in range(rows):
-        di = d[i][i] if i < cols else 0
-        if di == 0:
-            if c[i] != 0:
-                return False
-        elif c[i] % di:
-            return False
-    return True
+    """Does a x = b have an integer solution x?
+
+    Reduces [a | b]: row i with a nonzero pivot d_i needs d_i | b'_i, and
+    every other row needs b'_i = 0.
+    """
+    cols = len(a[0]) if a else 0
+    d = smith_normal_form([row + [x] for row, x in zip(a, b)], cols)
+    return all(row[cols] % row[i] == 0 if i < cols and row[i] else row[cols] == 0
+               for i, row in enumerate(d))
 
 
 class ModularCounter:
-    """Counts solutions of a x = b (mod m) for many right-hand sides b.
+    """Counts solutions of a x = sum_t c[t] rhs[t] (mod m) for many c.
 
-    The Smith form of ``a`` over Z/m is computed once; each count is then a
-    product over the diagonal of gcd contributions.  A count reads only the
-    columns of U at the nonzero entries of b.
+    ``rhs`` is a list of columns, one entry per row of ``a``.  The Smith form
+    of [a | rhs] over Z/m is computed once.  Row i of it, with pivot d_i (0
+    past the diagonal), admits c iff gcd(d_i, m) divides its carried
+    combination; the count of a consistent c is the same product of gcds
+    over the unknowns.
     """
 
-    def __init__(self, a: Matrix, m: int):
+    def __init__(self, a: Matrix, m: int, rhs: Matrix):
         if m < 2:
             raise ValueError("modulus must be >= 2")
-        self.m = m
-        self.rows = len(a)
-        self.cols = len(a[0]) if self.rows else 0
-        if self.rows:
-            self.d, self.u, _ = smith_normal_form(a, m)
-        else:
-            self.d, self.u = [], []
+        cols = len(a[0]) if a else 0
+        aug = [row + [col[i] for col in rhs] for i, row in enumerate(a)]
+        d = smith_normal_form(aug, cols, m)
+        diagonal = [d[i][i] if i < len(d) else 0 for i in range(cols)]
+        self.solutions = prod(gcd(x, m) for x in diagonal)
+        self.rows = [(gcd(diagonal[i] if i < cols else 0, m), row[cols:])
+                     for i, row in enumerate(d)]
 
-    def count(self, b: list[int]) -> int:
-        m = self.m
-        if self.rows == 0:
-            return m ** self.cols
-        nonzero = [(j, x) for j, x in enumerate(b) if x]
-        c = [sum(row[j] * x for j, x in nonzero) % m for row in self.u]
-        total = 1
-        for i in range(self.rows):
-            di = (self.d[i][i] if i < self.cols else 0) % m
-            g = gcd(di, m)
-            if c[i] % g:
+    def count(self, c: list[int]) -> int:
+        for g, carried in self.rows:
+            if sum(x * y for x, y in zip(carried, c)) % g:
                 return 0
-            if i < self.cols:
-                total *= g
-        if self.cols > self.rows:
-            total *= m ** (self.cols - self.rows)
-        return total
+        return self.solutions
 
 
 def count_mod_prime(a: Matrix, b: list[int], p: int) -> int:

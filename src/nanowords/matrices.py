@@ -305,28 +305,31 @@ def _coloring_matrix(w: Nanoword, spec: ColoringSpec):
 
 def _count_pinned(w: Nanoword, spec: ColoringSpec, solver) -> list[list[int]]:
     """Counts indexed by (input k, output l): the constraint rows with the pins
-    x_0 = k, x_2n = l appended.  ``solver(rows, m)`` returns a function from a
-    right-hand side to its number of solutions mod m."""
+    x_0 = k, x_2n = l appended.  ``solver(rows, m, pins)`` returns a function
+    from [k, l] to the number of solutions mod m of rows x = k pins[0] + l pins[1]."""
     m = spec.modulus
     n2 = len(w.word)
     rows = _coloring_matrix(w, spec)
-    count = solver(rows + [[1] + [0] * n2, [0] * n2 + [1]], m)
     zeros = [0] * len(rows)
-    return [[count(zeros + [k, l]) for l in range(m)] for k in range(m)]
+    count = solver(rows + [[1] + [0] * n2, [0] * n2 + [1]], m,
+                   [zeros + [1, 0], zeros + [0, 1]])
+    return [[count([k, l]) for l in range(m)] for k in range(m)]
 
 
 def count_colorings(w: Nanoword, spec: ColoringSpec) -> list[list[int]]:
     """Matrix of coloring counts indexed by (input k, output l) in (Z/m)^2.
 
     Counting runs through the Smith form over Z/m of the constraint rows with
-    the two pins x_0 = k, x_2n = l appended; exact for every modulus.
+    the two pins x_0 = k, x_2n = l appended; the form carries the pins' two
+    unit columns as its right-hand sides.  Exact for every modulus.
     """
-    return _count_pinned(w, spec, lambda full, m: ModularCounter(full, m).count)
+    return _count_pinned(w, spec, lambda full, m, pins: ModularCounter(full, m, pins).count)
 
 
 def count_colorings_prime(w: Nanoword, spec: ColoringSpec) -> list[list[int]]:
     """Gaussian-elimination route, valid for prime modulus; cross-check path."""
-    return _count_pinned(w, spec, lambda full, m: lambda rhs: count_mod_prime(full, rhs, m))
+    return _count_pinned(w, spec, lambda full, m, pins: lambda kl: count_mod_prime(
+        full, [0] * (len(full) - 2) + kl, m))
 
 
 def count_colorings_bruteforce(w: Nanoword, spec: ColoringSpec) -> list[list[int]]:

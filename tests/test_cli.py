@@ -233,17 +233,25 @@ def test_cli_colorings(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["--p", "a=1"], "p undefined on 'b'"),
-    (["--pb", "a=1"], "p. undefined on 'b'"),
-    (["--p", "a=1,b=1,q=1"], "p given on 'q', not an alphabet letter"),
-    (["--p", "a=2,b=1"], "p(a) p(tau a) != 1 (mod 3)"),
+    (["colorings", "--p", "a=1"], "p undefined on 'b'"),
+    (["colorings", "--pb", "a=1"], "p. undefined on 'b'"),
+    (["colorings", "--p", "a=1,b=1,q=1"], "p given on 'q', not an alphabet letter"),
+    (["colorings", "--p", "a=2,b=1"], "p(a) p(tau a) != 1 (mod 3)"),
+    (["colorings", "--p", "a=1,b=1,c"], "unit value 'c' is not letter=integer"),
+    (["colorings", "--pb", "a=1,b=x"], "unit value 'b=x' is not letter=integer"),
+    (["colorings", "--p", "a=1,b=1,a=2"], "unit value given twice on 'a'"),
+    (["colorings", "--pb", "a=1,a=1,b=1"], "unit value given twice on 'a'"),
+    (["covering", "--subgroup", "a^"], "exponent of 'a^' is not an integer"),
+    (["covering", "--subgroup", "b,a^x"], "exponent of 'a^x' is not an integer"),
 ])
 def test_cli_colorings_rejects_bad_unit_values(tmp_path, capsys, argv, message):
-    """Over a<->b, unit values must be given on every letter and only on
-    letters; each gap is a typed error, never a traceback."""
+    """Over a<->b, unit values must be integers given once on every letter
+    and only on letters, and a subgroup's exponents integers; each gap is a
+    typed error, never a traceback."""
     path = _write(tmp_path, "w.rec", "alphabet: a b\ninvolution: a<->b\n"
                                      "word: A B A B\nproj: A=a B=b\n")
-    assert main(["colorings", path, *argv]) == 1
+    command, *options = argv
+    assert main([command, path, *options]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
 
 

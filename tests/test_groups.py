@@ -9,6 +9,7 @@ from nanowords import (Alphabet, GroupRingElement, PiElement, PiTildeElement, Pi
                        PsiAbElement, PsiElement, SubgroupOfPi)
 from nanowords.errors import AlphabetMismatch, UnknownSymbol
 from nanowords.groups import parse_pi, psi_abelianize
+from nanowords.intlinalg import solve_integer
 
 from conftest import ALPHABETS, alphabets_strategy
 
@@ -381,6 +382,71 @@ def test_subgroup_trivial_and_whole():
             g = PiElement.generator(al, a)
             assert whole.contains(g)
             assert not triv.contains(g)
+
+
+def _unsolvable_mod_small_n(a, b):
+    """Is a y = b unsolvable mod some N <= 12?  (Then it is unsolvable over Z.)"""
+    cols = len(a[0]) if a else 0
+    for n in range(2, 13):
+        images = {tuple(sum(r[c] * (t // n ** c % n) for c in range(cols)) % n for r in a)
+                  for t in range(n ** cols)}
+        if tuple(x % n for x in b) not in images:
+            return True
+    return False
+
+
+def test_solve_integer_against_reduction_mod_n():
+    """Every a c is solvable; every b with no solution mod some N <= 12 is
+    not.  Zero rows and zero columns included."""
+    rng = random.Random(41)
+    refuted = 0
+    for _ in range(40):
+        rows, cols = rng.randrange(0, 4), rng.randrange(0, 4)
+        a = [[rng.randrange(-4, 5) for _ in range(cols)] for _ in range(rows)]
+        for _ in range(3):
+            c = [rng.randrange(-5, 6) for _ in range(cols)]
+            assert solve_integer(a, [sum(x * y for x, y in zip(r, c)) for r in a])
+            b = [rng.randrange(-6, 7) for _ in range(rows)]
+            if _unsolvable_mod_small_n(a, b):
+                refuted += 1
+                assert not solve_integer(a, b)
+    assert refuted >= 20
+
+
+def test_subgroup_membership_against_finite_quotients():
+    """Every product of generator powers is a member.  A non-member shows in
+    the quotient pi -> (Z/N)^free x (Z/2)^fixed for some even N <= 12: the
+    images of the generator combinations with exponents mod N miss it."""
+    rng = random.Random(43)
+    refuted = 0
+    for al in ALPHABETS:
+        fixed = set(al.fixed_orbit_indices)
+
+        def image(x, n):
+            return tuple(e % (2 if i in fixed else n) for i, e in enumerate(x.nf))
+
+        def generator_product(gens, c):
+            out = PiElement.identity(al)
+            for g, e in zip(gens, c):
+                out = out * g ** e
+            return out
+
+        for _ in range(15):
+            gens = [PiElement(al, [rng.randrange(-3, 4) for _ in al.orbits])
+                    for _ in range(rng.randrange(0, 3))]
+            h = SubgroupOfPi(al, gens)
+            c = [rng.randrange(-4, 5) for _ in gens]
+            assert h.contains(generator_product(gens, c))
+            x = PiElement(al, [rng.randrange(-5, 6) for _ in al.orbits])
+            for n in range(2, 13, 2):
+                exponents = ([t // n ** i % n for i in range(len(gens))]
+                             for t in range(n ** len(gens)))
+                images = {image(generator_product(gens, c), n) for c in exponents}
+                if image(x, n) not in images:
+                    refuted += 1
+                    assert not h.contains(x)
+                    break
+    assert refuted >= 20
 
 
 def test_printing():

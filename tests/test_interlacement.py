@@ -104,6 +104,22 @@ def test_gamma_tilde_kills_interlaced_square(al_free1):
     assert not gamma(w).is_identity() or True  # gamma(w) = z_a^2 z_a^-2 = 1 here
 
 
+def test_gamma_tilde_is_a_function_of_gamma():
+    """gamma~(w) has base gamma(w), and its central entry at orbit o is
+    -1/2 the sum of |e| over the syllables (o, e) of gamma(w); so gamma~
+    separates no two words that gamma does not."""
+    rng = random.Random(47)
+    for al in ALPHABETS:
+        for _ in range(40):
+            w = random_nanoword(al, rng.randrange(0, 9), rng)
+            base = gamma(w).nf
+            central = [0] * len(al.orbits)
+            for o, e in base:
+                central[o] -= abs(e)
+            assert all(c % 2 == 0 for c in central)
+            assert gamma_tilde(w).nf == (tuple(c // 2 for c in central), base)
+
+
 def test_mu_values(al_free2):
     w = nanoword_from_pattern(al_free2, "ABAB", {"A": "a", "B": "b"})
     m = mu(w)

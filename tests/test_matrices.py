@@ -1,4 +1,6 @@
 import random
+from collections import Counter
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -96,6 +98,26 @@ def test_nabla_bar_and_opposite(w):
         for eps, other in (("+", "-"), ("-", "+")):
             assert nabla(inverse(w), beta)[eps] == bar(nabla(w, beta)[eps])
             assert nabla(opposite(w), comp)[eps] == bar(nabla(w, beta)[other])
+
+
+def test_nabla_of_the_complement():
+    """With sigma swapping the exponents of a and a. on every orbit and then
+    inverting the monomial, nabla(w, alpha minus beta) has sign - equal to
+    sigma of sign + of nabla(w, beta), and sign + equal to sigma of sign -.
+    nabla(w, empty)["+"] = 1."""
+    rng = random.Random(53)
+    for al in ALPHABETS:
+        def sigma(x):
+            return x.map_terms(lambda g: PsiAbElement(
+                al, [-e for r, rb in zip(g.nf[::2], g.nf[1::2]) for e in (rb, r)]))
+
+        for _ in range(25):
+            w = random_nanoword(al, rng.randrange(0, 9), rng)
+            assert nabla(w, set())["+"] == _one_ab(al)
+            for beta in default_betas(al):
+                value, complement = nabla(w, beta), nabla(w, set(al.letters) - beta)
+                assert complement["-"] == sigma(value["+"])
+                assert complement["+"] == sigma(value["-"])
 
 
 def _square(entries: dict, eps: str, size: int) -> dict:
@@ -373,26 +395,60 @@ def test_count_matrix_shapes():
 
 
 def test_smith_form_mod_m_counts_like_brute_force():
-    """Over Z/m the form stays reduced, d = u a v holds mod m, and the
-    counts equal enumeration, composite moduli included."""
-    rng, pins = random.Random(29), random.Random(31)
+    """Over Z/m the reduced unknowns' block is diagonal, every entry stays
+    reduced, and the counts equal enumeration for every right-hand side,
+    composite moduli included."""
+    rng = random.Random(29)
     for _ in range(60):
         rows, cols, m = rng.randrange(1, 4), rng.randrange(1, 4), rng.randrange(2, 13)
         a = [[rng.randrange(-6, 7) for _ in range(cols)] for _ in range(rows)]
-        d, u, v = smith_normal_form(a, m)
-        assert all(0 <= x < m for mat in (d, u, v) for row in mat for x in row)
-        uav = [[sum(u[i][k] * a[k][l] * v[l][j] for k in range(rows) for l in range(cols)) % m
-                for j in range(cols)] for i in range(rows)]
-        assert uav == d
+        units = [[int(i == t) for i in range(rows)] for t in range(rows)]
+        d = smith_normal_form([row + [col[i] for col in units] for i, row in enumerate(a)],
+                              cols, m)
+        assert all(0 <= x < m for row in d for x in row)
         assert all(d[i][j] == 0 for i in range(rows) for j in range(cols) if i != j)
-        counter = ModularCounter(a, m)
-        xs = [[t // m ** c % m for c in range(cols)] for t in range(m ** cols)]
-        # random right-hand sides, then the pinned shape: zeros, then k and l
-        pinned = [([0] * rows + [pins.randrange(m), pins.randrange(m)])[-rows:] for _ in range(3)]
-        for b in [[rng.randrange(m) for _ in range(rows)] for _ in range(3)] + pinned:
-            brute = sum(1 for x in xs if all(
-                (sum(r[c] * x[c] for c in range(cols)) - b[i]) % m == 0 for i, r in enumerate(a)))
-            assert counter.count(b) == brute
+        # A x for every x, tabulated once
+        table = Counter(tuple(sum(r[c] * (t // m ** c % m) for c in range(cols)) % m
+                              for r in a) for t in range(m ** cols))
+        counter = ModularCounter(a, m, units)
+        for t in range(m ** rows):
+            b = [t // m ** i % m for i in range(rows)]
+            assert counter.count(b) == table[tuple(b)]
+        # two carried columns: a x = k e + l f for every (k, l)
+        pins = [[rng.randrange(m) for _ in range(rows)] for _ in range(2)]
+        counter = ModularCounter(a, m, pins)
+        for k in range(m):
+            for l in range(m):
+                b = tuple((k * e + l * f) % m for e, f in zip(*pins))
+                assert counter.count([k, l]) == table[b]
+
+
+def _random_units(al, m, rng):
+    """A unit function on the letters with f(a) f(tau a) = 1 (mod m)."""
+    units = [u for u in range(1, m) if gcd(u, m) == 1]
+    f = {}
+    for orbit in al.orbits:
+        if len(orbit) == 1:
+            f[orbit[0]] = rng.choice([u for u in units if u * u % m == 1])
+        else:
+            u = rng.choice(units)
+            f[orbit[0]], f[orbit[1]] = u, pow(u, -1, m)
+    return f
+
+
+def test_colorings_mod_composite_equal_brute_force():
+    """m = 4, 6, 8, 9 with random unit p and p., every default beta, random
+    words over every test alphabet while m^(2n+1) stays at most 2 * 10^5."""
+    rng = random.Random(37)
+    for m in (4, 6, 8, 9):
+        n_max = max(n for n in range(6) if m ** (2 * n + 1) <= 2 * 10 ** 5)
+        for al in ALPHABETS:
+            for n in (0, rng.randint(1, n_max)):
+                w = random_nanoword(al, n, rng)
+                for beta in default_betas(al):
+                    spec = ColoringSpec.make(al, beta, m, _random_units(al, m, rng),
+                                             _random_units(al, m, rng))
+                    assert count_colorings(w, spec) == count_colorings_bruteforce(w, spec)
 
 
 def test_colorings_of_a_long_word_are_counted_mod_m():
