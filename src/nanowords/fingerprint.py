@@ -16,7 +16,8 @@ from __future__ import annotations
 from time import perf_counter
 from typing import Callable, NamedTuple
 
-from .interlacement import gamma, gamma_prime, gamma_tilde, mu
+from .groups import PiTildeElement
+from .interlacement import gamma, mu
 from .keis import char_sequence, format_charseq
 from .lambdainv import lambda_invariant, lambda_split, psi_expand
 from .matrices import ColoringSpec, count_colorings, nabla
@@ -76,9 +77,9 @@ def _report_lambda(lam, al) -> list[str]:
 _ROWS = (
     _Row("gamma", lambda fp: gamma(fp.nanoword), lambda g: g.sort_key(),
          _line("gamma:  ")),
-    _Row("gamma_prime", lambda fp: gamma_prime(fp.nanoword), lambda g: g.sort_key(),
+    _Row("gamma_prime", lambda fp: fp.value("gamma").to_prime(), lambda g: g.sort_key(),
          _line("gamma': ")),
-    _Row("gamma_tilde", lambda fp: gamma_tilde(fp.nanoword), lambda g: g.sort_key(),
+    _Row("gamma_tilde", lambda fp: PiTildeElement(fp.value("gamma")), lambda g: g.sort_key(),
          _line("gamma~: ")),
     _Row("mu", lambda fp: mu(fp.nanoword), lambda m: m.key(),
          lambda m, al: ["mu:     " + ("; ".join(

@@ -6,7 +6,7 @@ Five groups appear:
 * ``Pi``      -- free product: generators z_a with z_a z_tau(a) = 1.
 * ``Pi'``     -- quotient of Pi by z_a^2 = 1: Pi over ``Alphabet.involutions``.
 * ``Pi~``     -- central extension of Pi in which c_a = z_a z_tau(a) is
-                 central instead of trivial.
+                 central instead of trivial; only gamma~ takes values in it.
 * ``Psi``     -- generators a, a. with a a. = a. a and a tau(a) = a. tau(a). = 1;
                  a free product of one abelian block (Z^2 or (Z/2)^2) per orbit.
 
@@ -18,7 +18,7 @@ exponents at fixed orbits are taken mod 2.  Equal normal forms over one
 alphabet are equal elements.  Everything is stored on the orientation basis:
 a generator outside alpha0 enters as exponent -1 of its orbit representative.
 
-Each class multiplies normal forms with one method ``_product``: an
+Each group class multiplies normal forms with one method ``_product``: an
 ``_Abelian`` product adds exponents, mod 2 at fixed orbits, and a ``_Free``
 one reduces the concatenation.  Element products and group-ring products
 both go through it, so a group-ring element over any of these groups is a
@@ -77,17 +77,41 @@ def _reduce(syllables, torsion) -> tuple:
     return tuple(out)
 
 
-class _Element:
-    """Group element given by its normal form ``nf`` over ``alphabet``.
-
-    Subclasses set ``nf`` and supply ``_make_identity``, ``_make_generator``,
-    ``_product``, ``inverse`` and either ``_blocks`` or their own ``format``.
-    Elements are immutable, so ``identity`` and ``generator`` make each one
-    once per alphabet and class and hand out that object afterwards.
-    """
+class _Value:
+    """Normal form ``nf`` over ``alphabet``; equal normal forms over one
+    alphabet are equal values.  Subclasses set ``nf`` and supply either
+    ``_blocks`` or their own ``format``."""
 
     __slots__ = ("alphabet", "nf")
     prefix = ""  # printed before every generator name
+
+    def sort_key(self):
+        return self.nf
+
+    def format(self, sep: str = " ") -> str:
+        """Product of generator powers, e.g. ``a^2 a.^-1 b.``; ``1`` if empty."""
+        al = self.alphabet
+        return sep.join(_power(f"{self.prefix}{al.orbit_rep(o)}{'.' * k}", e)
+                        for o, exps in self._blocks()
+                        for k, e in enumerate(exps) if e) or "1"
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self.nf == other.nf and _same_alphabet(self, other)
+
+    def __hash__(self):
+        return hash(self.nf)
+
+    def __repr__(self):
+        return f"{self._name}[{self.format()}]"
+
+
+class _Element(_Value):
+    """Group element; subclasses supply ``_make_identity``, ``_make_generator``,
+    ``_product`` and ``inverse``.  Elements are immutable, so ``identity`` and
+    ``generator`` make each one once per alphabet and class and hand out that
+    object afterwards."""
+
+    __slots__ = ()
 
     @classmethod
     def _wrap(cls, alphabet: Alphabet, nf):
@@ -130,25 +154,6 @@ class _Element:
         for _ in range(abs(n)):
             out = out * base
         return out
-
-    def sort_key(self):
-        return self.nf
-
-    def format(self, sep: str = " ") -> str:
-        """Product of generator powers, e.g. ``a^2 a.^-1 b.``; ``1`` if empty."""
-        al = self.alphabet
-        return sep.join(_power(f"{self.prefix}{al.orbit_rep(o)}{'.' * k}", e)
-                        for o, exps in self._blocks()
-                        for k, e in enumerate(exps) if e) or "1"
-
-    def __eq__(self, other):
-        return type(other) is type(self) and self.nf == other.nf and _same_alphabet(self, other)
-
-    def __hash__(self):
-        return hash(self.nf)
-
-    def __repr__(self):
-        return f"{self._name}[{self.format()}]"
 
 
 # ---------------------------------------------------------------------------
@@ -364,69 +369,33 @@ def psi_abelianize(x: PsiElement) -> PsiAbElement:
 
 
 # ---------------------------------------------------------------------------
-# Pi~: the central extension
+# Pi~: values of gamma~
 
 
-class PiTildeElement(_Element):
-    """Element of Pi~ with ``nf = (central vector over orbits, Pi syllables)``.
+class PiTildeElement(_Value):
+    """Value of gamma~ in Pi~, ``nf = (central vector over orbits, Pi syllables)``.
 
-    Multiplication reduces the base words in Pi and adds one central unit per
-    cancelled pair z_a z_tau(a) (and per collapse z_a z_a = 1 at a fixed
-    point).  With this bookkeeping c_a = z_a z_tau(a) is central and the
-    projection to Pi is the plain base product; associativity is covered by
-    property tests since the construction is ours, not the source theory's.
+    ``PiTildeElement(g)`` lifts a value ``g`` of gamma: each second occurrence
+    of a letter A contributes the inverse of z_|A| instead of z_tau|A|, which
+    differs from it by the central c_|A|.  A letter puts two generators on its
+    orbit o, the inverse adds -1 at o, and each pair that cancels in the
+    reduction of ``g`` adds +1, so the entry at o is -1/2 the sum of |e| over
+    the syllables (o, e) of ``g``.  Nothing multiplies in Pi~, so the class
+    has no product.
     """
 
     __slots__ = ()
     _name = "Pi~"
 
-    def __init__(self, alphabet: Alphabet, central: Iterable[int], word: PiWord):
-        self.alphabet = alphabet
-        self.nf = (tuple(central), word.nf)
-        assert len(self.nf[0]) == len(alphabet.orbits)
+    def __init__(self, g: PiWord):
+        self.alphabet = g.alphabet
+        central = [0] * len(g.alphabet.orbits)
+        for o, e in g.nf:
+            central[o] -= abs(e)
+        self.nf = (tuple(c // 2 for c in central), g.nf)
 
-    @classmethod
-    def _make_identity(cls, alphabet: Alphabet) -> "PiTildeElement":
-        return cls(alphabet, [0] * len(alphabet.orbits), PiWord.identity(alphabet))
-
-    @classmethod
-    def _make_generator(cls, alphabet: Alphabet, a: str, bullet: bool) -> "PiTildeElement":
-        return cls(alphabet, [0] * len(alphabet.orbits), PiWord.generator(alphabet, a, bullet))
-
-    @staticmethod
-    def _product(alphabet: Alphabet, g: tuple, h: tuple) -> tuple:
-        central = [x + y for x, y in zip(g[0], h[0])]
-        stack = [list(s) for s in g[1]]
-        for orbit, e in h[1]:
-            while stack and stack[-1][0] == orbit:
-                o, e0 = stack.pop()
-                if alphabet.orbit_is_fixed(orbit):
-                    # e0 = e = 1; the pair collapses and contributes a c
-                    central[orbit] += 1
-                    e = 0
-                else:
-                    if e0 * e < 0:
-                        central[orbit] += min(abs(e0), abs(e))
-                    e = e0 + e
-                if not e:
-                    break
-            else:
-                if e:
-                    stack.append([orbit, e])
-                continue
-            if e:
-                stack.append([orbit, e])
-        word = tuple((o, e) for o, e in stack)
-        assert _reduce(word, alphabet.fixed_orbit_indices) == word, "base was already reduced"
-        return tuple(central), word
-
-    def inverse(self) -> "PiTildeElement":
-        # s(x) s(x^-1) = c^L(x) with L counting letters per orbit
-        length = [0] * len(self.alphabet.orbits)
-        for o, e in self.nf[1]:
-            length[o] += abs(e)
-        central = [-c - l for c, l in zip(self.nf[0], length)]
-        return PiTildeElement(self.alphabet, central, self.project().inverse())
+    def is_identity(self) -> bool:
+        return not (any(self.nf[0]) or self.nf[1])
 
     def project(self) -> PiWord:
         return PiWord(self.alphabet, self.nf[1])

@@ -100,18 +100,9 @@ def gamma_prime(w: Nanoword) -> PiWord:
 
 
 def gamma_tilde(w: Nanoword) -> PiTildeElement:
-    """Lift of gamma to the central extension.
-
-    Second occurrences contribute the group inverse of the generator (not
-    the generator of tau(a), which differs from it by the central c_a); this
-    is the lift that is killed by interlaced squares such as ABAB with
-    |A| = |B|.
-    """
-    out = PiTildeElement.identity(w.alphabet)
-    for pos, x in enumerate(w.word, start=1):
-        g = PiTildeElement.generator(w.alphabet, w.proj[x])
-        out = out * (g if pos == w.occurrences(x)[0] else g.inverse())
-    return out
+    """Lift of gamma to the central extension Pi~, read off gamma(w); it is
+    killed by interlaced squares such as ABAB with |A| = |B|."""
+    return PiTildeElement(gamma(w))
 
 
 class MuMatrix:

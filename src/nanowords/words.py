@@ -91,9 +91,6 @@ class Alphabet:
         """Orientation representative of the orbit of ``a``."""
         return self._rep[a]
 
-    def orbit_is_fixed(self, idx: int) -> bool:
-        return len(self.orbits[idx]) == 1
-
     def orbit_rep(self, idx: int) -> str:
         return self._rep[self.orbits[idx][0]]
 

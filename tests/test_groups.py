@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nanowords import (Alphabet, GroupRingElement, PiElement, PiTildeElement, PiWord,
-                       PsiAbElement, PsiElement, SubgroupOfPi)
+from nanowords import (Alphabet, GroupRingElement, PiElement, PiWord, PsiAbElement,
+                       PsiElement, SubgroupOfPi)
 from nanowords.errors import AlphabetMismatch, UnknownSymbol
 from nanowords.groups import parse_pi, psi_abelianize
 from nanowords.intlinalg import solve_integer
@@ -18,14 +18,6 @@ def _random_pi_word(al, rng, length=6):
     out = PiWord.identity(al)
     for _ in range(rng.randrange(length + 1)):
         out = out * PiWord.generator(al, rng.choice(al.letters))
-    return out
-
-
-def _random_pitilde(al, rng, length=6):
-    out = PiTildeElement.identity(al)
-    for _ in range(rng.randrange(length + 1)):
-        g = PiTildeElement.generator(al, rng.choice(al.letters))
-        out = out * (g if rng.random() < 0.5 else g.inverse())
     return out
 
 
@@ -144,7 +136,6 @@ def test_group_axioms(al, seed):
             (_random_pi_word, PiWord.identity(al)),
             (lambda a, r: _random_pi_word(a.involutions, r),
              PiWord.identity(al.involutions)),
-            (_random_pitilde, PiTildeElement.identity(al)),
             (_random_psi, PsiElement.identity(al)),
             (lambda a, r: psi_abelianize(_random_psi(a, r)), PsiAbElement.identity(al))):
         x, y, z = maker(al, rng), maker(al, rng), maker(al, rng)
@@ -164,46 +155,13 @@ def test_group_axioms(al, seed):
 
 
 @given(alphabets_strategy(), st.integers(0, 10 ** 9))
-@settings(max_examples=80)
-def test_pitilde_associativity_and_projection(al, seed):
-    rng = random.Random(seed)
-    x, y, z = (_random_pitilde(al, rng) for _ in range(3))
-    assert (x * y) * z == x * (y * z)
-    assert (x * x.inverse()).is_identity()
-    assert (x * y).project() == x.project() * y.project()
-
-
-def test_pitilde_central_generator():
-    al = ALPHABETS[1]
-    za = PiTildeElement.generator(al, "a")
-    zta = PiTildeElement.generator(al, "A")
-    c = za * zta
-    assert c.project().is_identity()
-    assert c.nf[0] == (1,)
-    # central: commutes with everything
-    rng = random.Random(3)
-    for _ in range(20):
-        x = _random_pitilde(al, rng)
-        assert c * x == x * c
-    # fixed point: z^2 is the central generator
-    alm = ALPHABETS[3]
-    zc = PiTildeElement.generator(alm, "c")
-    sq = zc * zc
-    assert sq.project().is_identity()
-    assert sq.nf[0][alm.orbit_index("c")] == 1
-
-
-@given(alphabets_strategy(), st.integers(0, 10 ** 9))
 @settings(max_examples=60)
 def test_natural_maps_commute(al, seed):
     rng = random.Random(seed)
-    x = _random_pitilde(al, rng)
-    y = _random_pitilde(al, rng)
-    # Pi~ -> Pi -> pi and Pi -> Pi' are homomorphisms
-    assert (x * y).project().abelianized() == \
-        x.project().abelianized() * y.project().abelianized()
-    assert (x.project() * y.project()).to_prime() == \
-        x.project().to_prime() * y.project().to_prime()
+    x, y = _random_pi_word(al, rng), _random_pi_word(al, rng)
+    # Pi -> pi and Pi -> Pi' are homomorphisms
+    assert (x * y).abelianized() == x.abelianized() * y.abelianized()
+    assert (x * y).to_prime() == x.to_prime() * y.to_prime()
     # Psi -> Psi^ab is a homomorphism sending each generator to its image
     u, v = _random_psi(al, rng), _random_psi(al, rng)
     assert psi_abelianize(u * v) == psi_abelianize(u) * psi_abelianize(v)
@@ -317,7 +275,7 @@ def test_identities_and_generators_are_made_once_per_alphabet():
     raises without storing anything."""
     for al in ALPHABETS:
         twin = Alphabet(al.letters, {a: al.tau(a) for a in al.letters}, al.orientation)
-        for cls in (PiElement, PsiAbElement, PiWord, PsiElement, PiTildeElement):
+        for cls in (PiElement, PsiAbElement, PiWord, PsiElement):
             one = cls.identity(al)
             assert cls.identity(al) is one and one.is_identity()
             assert cls.identity(twin) is not one and cls.identity(twin) == one

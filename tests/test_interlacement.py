@@ -101,23 +101,48 @@ def parse_prime(al, letter):
 def test_gamma_tilde_kills_interlaced_square(al_free1):
     w = nanoword_from_pattern(al_free1, "ABAB", {"A": "a", "B": "a"})
     assert gamma_tilde(w).is_identity()
-    assert not gamma(w).is_identity() or True  # gamma(w) = z_a^2 z_a^-2 = 1 here
+    assert gamma(w).is_identity()  # z_a z_a z_a^-1 z_a^-1 = 1
+
+
+def _gamma_tilde_by_products(w):
+    """Normal form of gamma~(w) as a product in Pi~: z_|A| at each first
+    occurrence, its inverse at each second.  The inverse of a generator puts
+    -1 at its orbit, and the stack product adds one central unit per
+    cancelled pair z_a z_tau(a), and per collapsed z_c z_c at a fixed point."""
+    al = w.alphabet
+    central, stack = [0] * len(al.orbits), []
+    for pos, x in enumerate(w.word, start=1):
+        a = w.proj[x]
+        o, fixed = al.orbit_index(a), al.is_fixed(a)
+        e = 1 if al.rep(a) == a else -1
+        if pos != w.occurrences(x)[0]:
+            central[o] -= 1
+            e = 1 if fixed else -e
+        if stack and stack[-1][0] == o:
+            e0 = stack.pop()[1]
+            if fixed:
+                central[o] += 1
+                continue
+            if e0 * e < 0:
+                central[o] += 1
+            e += e0
+        if e:
+            stack.append((o, e))
+    return tuple(central), tuple(stack)
 
 
 def test_gamma_tilde_is_a_function_of_gamma():
-    """gamma~(w) has base gamma(w), and its central entry at orbit o is
-    -1/2 the sum of |e| over the syllables (o, e) of gamma(w); so gamma~
-    separates no two words that gamma does not."""
+    """gamma~ read off gamma equals gamma~ built as a product in Pi~, and its
+    base is gamma; so gamma~ separates no two words that gamma does not.
+    Values of gamma~ are not multiplied, and Pi~ offers no product."""
     rng = random.Random(47)
     for al in ALPHABETS:
         for _ in range(40):
-            w = random_nanoword(al, rng.randrange(0, 9), rng)
-            base = gamma(w).nf
-            central = [0] * len(al.orbits)
-            for o, e in base:
-                central[o] -= abs(e)
-            assert all(c % 2 == 0 for c in central)
-            assert gamma_tilde(w).nf == (tuple(c // 2 for c in central), base)
+            w = random_nanoword(al, rng.randrange(0, 25), rng)
+            assert gamma_tilde(w).nf == _gamma_tilde_by_products(w)
+            assert gamma_tilde(w).project() == gamma(w)
+    with pytest.raises(TypeError):
+        gamma_tilde(w) * gamma_tilde(w)
 
 
 def test_mu_values(al_free2):
