@@ -6,12 +6,10 @@ from .groups import (GroupRingElement, PiElement, PiTildeElement, PiWord,
                      PsiAbElement, PsiElement, SubgroupOfPi)
 from .interlacement import (covering, gamma, gamma_prime, gamma_tilde,
                             interlacement, letter_class, letter_classes, mu)
-from .selflinking import (is_skew_symmetric_section, norm_lower_bound,
-                          self_link_class, self_link_function)
-from .pairings import (compress, linking_form, linking_pairing, pairing_u,
-                       pairings_isomorphic, rho, rho_ax, to_pairing)
-from .matrices import (ColoringSpec, count_colorings, count_colorings_bruteforce,
-                       nabla, weighted_matrix)
+from .selflinking import norm_lower_bound, self_link_class, self_link_function
+from .pairings import (compress, linking_form, linking_pairing, pairing_u, rho, rho_ax,
+                       to_pairing)
+from .matrices import ColoringSpec, count_colorings, nabla, weighted_matrix
 from .lambdainv import (lambda_checks, lambda_invariant, lambda_prime, lambda_split,
                         psi_expand)
 from .keis import CharSeq, char_sequence, charseq_inverse, kei_act, kei_star

@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
+from .errors import UnknownFamily
 from .fingerprint import compute_fingerprint
 from .moves import HomotopyData, search_contractible, search_homotopic
 from .words import Alphabet, Nanoword, desingularize, from_word, nanoword_from_pattern
@@ -202,7 +203,7 @@ class _UnionFind:
 def classify(kind: str, alphabet: Alphabet, max_length: int | None = None,
              max_states: int = 100000) -> ClassificationResult:
     if kind not in FAMILIES:
-        raise ValueError(f"unknown family {kind!r}; pick one of {sorted(FAMILIES)}")
+        raise UnknownFamily(f"unknown family {kind!r}; pick one of {sorted(FAMILIES)}")
     items = FAMILIES[kind](alphabet)
     data = HomotopyData(alphabet)
 

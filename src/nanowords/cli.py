@@ -19,9 +19,9 @@ from .interlacement import covering, letter_classes
 from .keis import char_sequence, format_charseq
 from .lambdainv import lambda_invariant, lambda_split, psi_expand
 from .matrices import ColoringSpec, count_colorings, nabla
-from .moves import (HomotopyData, apply_move, norm_upper_bound, parse_move,
-                    search_contractible, search_homotopic)
-from .records import parse_file
+from .moves import (Certificate, HomotopyData, norm_upper_bound, parse_move,
+                    search_contractible, search_homotopic, verify_certificate)
+from .records import parse_file, read_text
 from .selflinking import norm_lower_bound
 from .words import empty_nanoword, format_nanoword
 
@@ -208,24 +208,20 @@ def cmd_classify(args, out: _Out) -> int:
 
 def cmd_verify_cert(args, out: _Out) -> int:
     rec, w = _load_nanoword(args.input)
-    data = HomotopyData(rec.alphabet)
-    moves = []
-    with open(args.cert, encoding="utf-8") as fh:
-        for num, raw in enumerate(fh, start=1):
-            text = raw.split("#", 1)[0].strip()
-            if text:
-                moves.append((num, parse_move(text, line=num)))
+    nums, moves = [], []
+    for num, raw in enumerate(read_text(args.cert).split("\n"), start=1):
+        text = raw.split("#", 1)[0].strip()
+        if text:
+            nums.append(num)
+            moves.append(parse_move(text, line=num))
     if args.target:
         _, target = _load_nanoword(args.target)
     else:
         target = empty_nanoword(rec.alphabet)
-    cur = w.canonical()
-    for num, move in moves:
-        try:
-            cur = apply_move(cur, move, data).canonical()
-        except NanowordError as exc:
-            raise PreconditionViolated(f"line {num}: {exc}") from None
-    ok = cur.isomorphic(target.canonical())
+    try:
+        ok = verify_certificate(Certificate(w, target, tuple(moves)), HomotopyData(rec.alphabet))
+    except PreconditionViolated as exc:
+        raise PreconditionViolated(f"line {nums[exc.index]}: {exc}") from None
     out.emit({"verified": ok}, ["VERIFIED" if ok else "REPLAY MISMATCH"])
     return 0 if ok else 1
 
@@ -312,7 +308,7 @@ def main(argv=None) -> int:
     fn = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         return fn(args, out)
-    except (NanowordError, OSError, ValueError) as exc:
+    except (NanowordError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

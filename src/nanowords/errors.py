@@ -5,6 +5,18 @@ class NanowordError(Exception):
     """Base class for all package errors."""
 
 
+class InvalidAlphabet(NanowordError):
+    """Alphabet letters repeat, or its involution or orientation is malformed."""
+
+
+class NotAGaussWord(NanowordError):
+    """A nanoword has a letter that does not occur exactly twice."""
+
+
+class UnknownFamily(NanowordError):
+    """A classification family that the package does not know."""
+
+
 class UnknownSymbol(NanowordError):
     """A word uses a symbol that is not in the alphabet."""
 
@@ -34,7 +46,12 @@ class BudgetInvalid(NanowordError):
 
 
 class PreconditionViolated(NanowordError):
-    """A move was applied where its side conditions fail."""
+    """A move was applied where its side conditions fail; carries the 0-based
+    ``index`` of the move in a replayed certificate, when there is one."""
+
+    def __init__(self, message, index=None):
+        self.index = index
+        super().__init__(message)
 
 
 class ParseError(NanowordError):

@@ -17,7 +17,7 @@ from time import perf_counter
 from typing import Callable, NamedTuple
 
 from .groups import PiTildeElement
-from .interlacement import gamma, mu
+from .interlacement import _mu_of, gamma
 from .keis import char_sequence, format_charseq
 from .lambdainv import lambda_invariant, lambda_split, psi_expand
 from .matrices import ColoringSpec, count_colorings, nabla
@@ -81,7 +81,8 @@ _ROWS = (
          _line("gamma': ")),
     _Row("gamma_tilde", lambda fp: PiTildeElement(fp.value("gamma")), lambda g: g.sort_key(),
          _line("gamma~: ")),
-    _Row("mu", lambda fp: mu(fp.nanoword), lambda m: m.key(),
+    _Row("mu", lambda fp: _mu_of(fp.nanoword.alphabet, fp.value("gamma_prime")),
+         lambda m: m.key(),
          lambda m, al: ["mu:     " + ("; ".join(
              f"mu({al.orbit_rep(i)},{al.orbit_rep(j)}) = {v}"
              for (i, j), v in sorted(m.entries.items())) or "0")]),

@@ -498,9 +498,6 @@ class GroupRingElement:
         """Sum of coefficients."""
         return sum(self.terms.values())
 
-    def coeff(self, g) -> int:
-        return self.terms.get(g.nf, 0) if type(g) is self.group else 0
-
     def is_zero(self) -> bool:
         return not self.terms
 

@@ -151,8 +151,11 @@ def mu(w: Nanoword) -> MuMatrix:
 
     The first argument's orbit maps to x.  Same-orbit pairs are 0.
     """
-    g = gamma_prime(w)
-    al = w.alphabet
+    return _mu_of(w.alphabet, gamma_prime(w))
+
+
+def _mu_of(al: Alphabet, g: PiWord) -> MuMatrix:
+    """mu over the alphabet ``al`` of a nanoword whose gamma' is ``g``."""
     entries: dict[tuple[int, int], int] = {}
     n = len(al.orbits)
     for i in range(n):

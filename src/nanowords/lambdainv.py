@@ -4,13 +4,13 @@ With beta the whole alphabet, the letter-relation module is free of rank 1
 on the input x_0, so the output is x_2n = lam' x_0 for a unique ring element
 lam'.  Reading monomials right to left gives lam, computed here as a path
 sum in one pass over the word: a segment per position and a backward arc
-at each second occurrence.  A second, independent computation solves the
-relation rows by forward substitution; the two must agree.
+at each second occurrence.  The tests check it against a second route,
+forward substitution in the relation rows (``tests/oracles.py``).
 """
 
 from __future__ import annotations
 
-from .groups import GroupRingElement, PiWord, PsiElement, psi_abelianize
+from .groups import GroupRingElement, PiWord, PsiElement
 from .words import Nanoword
 
 
@@ -52,35 +52,6 @@ def kappa(x: GroupRingElement) -> GroupRingElement:
 def bar(x: GroupRingElement) -> GroupRingElement:
     """Ring involution from a -> tau(a), a. -> tau(a). ."""
     return x.map_terms(lambda g: g.tau_sharp())
-
-
-def lambda_by_substitution(w: Nanoword) -> GroupRingElement:
-    """Independent route: solve the relation rows left-to-right, then reverse.
-
-    Cross-checks the path sum; uses the actual weighted-matrix rows.
-    """
-    from .matrices import weighted_matrix
-
-    al = w.alphabet
-    one = GroupRingElement.of(PsiElement.identity(al))
-    if not w.word:
-        return one
-    m = weighted_matrix(w, set(al.letters))
-    minus_one = one * -1
-    solving: dict[int, dict[int, GroupRingElement]] = {}
-    for i in range(m.rows):
-        row = {j: m.entry(i, j) for j in range(m.cols) if not m.entry(i, j).is_zero()}
-        lead = max(row)
-        assert row[lead] == minus_one
-        solving[lead] = {j: v for j, v in row.items() if j != lead}
-    coeff = [None] * m.cols
-    coeff[0] = one
-    for i in range(1, m.cols):
-        total = GroupRingElement.zero(al)
-        for j, v in solving[i].items():
-            total = total + v * coeff[j]
-        coeff[i] = total
-    return iota(coeff[m.cols - 1])
 
 
 # ---------------------------------------------------------------------------
@@ -153,8 +124,3 @@ def w_star(w: Nanoword) -> PsiElement:
     for pos, x in enumerate(w.word, start=1):
         out = out * PsiElement.generator(al, w.proj[x], bullet=pos != w.occurrences(x)[0])
     return out
-
-
-def q_ab(x: GroupRingElement) -> GroupRingElement:
-    """Projection to the commutative quotient."""
-    return x.map_terms(psi_abelianize)

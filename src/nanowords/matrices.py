@@ -330,23 +330,3 @@ def count_colorings_prime(w: Nanoword, spec: ColoringSpec) -> list[list[int]]:
     """Gaussian-elimination route, valid for prime modulus; cross-check path."""
     return _count_pinned(w, spec, lambda full, m, pins: lambda kl: count_mod_prime(
         full, [0] * (len(full) - 2) + kl, m))
-
-
-def count_colorings_bruteforce(w: Nanoword, spec: ColoringSpec) -> list[list[int]]:
-    """Enumerate all functions f: {0..2n} -> Z/m; oracle for small instances."""
-    m = spec.modulus
-    n2 = len(w.word)
-    out = [[0] * m for _ in range(m)]
-    rows = _coloring_matrix(w, spec)
-    total = m ** (n2 + 1)
-    if total > 10 ** 6:
-        raise ValueError("instance too large for brute force")
-    for idx in range(total):
-        f = []
-        t = idx
-        for _ in range(n2 + 1):
-            f.append(t % m)
-            t //= m
-        if all(sum(c * f[i] for i, c in enumerate(row)) % m == 0 for row in rows):
-            out[f[0]][f[n2]] += 1
-    return out

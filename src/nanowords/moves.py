@@ -27,7 +27,8 @@ import heapq
 from dataclasses import dataclass
 from itertools import accumulate, count, islice
 
-from .errors import BudgetInvalid, ParseError, PreconditionViolated, UnknownSymbol
+from .errors import (BudgetInvalid, NanowordError, ParseError, PreconditionViolated,
+                     UnknownSymbol)
 from .words import Alphabet, Nanoword, _key_of
 
 # ---------------------------------------------------------------------------
@@ -364,9 +365,17 @@ class Certificate:
 
 
 def verify_certificate(cert: Certificate, data: HomotopyData) -> bool:
+    """Whether the moves of ``cert``, replayed from its start, end at its end.
+
+    A move that does not apply raises PreconditionViolated carrying the
+    move's index in ``cert.moves``.
+    """
     cur = cert.start.canonical()
-    for move in cert.moves:
-        cur = apply_move(cur, move, data).canonical()
+    try:
+        for index, move in enumerate(cert.moves):
+            cur = apply_move(cur, move, data).canonical()
+    except NanowordError as exc:
+        raise PreconditionViolated(str(exc), index) from None
     return cur.isomorphic(cert.end.canonical())
 
 

@@ -15,7 +15,7 @@ from collections import Counter
 from .errors import PreconditionViolated
 from .groups import PiElement
 from .selflinking import SelfLinkSection, section_of
-from .words import Alphabet, Letter, Nanoword
+from .words import Alphabet, Nanoword
 from .interlacement import interlacement
 
 
@@ -178,49 +178,6 @@ def compress(p: AlphaPairing, rng=None) -> AlphaPairing:
         move = rng.choice(moves) if rng is not None else moves[0]
         drop = set(move[1:])
         cur = cur.restrict([x for x in cur.letters if x not in drop])
-
-
-def _signature(p: AlphaPairing, a):
-    return (p.proj[a], p.b(a, AlphaPairing.S).sort_key())
-
-
-def pairings_isomorphic(p1: AlphaPairing, p2: AlphaPairing) -> bool:
-    """Bijection search fixing s, preserving projections and b.
-
-    Candidates are pruned by the (projection, b(.,s)) signature.
-    """
-    if p1.alphabet != p2.alphabet or len(p1.letters) != len(p2.letters):
-        return False
-    sig1: dict = {}
-    sig2: dict = {}
-    for a in p1.letters:
-        sig1.setdefault(_signature(p1, a), []).append(a)
-    for a in p2.letters:
-        sig2.setdefault(_signature(p2, a), []).append(a)
-    if set(sig1) != set(sig2):
-        return False
-    if any(len(sig1[k]) != len(sig2[k]) for k in sig1):
-        return False
-
-    order = [a for k in sorted(sig1) for a in sig1[k]]
-    pool = {k: list(v) for k, v in sig2.items()}
-
-    def extend(assign: dict, idx: int) -> bool:
-        if idx == len(order):
-            return True
-        a = order[idx]
-        for cand in pool[_signature(p1, a)]:
-            if cand in assign.values():
-                continue
-            if all(p1.b(a, x) == p2.b(cand, y) and p1.b(x, a) == p2.b(y, cand)
-                   for x, y in assign.items()):
-                assign[a] = cand
-                if extend(assign, idx + 1):
-                    return True
-                del assign[a]
-        return False
-
-    return extend({}, 0)
 
 
 def canonical_pairing_key(p: AlphaPairing):

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ParseError, UnknownSymbol
+from .errors import InvalidAlphabet, ParseError, UnknownSymbol
 from .words import Alphabet, EtaleWord, Nanoword, desingularize, from_word
 
 
@@ -89,7 +89,7 @@ def parse_record(text: str) -> Record:
     orientation = orient_val.split() if orient_val is not None else None
     try:
         alphabet = Alphabet(letters, tau, orientation)
-    except (ValueError, UnknownSymbol) as exc:
+    except (InvalidAlphabet, UnknownSymbol) as exc:
         raise ParseError(str(exc), line=orient_line or alpha_line) from exc
 
     word_val, word_line = take("word")
@@ -135,6 +135,14 @@ def parse_record(text: str) -> Record:
     return Record(alphabet=alphabet, word=word)
 
 
-def parse_file(path: str) -> Record:
+def read_text(path: str) -> str:
+    """The text of the file at ``path``; ParseError when it is not UTF-8."""
     with open(path, encoding="utf-8") as fh:
-        return parse_record(fh.read())
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path} is not UTF-8 text ({exc.reason})") from None
+
+
+def parse_file(path: str) -> Record:
+    return parse_record(read_text(path))

@@ -9,7 +9,7 @@ half the minimal length in the homotopy class.
 
 from __future__ import annotations
 
-from .groups import GroupRingElement, PiElement
+from .groups import GroupRingElement
 from .words import Nanoword
 from .interlacement import letter_classes
 
@@ -83,41 +83,6 @@ def section_of(alphabet, classes) -> SelfLinkSection:
 
 def self_link_function(w: Nanoword) -> SelfLinkSection:
     return section_of(w.alphabet, ((w.proj[x], cls) for x, cls in letter_classes(w).items()))
-
-
-# ---------------------------------------------------------------------------
-# The skew-symmetry predicate
-
-
-def _partial(alphabet, x: GroupRingElement, b: str, torsion: bool) -> int:
-    """d_b: send a monomial to its b-exponent, extended additively."""
-    bi = alphabet.orbit_index(b)
-    total = 0
-    for g, c in x.items():
-        total += c * g.nf[bi]
-    return total % 2 if torsion else total
-
-
-def is_skew_symmetric_section(u: SelfLinkSection) -> bool:
-    """delta_a(u(a)) = 0, d_a(u(a)) = 0 and d_a(u(b)) + d_b(u(a)) = 0."""
-    al = u.alphabet
-    one = PiElement.identity(al)
-    for a in al.orientation:
-        va = u.values[a]
-        c = va.coeff(one)
-        if (c % 2 if al.is_fixed(a) else c) != 0:
-            return False
-        if _partial(al, va, a, al.is_fixed(a)) != 0:
-            return False
-    for a in al.orientation:
-        for b in al.orientation:
-            if a >= b:
-                continue
-            torsion = al.is_fixed(a) or al.is_fixed(b)
-            s = _partial(al, u.values[b], a, torsion) + _partial(al, u.values[a], b, torsion)
-            if (s % 2 if torsion else s) != 0:
-                return False
-    return True
 
 
 def norm_lower_bound(w: Nanoword) -> int:

@@ -14,7 +14,8 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Hashable, Mapping, Sequence
 
-from .errors import UnknownLetter, UnknownSymbol
+from .errors import (AlphabetMismatch, InvalidAlphabet, NotAGaussWord, UnknownLetter,
+                     UnknownSymbol)
 
 
 class Alphabet:
@@ -30,16 +31,16 @@ class Alphabet:
                  orientation: Sequence[str] | None = None):
         self.letters = tuple(letters)
         if len(set(self.letters)) != len(self.letters):
-            raise ValueError("alphabet letters must be distinct")
+            raise InvalidAlphabet("alphabet letters must be distinct")
         tau = dict(tau) if tau else {a: a for a in self.letters}
         for a in self.letters:
             if a not in tau:
-                raise ValueError(f"involution undefined on {a!r}")
+                raise InvalidAlphabet(f"involution undefined on {a!r}")
             if tau[a] not in self.letters:
                 raise UnknownSymbol(f"tau({a!r}) = {tau[a]!r} is not a letter")
         for a in self.letters:
             if tau[tau[a]] != a:
-                raise ValueError("tau is not an involution")
+                raise InvalidAlphabet("tau is not an involution")
         self._tau = tau
 
         orbits: list[tuple[str, ...]] = []
@@ -61,7 +62,7 @@ class Alphabet:
                 raise UnknownSymbol(f"orientation letter {a!r} not in alphabet")
             hit.add(self._orbit_key(a))
         if len(self.orientation) != len(orbits) or len(hit) != len(orbits):
-            raise ValueError("orientation must meet every tau-orbit exactly once")
+            raise InvalidAlphabet("orientation must meet every tau-orbit exactly once")
 
         self._orbit_index = {a: i for i, o in enumerate(orbits) for a in o}
         self._rep = {}
@@ -168,7 +169,7 @@ class Nanoword(EtaleWord):
             counts[x] = counts.get(x, 0) + 1
         bad = [x for x, c in counts.items() if c != 2]
         if bad:
-            raise ValueError(f"not a Gauss word: letters {bad!r} do not occur exactly twice")
+            raise NotAGaussWord(f"not a Gauss word: letters {bad!r} do not occur exactly twice")
 
     @cached_property
     def _occurrences(self) -> dict[Letter, tuple[int, int]]:
@@ -260,7 +261,7 @@ def _retag(w: EtaleWord, tag: str) -> EtaleWord:
 def product(w1: EtaleWord, w2: EtaleWord) -> EtaleWord:
     """Concatenation over the disjoint union of the letter sets."""
     if w1.alphabet != w2.alphabet:
-        raise ValueError("product requires a common alphabet")
+        raise AlphabetMismatch("product requires a common alphabet")
     a, b = _retag(w1, "l"), _retag(w2, "r")
     out = EtaleWord(w1.alphabet, a.word + b.word, {**a.proj, **b.proj})
     if isinstance(w1, Nanoword) and isinstance(w2, Nanoword):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from nanowords.cli import build_parser, main
 from nanowords.errors import ParseError
 from nanowords.moves import PAIR_KINDS, TRIPLE_KINDS, parse_move
-from nanowords.records import parse_record
+from nanowords.records import parse_file, parse_record
 
 ABAB_FREE = """\
 alphabet: a A b B
@@ -87,6 +87,9 @@ def test_parse_errors_carry_line_numbers():
     assert "proj" in str(err.value)
     with pytest.raises(ParseError):
         parse_record("alphabet: a\nnonsense: 1\n")
+    with pytest.raises(ParseError) as err:
+        parse_record("alphabet: a b\norientation: a b a\n")
+    assert err.value.line == 2 and "orientation" in str(err.value)
 
 
 @pytest.mark.parametrize("text, line", [
@@ -345,6 +348,20 @@ def test_cli_verify_cert_reports_moves_that_do_not_apply(tmp_path, capsys, lines
     err = capsys.readouterr().err
     assert err.startswith(f"error: line {bad}: ") and message in err
     assert "Traceback" not in err and "'+'" not in err
+
+
+def test_cli_reports_files_that_are_not_utf8(tmp_path, capsys):
+    record = tmp_path / "bad.rec"
+    record.write_bytes(b"\xff\xfe" + ABAB_ID.encode())
+    cert = tmp_path / "bad.cert"
+    cert.write_bytes(b"M1- @pos=1\n\xff\n")
+    with pytest.raises(ParseError, match="not UTF-8"):
+        parse_file(str(record))
+    good = _write(tmp_path, "w.rec", AABB_ID)
+    for argv in (["invariants", str(record)], ["verify-cert", good, str(cert)]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "not UTF-8" in err and "Traceback" not in err
 
 
 @given(st.text())

@@ -1,11 +1,17 @@
 import random
+from importlib import import_module
 
-from nanowords import Alphabet, Nanoword, compute_fingerprint, nanoword_from_pattern
+from nanowords import Alphabet, Nanoword, compute_fingerprint, mu, nanoword_from_pattern
 from nanowords.classify import FAMILIES, Item, classify
 from nanowords.fingerprint import (FIELD_ORDER, Fingerprint, default_betas,
                                   default_coloring_specs, format_fingerprint)
 
 from conftest import ALPHABETS, random_nanoword
+
+# the package exports functions named like these two modules
+fingerprint = import_module("nanowords.fingerprint")
+interlacement = import_module("nanowords.interlacement")
+interlacement_gamma = interlacement.gamma
 
 
 def test_default_betas_are_orbit_unions(al_mixed):
@@ -43,6 +49,29 @@ def test_classify_names_a_fingerprint_shared_across_predicted_classes(al_id2, mo
     assert {(r.members[0], r.status, r.detail) for r in rows} == {
         ("one", "UNKNOWN", "fingerprint shared with two"),
         ("two", "UNKNOWN", "fingerprint shared with one")}
+
+
+def test_a_fingerprint_computes_gamma_once(monkeypatch):
+    """gamma' and gamma~ read the gamma row, and mu reads gamma'; mu's row
+    equals mu(w) and is indexed by the word's own letters."""
+    calls = []
+
+    def counted(w):
+        calls.append(w)
+        return interlacement_gamma(w)
+
+    monkeypatch.setattr(interlacement, "gamma", counted)
+    monkeypatch.setattr(fingerprint, "gamma", counted)
+    rng = random.Random(30)
+    for al in ALPHABETS:
+        for _ in range(5):
+            w = random_nanoword(al, rng.randrange(0, 6), rng)
+            calls.clear()
+            fp = compute_fingerprint(w)
+            assert len(calls) == 1
+            want = mu(w)
+            assert all(fp.value("mu").value(a, b) == want.value(a, b)
+                       for a in al.letters for b in al.letters)
 
 
 def test_lazy_comparison_matches_the_eager_one():
@@ -147,7 +176,7 @@ def test_long_word_contract():
     c07 identities, the Z/m coloring counts equal the prime-field route and
     lambda passes its ring-map checks and equals the substitution route."""
     from nanowords import GroupRingElement, PsiAbElement, lambda_checks
-    from nanowords.lambdainv import lambda_by_substitution, q_ab
+    from oracles import lambda_by_substitution, q_ab
     from nanowords.matrices import count_colorings_prime
     for index in range(len(LONG_WORDS)):
         w = _long_word(index)

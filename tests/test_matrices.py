@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nanowords import (Alphabet, ColoringSpec, GroupRingElement, count_colorings,
-                       count_colorings_bruteforce, inverse, nanoword_from_pattern,
-                       nabla, opposite, product, weighted_matrix)
+                       inverse, nanoword_from_pattern, nabla, opposite, product,
+                       weighted_matrix)
 from nanowords.errors import EmptyNanoword, InvalidSpec
-from nanowords.lambdainv import bar, lambda_invariant, q_ab
+from nanowords.lambdainv import bar, lambda_invariant
 from nanowords.fingerprint import default_betas
 from nanowords.matrices import _det, _eliminate, _entries, count_colorings_prime
 from nanowords.groups import PsiAbElement, PsiElement, psi_abelianize
@@ -18,6 +18,7 @@ from nanowords.intlinalg import ModularCounter, smith_normal_form
 from nanowords.words import Nanoword
 
 from conftest import ALPHABETS, nanowords_strategy, random_nanoword
+from oracles import count_colorings_bruteforce, q_ab
 
 
 def _one_ab(al):

@@ -287,6 +287,23 @@ def test_apply_move_validates(al_id2):
             apply_move(w, move, data)
 
 
+def test_verify_certificate_names_the_move_that_does_not_apply(al_id2):
+    """Three M1- moves delete AABBCC; the bad move, at each index k, is
+    reported with that index, whatever the kind of its failure."""
+    data = HomotopyData(al_id2)
+    w = nanoword_from_pattern(al_id2, "AABBCC", {"A": "a", "B": "b", "C": "a"})
+    empty = Nanoword(al_id2, (), {})
+    delete = Move("M1", "-", (0,))
+    assert verify_certificate(Certificate(w, empty, (delete,) * 3), data)
+    for bad, message in ((Move("M1", "-", (1,)), "no doubled letter here"),
+                         (Move("M1", "+", (0,), ("q",)), "insert value 'q'")):
+        for k in range(4):
+            cert = Certificate(w, empty, (delete,) * k + (bad,) + (delete,) * (3 - k))
+            with pytest.raises(PreconditionViolated, match=message) as info:
+                verify_certificate(cert, data)
+            assert info.value.index == k
+
+
 def test_budget_validation(al_id2):
     data = HomotopyData(al_id2)
     w = nanoword_from_pattern(al_id2, "ABAB", {"A": "a", "B": "b"})

@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 
 from nanowords import (Alphabet, PiElement, compress, desingularize, from_word,
                        inverse, linking_form, linking_pairing,
-                       nanoword_from_pattern, opposite, pairing_u,
-                       pairings_isomorphic, product, rho, rho_ax,
-                       self_link_function, to_pairing)
+                       nanoword_from_pattern, opposite, pairing_u, product,
+                       rho, rho_ax, self_link_function, to_pairing)
 from nanowords.errors import PreconditionViolated
 from nanowords.pairings import (AlphaPairing, BASEPOINT, canonical_pairing_key,
                                 form_move, trivial_pairing)
@@ -17,6 +16,7 @@ from nanowords.groups import parse_pi
 from nanowords.moves import HomotopyData, apply_move, Move, enumerate_moves
 
 from conftest import ALPHABETS, nanowords_strategy, random_nanoword
+from oracles import pairings_isomorphic
 
 
 def _parse_matrix(p, elems):

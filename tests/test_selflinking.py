@@ -7,11 +7,12 @@ from hypothesis import strategies as st
 from nanowords import (Alphabet, GroupRingElement, PiElement, desingularize,
                        from_word, inverse, nanoword_from_pattern, opposite,
                        product, self_link_class, self_link_function,
-                       is_skew_symmetric_section, norm_lower_bound)
+                       norm_lower_bound)
 from nanowords.selflinking import SelfLinkSection
 from nanowords.groups import parse_pi
 
 from conftest import ALPHABETS, nanowords_strategy, random_nanoword
+from oracles import is_skew_symmetric_section
 
 
 def _mono(al, text, coeff=1):

@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 from nanowords import (Alphabet, EtaleWord, Nanoword, char_sequence, desingularize,
                        from_word, gamma, gamma_tilde, inverse, lambda_invariant,
                        letter_classes, nanoword_from_pattern, opposite, product)
-from nanowords.errors import UnknownLetter, UnknownSymbol
+from nanowords.classify import classify
+from nanowords.errors import (AlphabetMismatch, InvalidAlphabet, NotAGaussWord, UnknownFamily,
+                              UnknownLetter, UnknownSymbol)
 from nanowords.lambdainv import w_star
 
 from conftest import ALPHABETS, nanowords_strategy, random_nanoword
@@ -22,13 +24,27 @@ def test_alphabet_orbits_and_orientation():
 
 
 def test_alphabet_rejects_non_involution():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidAlphabet):
         Alphabet(["a", "b", "c"], {"a": "b", "b": "c", "c": "a"})
 
 
 def test_alphabet_rejects_bad_orientation():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidAlphabet):
         Alphabet(["a", "A"], {"a": "A", "A": "a"}, orientation=["a", "A"])
+
+
+def test_input_errors_are_typed(al_id2, al_free1):
+    with pytest.raises(InvalidAlphabet, match="distinct"):
+        Alphabet(["a", "a"])
+    with pytest.raises(InvalidAlphabet, match="undefined"):
+        Alphabet(["a", "b"], {"a": "a"})
+    with pytest.raises(NotAGaussWord):
+        Nanoword(al_id2, "ABA", {"A": "a", "B": "b"})
+    w = nanoword_from_pattern(al_id2, "AA", {"A": "a"})
+    with pytest.raises(AlphabetMismatch):
+        product(w, nanoword_from_pattern(al_free1, "AA", {"A": "a"}))
+    with pytest.raises(UnknownFamily):
+        classify("nanowords5", al_id2)
 
 
 def test_from_word_identity_projection(al_id2):
