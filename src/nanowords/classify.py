@@ -7,15 +7,25 @@ Three families are enumerated and partitioned:
 * words5       -- multiplicity-one-free words of length <= 5 in the alphabet.
 
 For each family the predicted partition comes from the classification
-theorems; the computed partition uses fingerprint buckets refined by
-certificate search.  Budget exhaustion yields UNKNOWN cells, never a wrong
-verdict, and any DISAGREES row is a defect.
+theorems.  ``classify`` checks each predicted class in item order, and the
+first check that fails decides its row:
+
+1. all members share one fingerprint key, else DISAGREES;
+2. certificates join the class: each member of the contractible class
+   contracts, or each member of another class is homotopic to the next.
+   The class stops searching at its first failed search, and the row is
+   UNKNOWN (search budget exhausted);
+3. no item of another class has the same key, else UNKNOWN, since no
+   computed invariant separates the two classes.
+
+A class that passes all three AGREES.  Budget exhaustion yields UNKNOWN
+cells, never a wrong verdict, and any DISAGREES row is a defect.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import UnknownFamily
 from .fingerprint import compute_fingerprint
@@ -44,7 +54,6 @@ class ClassRow:
 class ClassificationResult:
     kind: str
     rows: list[ClassRow]
-    unknown_pairs: list[tuple[str, str]] = field(default_factory=list)
 
     @property
     def agrees(self) -> bool:
@@ -116,11 +125,10 @@ def family_nanowords6(al: Alphabet):
 
 
 _WORD_SHAPES = {
-    "xx": "zero",
+    "xx": "zero", "xxyy": "zero", "xyyx": "zero",
     "xxx": "mono", "xxxx": "mono", "xxxxx": "mono",
-    "xxyy": "zero", "xyyx": "zero",
+    "xxxyy": "mono", "xxyyx": "mono", "xyyxx": "mono", "yyxxx": "mono",
     "xyxy": "abab",
-    "xxxyy": "mono3", "xxyyx": "mono3", "xyyxx": "mono3", "yyxxx": "mono3",
     "xyxxy": "w1", "yxxyx": "w2", "xxyxy": "w3", "yxyxx": "w4",
     "yxxxy": "w5", "xyxyx": "w6",
 }
@@ -128,38 +136,21 @@ _WORD_SHAPES = {
 
 def _predicted_word_label(s: tuple, al: Alphabet):
     tau = al.tau
-    distinct = []
-    for ch in s:
-        if ch not in distinct:
-            distinct.append(ch)
-    if len(distinct) == 1:
-        a = s[0]
-        if len(s) == 2 or tau(a) == a:
+    letters = list(dict.fromkeys(s))
+    for x in letters:
+        y = next((ch for ch in letters if ch != x), None)
+        kind = _WORD_SHAPES.get("".join("x" if ch == x else "y" for ch in s))
+        if kind is None:
+            continue
+        if kind == "zero" or (kind == "w5" and tau(x) == x):
             return ZERO
-        return ("mono", a, len(s))
-    l1, l2 = distinct
-    for x, y in ((l1, l2), (l2, l1)):
-        for shape, kind in _WORD_SHAPES.items():
-            if len(shape) != len(s):
-                continue
-            if tuple(x if ch == "x" else y for ch in shape) != s:
-                continue
-            if kind == "zero":
-                return ZERO
-            if kind == "mono3":
-                return ZERO if tau(x) == x else ("mono", x, 3)
-            if kind == "abab":
-                return ZERO if tau(x) == y else ("abab", x, y)
-            if kind in ("w1", "w2"):
-                return (kind, x, y)
-            if kind in ("w3", "w4"):
-                return ("w345", x, y) if x == tau(y) else (kind, x, y)
-            if kind == "w5":
-                if tau(x) == x:
-                    return ZERO
-                return ("w345", x, y) if x == tau(y) else (kind, x, y)
-            if kind == "w6":
-                return ZERO if tau(x) == y else (kind, x, y)
+        if kind == "mono":
+            return ZERO if tau(x) == x else ("mono", x, s.count(x))
+        if kind in ("abab", "w6"):
+            return ZERO if tau(x) == y else (kind, x, y)
+        if kind in ("w3", "w4", "w5") and x == tau(y):
+            return ("w345", x, y)
+        return (kind, x, y)
     raise AssertionError(f"unclassified multiplicity-one-free word {s!r}")
 
 
@@ -186,20 +177,6 @@ FAMILIES = {
 # Partition verification
 
 
-class _UnionFind:
-    def __init__(self, names):
-        self.parent = {n: n for n in names}
-
-    def find(self, x):
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, x, y):
-        self.parent[self.find(x)] = self.find(y)
-
-
 def classify(kind: str, alphabet: Alphabet, max_length: int | None = None,
              max_states: int = 100000) -> ClassificationResult:
     if kind not in FAMILIES:
@@ -207,62 +184,35 @@ def classify(kind: str, alphabet: Alphabet, max_length: int | None = None,
     items = FAMILIES[kind](alphabet)
     data = HomotopyData(alphabet)
 
-    fps = {it.name: compute_fingerprint(it.nanoword) for it in items}
+    keys = {it.name: compute_fingerprint(it.nanoword).key() for it in items}
     buckets: dict = {}
     for it in items:
-        buckets.setdefault(fps[it.name].key(), []).append(it)
-
-    uf = _UnionFind([it.name for it in items] + ["<empty>"])
-    unknown_pairs: list[tuple[str, str]] = []
-
-    for key, group in buckets.items():
-        zeros = [it for it in group if it.predicted == ZERO]
-        for it in zeros:
-            cert = search_contractible(it.nanoword, data, max_length, max_states)
-            if cert is not None:
-                uf.union(it.name, "<empty>")
-            else:
-                unknown_pairs.append((it.name, "<empty>"))
-        by_label: dict = {}
-        for it in group:
-            if it.predicted != ZERO:
-                by_label.setdefault(it.predicted, []).append(it)
-        for label, members in by_label.items():
-            for one, two in zip(members, members[1:]):
-                cert = search_homotopic(one.nanoword, two.nanoword, data,
-                                        max_length, max_states)
-                if cert is not None:
-                    uf.union(one.name, two.name)
-                else:
-                    unknown_pairs.append((one.name, two.name))
-
-    # assemble computed classes and compare against the prediction
-    rows = []
-    by_predicted: dict = {}
+        buckets.setdefault(keys[it.name], []).append(it)
+    classes: dict = {}
     for it in items:
-        by_predicted.setdefault(it.predicted, []).append(it)
-    for label, members in by_predicted.items():
+        classes.setdefault(it.predicted, []).append(it)
+
+    def joined(label, members) -> bool:
+        # all() stops at the first failed search
+        if label == ZERO:
+            return all(search_contractible(it.nanoword, data, max_length, max_states)
+                       is not None for it in members)
+        return all(search_homotopic(one.nanoword, two.nanoword, data, max_length,
+                                    max_states) is not None
+                   for one, two in zip(members, members[1:]))
+
+    rows = []
+    for label, members in classes.items():
         names = [it.name for it in members]
-        keys = {fps[n].key() for n in names}
         status, detail = "AGREES", ""
-        if len(keys) > 1:
+        if len({keys[n] for n in names}) > 1:
             status, detail = "DISAGREES", "fingerprints split a predicted class"
+        elif not joined(label, members):
+            status, detail = "UNKNOWN", "search budget exhausted"
         else:
-            bucket = buckets[next(iter(keys))]
-            root = uf.find("<empty>" if label == ZERO else names[0])
-            linked = all(uf.find(n) == root for n in names)
-            cross = [it for it in bucket if it.predicted != label]
-            merged_foreign = [it.name for it in cross
-                              if uf.find(it.name) == root]
-            if merged_foreign:
-                status, detail = "DISAGREES", \
-                    f"certificate merges with {','.join(merged_foreign)}"
-            elif not linked:
-                status, detail = "UNKNOWN", "search budget exhausted"
-            elif cross:
-                # same fingerprint as another predicted class, not merged:
-                # cannot certify separation
-                shared = ",".join(sorted(it.name for it in cross))
-                status, detail = "UNKNOWN", f"fingerprint shared with {shared}"
+            shared = sorted(it.name for it in buckets[keys[names[0]]]
+                            if it.predicted != label)
+            if shared:
+                status, detail = "UNKNOWN", f"fingerprint shared with {','.join(shared)}"
         rows.append(ClassRow(label, names, status, detail))
-    return ClassificationResult(kind, rows, unknown_pairs)
+    return ClassificationResult(kind, rows)

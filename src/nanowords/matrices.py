@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import EmptyNanoword, InvalidSpec
+from .errors import AlphabetMismatch, EmptyNanoword, InvalidSpec
 from .groups import GroupRingElement, PsiAbElement, PsiElement
 from .intlinalg import ModularCounter, count_mod_prime
 from .words import Alphabet, Nanoword
@@ -307,6 +307,8 @@ def _count_pinned(w: Nanoword, spec: ColoringSpec, solver) -> list[list[int]]:
     """Counts indexed by (input k, output l): the constraint rows with the pins
     x_0 = k, x_2n = l appended.  ``solver(rows, m, pins)`` returns a function
     from [k, l] to the number of solutions mod m of rows x = k pins[0] + l pins[1]."""
+    if spec.alphabet != w.alphabet:
+        raise AlphabetMismatch("coloring spec and nanoword have different alphabets")
     m = spec.modulus
     n2 = len(w.word)
     rows = _coloring_matrix(w, spec)

@@ -33,12 +33,9 @@ class Record:
         return self.word
 
     def nanoword(self) -> Nanoword:
-        """The word as a nanoword, desingularizing when necessary."""
-        w = self.require_word()
-        counts = {x: w.word.count(x) for x in w.letters}
-        if counts and all(c == 2 for c in counts.values()):
-            return Nanoword(w.alphabet, w.word, w.proj)
-        return desingularize(w)
+        """The word desingularized; on a Gauss word that gives an isomorphic
+        nanoword, and every output reads a canonical form."""
+        return desingularize(self.require_word())
 
 
 def parse_record(text: str) -> Record:

@@ -9,6 +9,7 @@ half the minimal length in the homotopy class.
 
 from __future__ import annotations
 
+from .errors import UnknownSymbol
 from .groups import GroupRingElement
 from .words import Nanoword
 from .interlacement import letter_classes
@@ -61,6 +62,8 @@ def _normalize(alphabet, a, val: GroupRingElement) -> GroupRingElement:
 
 def self_link_class(w: Nanoword, a: str) -> GroupRingElement:
     """[a]_w: sum of the nontrivial classes of letters projecting to ``a``."""
+    if a not in w.alphabet:
+        raise UnknownSymbol(f"{a!r} is not an alphabet letter")
     out = GroupRingElement.zero(w.alphabet)
     for x, cls in letter_classes(w).items():
         if w.proj[x] == a and not cls.is_identity():

@@ -1,16 +1,14 @@
 import random
-from importlib import import_module
 
-from nanowords import Alphabet, Nanoword, compute_fingerprint, mu, nanoword_from_pattern
+import nanowords.classify as classify_module
+from nanowords import (Alphabet, Nanoword, compute_fingerprint, fingerprint, interlacement,
+                       mu, nanoword_from_pattern)
 from nanowords.classify import FAMILIES, Item, classify
 from nanowords.fingerprint import (FIELD_ORDER, Fingerprint, default_betas,
                                   default_coloring_specs, format_fingerprint)
 
 from conftest import ALPHABETS, random_nanoword
 
-# the package exports functions named like these two modules
-fingerprint = import_module("nanowords.fingerprint")
-interlacement = import_module("nanowords.interlacement")
 interlacement_gamma = interlacement.gamma
 
 
@@ -49,6 +47,39 @@ def test_classify_names_a_fingerprint_shared_across_predicted_classes(al_id2, mo
     assert {(r.members[0], r.status, r.detail) for r in rows} == {
         ("one", "UNKNOWN", "fingerprint shared with two"),
         ("two", "UNKNOWN", "fingerprint shared with one")}
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_classify_stops_a_class_at_its_first_failed_search(al_id2, monkeypatch):
+    calls = _count_calls(monkeypatch, classify_module, "search_contractible")
+    rows = classify("nanowords4", al_id2, max_states=1).rows
+    zero = next(r for r in rows if r.label == classify_module.ZERO)
+    assert (len(zero.members), zero.status, zero.detail) == (
+        10, "UNKNOWN", "search budget exhausted")
+    assert len(calls) == 1
+
+
+def test_classify_reports_a_predicted_class_that_fingerprints_split(al_id2, monkeypatch):
+    # AABB[a,a] is contractible and ABAB[a,b] is not: gamma tells them apart
+    items = [Item("AABB[a,a]", nanoword_from_pattern(al_id2, "AABB", {"A": "a", "B": "a"}), ("x",)),
+             Item("ABAB[a,b]", nanoword_from_pattern(al_id2, "ABAB", {"A": "a", "B": "b"}), ("x",))]
+    monkeypatch.setitem(FAMILIES, "split", lambda al: items)
+    searches = _count_calls(monkeypatch, classify_module, "search_homotopic")
+    [row] = classify("split", al_id2).rows
+    assert (row.members, row.status, row.detail) == (
+        ["AABB[a,a]", "ABAB[a,b]"], "DISAGREES", "fingerprints split a predicted class")
+    assert searches == []
 
 
 def test_a_fingerprint_computes_gamma_once(monkeypatch):

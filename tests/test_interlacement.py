@@ -5,11 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nanowords import (Alphabet, PiElement, SubgroupOfPi, covering, gamma,
-                       gamma_prime, gamma_tilde, interlacement, inverse,
-                       letter_class, letter_classes, mu, nanoword_from_pattern,
-                       opposite, product)
+                       gamma_prime, gamma_tilde, inverse, letter_class, letter_classes,
+                       mu, nanoword_from_pattern, opposite, product)
 from nanowords.errors import UnknownLetter
 from nanowords.groups import parse_pi
+from nanowords.interlacement import interlacement
 
 from conftest import ALPHABETS, alphabets_strategy, nanowords_strategy, random_nanoword
 

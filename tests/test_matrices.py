@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from nanowords import (Alphabet, ColoringSpec, GroupRingElement, count_colorings,
                        inverse, nanoword_from_pattern, nabla, opposite, product,
                        weighted_matrix)
-from nanowords.errors import EmptyNanoword, InvalidSpec
+from nanowords.errors import AlphabetMismatch, EmptyNanoword, InvalidSpec
 from nanowords.lambdainv import bar, lambda_invariant
 from nanowords.fingerprint import default_betas
 from nanowords.matrices import _det, _eliminate, _entries, count_colorings_prime
@@ -358,6 +358,15 @@ def test_empty_nanoword_counts():
             assert count_colorings(empty, mod4) == [[int(k == l) for l in range(4)]
                                                     for k in range(4)]
             assert count_colorings_bruteforce(empty, mod4) == count_colorings(empty, mod4)
+
+
+def test_colorings_reject_a_spec_over_another_alphabet():
+    al = Alphabet(["a", "b"])
+    tri = ColoringSpec.tricoloring(Alphabet(["a"]), {"a"})
+    for w in (nanoword_from_pattern(al, "ABAB", {"A": "a", "B": "b"}), Nanoword(al, (), {})):
+        for count in (count_colorings, count_colorings_prime):
+            with pytest.raises(AlphabetMismatch):
+                count(w, tri)
 
 
 @given(nanowords_strategy(max_letters=3), st.integers(0, 10 ** 9))

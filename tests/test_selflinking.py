@@ -8,6 +8,7 @@ from nanowords import (Alphabet, GroupRingElement, PiElement, desingularize,
                        from_word, inverse, nanoword_from_pattern, opposite,
                        product, self_link_class, self_link_function,
                        norm_lower_bound)
+from nanowords.errors import UnknownSymbol
 from nanowords.selflinking import SelfLinkSection
 from nanowords.groups import parse_pi
 
@@ -26,6 +27,12 @@ def test_self_link_class_abab(al_free1):
     u = self_link_function(w)
     assert u.values["a"] == got
     assert u.value("A") == -got
+
+
+def test_self_link_class_rejects_an_unknown_symbol(al_free1):
+    w = nanoword_from_pattern(al_free1, "ABAB", {"A": "a", "B": "a"})
+    with pytest.raises(UnknownSymbol):
+        self_link_class(w, "Z")
 
 
 def test_self_link_zero_on_unlaced(al_free2):
