@@ -6,9 +6,8 @@ from .groups import (GroupRingElement, PiElement, PiTildeElement, PiWord,
                      PsiAbElement, PsiElement, SubgroupOfPi)
 from .interlacement import (covering, gamma, gamma_prime, gamma_tilde, letter_class,
                             letter_classes, mu)
-from .selflinking import norm_lower_bound, self_link_class, self_link_function
-from .pairings import (compress, linking_form, linking_pairing, pairing_u, rho, rho_ax,
-                       to_pairing)
+from .selflinking import norm_lower_bound, pairing_u, self_link_class, self_link_function
+from .pairings import compress, linking_form, linking_pairing, rho, rho_ax, to_pairing
 from .matrices import ColoringSpec, count_colorings, nabla, weighted_matrix
 from .lambdainv import (lambda_checks, lambda_invariant, lambda_prime, lambda_split,
                         psi_expand)

@@ -1,66 +1,52 @@
 """Interlacement of letters, letter classes, coverings, and the group images.
 
 Two letters are interlaced when their occurrences alternate (A..B..A..B);
-the sign distinguishes which starts first.  Summing alphabet values along
-interlacements gives each letter a class [A]_w in pi, which drives the
-coverings and, through the free-product groups, the invariants gamma,
-gamma', gamma~ and the orbit-pair function mu.
+the sign distinguishes which starts first.  ``interlacement(w)`` is one
+table ``{(A, B): +-1}`` of the nonzero entries of n_w.  Summing alphabet
+values along interlacements gives each letter a class [A]_w in pi, which
+drives the coverings and, through the free-product groups, the invariants
+gamma, gamma', gamma~ and the orbit-pair function mu.
 """
 
 from __future__ import annotations
 
-from .groups import (PiElement, PiTildeElement, PiWord, SubgroupOfPi)
+from itertools import combinations
+
+from .errors import AlphabetMismatch
+from .groups import PiElement, PiTildeElement, PiWord, SubgroupOfPi
 from .words import Alphabet, Letter, Nanoword
 
 
-class InterlacementMatrix:
-    """Skew-symmetric {-1, 0, 1} matrix over the letter set of a nanoword."""
-
-    def __init__(self, letters, entries):
-        self.letters = tuple(letters)
-        self._n = dict(entries)
-
-    def n(self, a: Letter, b: Letter) -> int:
-        return self._n.get((a, b), 0)
-
-    def row(self, a: Letter):
-        return [self.n(a, b) for b in self.letters]
-
-    def as_rows(self):
-        return [self.row(a) for a in self.letters]
-
-
-def interlacement(w: Nanoword) -> InterlacementMatrix:
-    letters = w.letters
+def interlacement(w: Nanoword) -> dict[tuple[Letter, Letter], int]:
+    """The nonzero entries of n_w: n_w(A, B) = 1 = -n_w(B, A) when A..B..A..B."""
     entries = {}
-    for x in letters:
-        ix, jx = w.occurrences(x)
-        for y in letters:
-            if x == y:
-                continue
-            iy, jy = w.occurrences(y)
-            if ix < iy < jx < jy:
-                entries[(x, y)] = 1
-            elif iy < ix < jy < jx:
-                entries[(x, y)] = -1
-    return InterlacementMatrix(letters, entries)
+    for x, y in combinations(w.letters, 2):
+        (ix, jx), (iy, jy) = w.occurrences(x), w.occurrences(y)
+        if ix < iy < jx < jy:
+            entries[x, y], entries[y, x] = 1, -1
+        elif iy < ix < jy < jx:
+            entries[x, y], entries[y, x] = -1, 1
+    return entries
 
 
-def letter_class(w: Nanoword, a: Letter, matrix: InterlacementMatrix | None = None) -> PiElement:
+def _classes_of(al: Alphabet, letters, proj, n: dict) -> dict[Letter, PiElement]:
+    """[A] = prod_B |B|^{n(A,B)} in pi for every letter A, from the nonzero
+    entries ``n`` of an interlacement: one exponent vector summed per letter."""
+    exps = {a: [0] * len(al.orbits) for a in letters}
+    for (a, b), e in n.items():
+        v = proj[b]  # the generator of v is +1 on its orbit if v is in alpha0, else -1
+        exps[a][al.orbit_index(v)] += e if al.rep(v) == v else -e
+    return {a: PiElement(al, vec) for a, vec in exps.items()}
+
+
+def letter_class(w: Nanoword, a: Letter) -> PiElement:
     """[A]_w = prod_B |B|^{n_w(A,B)} in pi."""
     w.occurrences(a)  # raises UnknownLetter unless a is a letter of w
-    matrix = matrix or interlacement(w)
-    out = PiElement.identity(w.alphabet)
-    for b in matrix.letters:
-        e = matrix.n(a, b)
-        if e:
-            out = out * (PiElement.generator(w.alphabet, w.proj[b]) ** e)
-    return out
+    return letter_classes(w)[a]
 
 
 def letter_classes(w: Nanoword) -> dict[Letter, PiElement]:
-    m = interlacement(w)
-    return {a: letter_class(w, a, m) for a in w.letters}
+    return _classes_of(w.alphabet, w.letters, w.proj, interlacement(w))
 
 
 def covering(w: Nanoword, subgroups: dict[str, SubgroupOfPi] | SubgroupOfPi) -> Nanoword:
@@ -70,9 +56,12 @@ def covering(w: Nanoword, subgroups: dict[str, SubgroupOfPi] | SubgroupOfPi) -> 
     tau-orbit, which makes the condition H_a = H_tau(a) structural), or a
     single subgroup used for every orbit.
     """
-    classes = letter_classes(w)
     if isinstance(subgroups, SubgroupOfPi):
         subgroups = {r: subgroups for r in w.alphabet.orientation}
+    for r in w.alphabet.orientation:
+        if r not in subgroups:
+            raise AlphabetMismatch(f"no subgroup for the orbit of {r!r}")
+    classes = letter_classes(w)
     keep = []
     for x in w.word:
         h = subgroups[w.alphabet.rep(w.proj[x])]

@@ -114,6 +114,15 @@ class Move:
         return out
 
 
+def _counts(kind: str, sign: str) -> tuple[int, int] | None:
+    """The numbers of positions and of insert values that a move of ``kind``
+    and ``sign`` takes, or None when the kind or the sign is unknown."""
+    if kind not in PAIR_KINDS + TRIPLE_KINDS or sign not in ("+", "-"):
+        return None
+    inserts = sign == "+" and kind in PAIR_KINDS
+    return (1 if kind == "M1" else 2 if kind in PAIR_KINDS else 3), int(inserts)
+
+
 def parse_move(text: str, line: int | None = None) -> Move:
     """Parse one certificate line, e.g. ``M2+ @pos=(3,7) insert=(a)``.
 
@@ -123,7 +132,8 @@ def parse_move(text: str, line: int | None = None) -> Move:
     if not parts:
         raise ParseError("empty move", line)
     kind, sign = parts[0][:-1], parts[0][-1]
-    if kind not in PAIR_KINDS + TRIPLE_KINDS or sign not in ("+", "-"):
+    counts = _counts(kind, sign)
+    if counts is None:
         raise ParseError(f"bad move {text!r}", line)
     fields = {}
     for part in parts[1:]:
@@ -144,10 +154,9 @@ def parse_move(text: str, line: int | None = None) -> Move:
         raise not_positive from None
     if min(positions) < 0:
         raise not_positive
-    arity = 1 if kind == "M1" else 2 if kind in PAIR_KINDS else 3
+    arity, inserts = counts
     if len(positions) != arity:
         raise ParseError(f"{kind} takes {arity} position(s), got {len(positions)}", line)
-    inserts = sign == "+" and kind in PAIR_KINDS
     if "insert" in fields and not inserts:
         raise ParseError(f"{parts[0]} takes no insert value", line)
     values = tuple(v for v in fields.get("insert", "").strip("()").split(",") if v)
@@ -190,6 +199,12 @@ def apply_move(w: Nanoword, move: Move, data: HomotopyData) -> Nanoword:
     n = len(word)
     k, sign, pos = move.kind, move.sign, move.positions
     tau = data.alphabet.tau
+    counts = _counts(k, sign)
+    if counts is None:
+        raise PreconditionViolated(f"{move.format()}: unknown kind or sign")
+    if len(pos) != counts[0] or counts[1] and len(move.values) != 1:
+        raise PreconditionViolated(f"{move.format()}: takes {counts[0]} position(s) "
+                                   f"and {counts[1]} insert value(s)")
 
     if k in TRIPLE_KINDS:
         p, q, r = pos

@@ -1,6 +1,6 @@
 """Linking forms, alpha-pairings, compression to primitive pairings.
 
-An alpha-form carries the interlacement matrix and a pi-valued linking
+An alpha-form carries the interlacement table and a pi-valued linking
 pairing on the letters of a nanoword; the derived alpha-pairing adds a base
 point s and forgets squares.  Compression deletes annihilating elements and
 twin pairs until none remain; the primitive result is unique up to
@@ -14,13 +14,13 @@ from collections import Counter
 
 from .errors import PreconditionViolated
 from .groups import PiElement
-from .selflinking import SelfLinkSection, section_of
 from .words import Alphabet, Nanoword
-from .interlacement import interlacement
+from .interlacement import _classes_of, interlacement
 
 
 class AlphaForm:
-    """Letter set with skew-symmetric n (ints) and l (pi-valued) pairings."""
+    """Letter set with skew-symmetric n (ints) and l (pi-valued) pairings,
+    each a table that reads 0 or 1 on a pair it lacks."""
 
     def __init__(self, alphabet: Alphabet, letters, proj, n: dict, l: dict):
         self.alphabet = alphabet
@@ -63,11 +63,9 @@ def linking_form(w: Nanoword) -> AlphaForm:
             if w.occurrences(e)[0] < j_f < w.occurrences(e)[1]:
                 for d in outer:
                     circ[d, e] = circ.get((d, e), one) * gen
-    n = interlacement(w)
     lk = {(d, e): circ.get((d, e), one) * circ.get((e, d), one).inverse()
           for d in letters for e in letters}
-    return AlphaForm(al, letters, w.proj,
-                     {(a, b): n.n(a, b) for a in letters for b in letters}, lk)
+    return AlphaForm(al, letters, w.proj, interlacement(w), lk)
 
 
 class _BasePoint:
@@ -134,12 +132,7 @@ def to_pairing(f: AlphaForm) -> AlphaPairing:
     """b(A,s) = prod_C |C|^{n(A,C)};  b(A,B) = l(A,B)^2 |A|^{n} |B|^{n}."""
     al = f.alphabet
     b = {}
-    for a in f.letters:
-        col = PiElement.identity(al)
-        for c in f.letters:
-            e = f.n(a, c)
-            if e:
-                col = col * (PiElement.generator(al, f.proj[c]) ** e)
+    for a, col in _classes_of(al, f.letters, f.proj, f._n).items():
         b[(a, AlphaPairing.S)] = col
         b[(AlphaPairing.S, a)] = col.inverse()
     for a in f.letters:
@@ -246,11 +239,6 @@ def rho_ax(p: AlphaPairing) -> dict[tuple[str, PiElement], int]:
 def _rho_ax_primitive(c: AlphaPairing) -> dict[tuple[str, PiElement], int]:
     """rho_ax of a pairing that is already primitive."""
     return dict(Counter((c.proj[a], c.b(a, AlphaPairing.S)) for a in c.letters))
-
-
-def pairing_u(p: AlphaPairing) -> SelfLinkSection:
-    """The self-linking section read off b(., s); equals u^w for p = p^w."""
-    return section_of(p.alphabet, ((p.proj[x], p.b(x, AlphaPairing.S)) for x in p.letters))
 
 
 # ---------------------------------------------------------------------------

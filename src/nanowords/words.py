@@ -83,14 +83,20 @@ class Alphabet:
             raise UnknownSymbol(f"{a!r} is not an alphabet letter") from None
 
     def is_fixed(self, a: str) -> bool:
-        return self._tau[a] == a
+        return self.tau(a) == a
 
     def orbit_index(self, a: str) -> int:
-        return self._orbit_index[a]
+        try:
+            return self._orbit_index[a]
+        except KeyError:
+            raise UnknownSymbol(f"{a!r} is not an alphabet letter") from None
 
     def rep(self, a: str) -> str:
         """Orientation representative of the orbit of ``a``."""
-        return self._rep[a]
+        try:
+            return self._rep[a]
+        except KeyError:
+            raise UnknownSymbol(f"{a!r} is not an alphabet letter") from None
 
     def orbit_rep(self, idx: int) -> str:
         return self._rep[self.orbits[idx][0]]

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from nanowords import (Alphabet, PiElement, SubgroupOfPi, covering, gamma,
                        gamma_prime, gamma_tilde, inverse, letter_class, letter_classes,
                        mu, nanoword_from_pattern, opposite, product)
-from nanowords.errors import UnknownLetter
+from nanowords.errors import AlphabetMismatch, UnknownLetter
 from nanowords.groups import parse_pi
 from nanowords.interlacement import interlacement
 
@@ -25,15 +25,15 @@ def example_53():
 
 def test_interlacement_basic(al_id2):
     w = nanoword_from_pattern(al_id2, "ABAB", {"A": "a", "B": "b"})
-    assert interlacement(w).n("A", "B") == 1
+    assert interlacement(w)[("A", "B")] == 1
     v = nanoword_from_pattern(al_id2, "AABB", {"A": "a", "B": "b"})
-    assert interlacement(v).n("A", "B") == 0
+    assert ("A", "B") not in interlacement(v)
 
 
 def test_interlacement_abacbc(al_id2):
     w = nanoword_from_pattern(al_id2, "ABACBC", {"A": "a", "B": "b", "C": "a"})
     m = interlacement(w)
-    assert m.as_rows() == [[0, 1, 0], [-1, 0, 1], [0, -1, 0]]
+    assert m == {("A", "B"): 1, ("B", "A"): -1, ("B", "C"): 1, ("C", "B"): -1}
 
 
 def test_letter_classes_example(example_53):
@@ -72,6 +72,12 @@ def test_covering_whole_and_trivial(example_53):
     cls = letter_classes(example_53)
     expected = [x for x in example_53.word if cls[x].is_identity()]
     assert list(triv.word) == expected
+
+
+def test_covering_needs_a_subgroup_per_orbit(example_53):
+    al = example_53.alphabet
+    with pytest.raises(AlphabetMismatch, match="'b'"):
+        covering(example_53, {"a": SubgroupOfPi.whole(al)})
 
 
 def test_gamma_worked_examples(al_free2, al_id2):

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 from nanowords import (Alphabet, CharSeq, char_sequence, charseq_inverse,
                        inverse, kei_act, kei_star, lambda_prime,
                        nanoword_from_pattern)
-from nanowords.errors import TauHasFixedPoint
+from nanowords.errors import TauHasFixedPoint, UnknownSymbol
 from nanowords.groups import PsiElement
-from nanowords.keis import FElement, format_charseq
+from nanowords.keis import format_charseq
 
 from conftest import random_nanoword
 
@@ -33,26 +33,34 @@ def _seq(al, *terms):
 def test_requires_free_involution():
     al = Alphabet(["a", "b"])
     with pytest.raises(TauHasFixedPoint):
-        kei_act("a", FElement.generator(PsiElement.identity(al)))
+        kei_act("a", CharSeq.generator(PsiElement.identity(al)))
     with pytest.raises(TauHasFixedPoint):
         char_sequence(nanoword_from_pattern(al, "ABAB", {"A": "a", "B": "b"}))
 
 
+def test_kei_operations_reject_an_unknown_symbol():
+    one = CharSeq.generator(PsiElement.identity(AL))
+    with pytest.raises(UnknownSymbol):
+        kei_star(one, "Z", one)
+    with pytest.raises(UnknownSymbol):
+        kei_act("Z", one)
+
+
 def test_letterwise_action():
-    one = FElement.generator(PsiElement.identity(AL))
-    assert kei_act("a", one) == FElement.generator(_psi(AL, "a"))
+    one = CharSeq.generator(PsiElement.identity(AL))
+    assert kei_act("a", one) == CharSeq.generator(_psi(AL, "a"))
     # tau(a) acts by the inverse translation
     assert kei_act("A", kei_act("a", one)) == one
 
 
 def test_star_worked_example():
     # underline(ba) *_a underline(1) = 1 . (a. b a) . (a. a)^(-1)
-    x = FElement.generator(_psi(AL, "b", "a"))
-    y = FElement.generator(PsiElement.identity(AL))
+    x = CharSeq.generator(_psi(AL, "b", "a"))
+    y = CharSeq.generator(PsiElement.identity(AL))
     got = kei_star(x, "a", y)
-    expected = FElement(AL, ((PsiElement.identity(AL), 1),
-                             (_psi(AL, "a.", "b", "a"), 1),
-                             (_psi(AL, "a.", "a"), -1)))
+    expected = CharSeq(AL, ((1, PsiElement.identity(AL)),
+                            (1, _psi(AL, "a.", "b", "a")),
+                            (-1, _psi(AL, "a.", "a"))))
     assert got == expected
 
 
@@ -63,8 +71,8 @@ def _random_f(al, rng, size=3):
         for _ in range(rng.randrange(3)):
             g = g * PsiElement.generator(al, rng.choice(al.letters),
                                          bullet=rng.random() < 0.5)
-        letters.append((g, rng.choice((1, -1))))
-    return FElement(al, letters)
+        letters.append((rng.choice((1, -1)), g))
+    return CharSeq(al, letters)
 
 
 def test_kei_axioms_on_f():

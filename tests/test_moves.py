@@ -287,6 +287,22 @@ def test_apply_move_validates(al_id2):
             apply_move(w, move, data)
 
 
+def test_hand_built_moves_of_the_wrong_shape_are_typed_errors(al_id2):
+    """A wrong kind, sign, position count or insert count is a precondition
+    failure in apply_move and in a replayed certificate, not a ValueError."""
+    data = HomotopyData(al_id2)
+    w = nanoword_from_pattern(al_id2, "AABB", {"A": "a", "B": "b"})
+    bad = [Move("M1", "+", (0,)), Move("M2", "+", (0, 1), ("a", "b")),
+           Move("M3", "-", (0, 2)), Move("M1", "-", (0, 1)), Move("M9", "-", (0,)),
+           Move("M1", "x", (0,), ("a",))]
+    for move in bad:
+        with pytest.raises(PreconditionViolated, match=re.escape(move.format())):
+            apply_move(w, move, data)
+        with pytest.raises(PreconditionViolated) as info:
+            verify_certificate(Certificate(w, w, (Move("M1", "-", (0,)), move)), data)
+        assert info.value.index == 1
+
+
 def test_verify_certificate_names_the_move_that_does_not_apply(al_id2):
     """Three M1- moves delete AABBCC; the bad move, at each index k, is
     reported with that index, whatever the kind of its failure."""

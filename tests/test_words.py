@@ -47,6 +47,13 @@ def test_input_errors_are_typed(al_id2, al_free1):
         classify("nanowords5", al_id2)
 
 
+def test_alphabet_lookups_reject_an_unknown_symbol(al_mixed):
+    for lookup in (al_mixed.tau, al_mixed.rep, al_mixed.orbit_index, al_mixed.is_fixed):
+        with pytest.raises(UnknownSymbol, match="'Z' is not an alphabet letter"):
+            lookup("Z")
+    assert (al_mixed.rep("A"), al_mixed.orbit_index("c"), al_mixed.is_fixed("c")) == ("a", 1, True)
+
+
 def test_from_word_identity_projection(al_id2):
     w = from_word("aba", al_id2)
     assert w.word == ("a", "b", "a")
