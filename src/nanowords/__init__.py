@@ -7,7 +7,7 @@ from .groups import (GroupRingElement, PiElement, PiTildeElement, PiWord,
 from .interlacement import (covering, gamma, gamma_prime, gamma_tilde, letter_class,
                             letter_classes, mu)
 from .selflinking import norm_lower_bound, pairing_u, self_link_class, self_link_function
-from .pairings import compress, linking_form, linking_pairing, rho, rho_ax, to_pairing
+from .pairings import compress, linking_form, linking_pairing, rho, rho_ax
 from .matrices import ColoringSpec, count_colorings, nabla, weighted_matrix
 from .lambdainv import (lambda_checks, lambda_invariant, lambda_prime, lambda_split,
                         psi_expand)
@@ -32,6 +32,6 @@ __all__ = [
     "nanoword_from_pattern", "norm_lower_bound", "norm_upper_bound", "opposite",
     "pairing_u", "product", "psi_expand", "rho", "rho_ax", "search_contractible",
     "search_homotopic", "self_link_class", "self_link_function", "successor_keys",
-    "to_pairing", "verify_certificate", "weighted_matrix",
+    "verify_certificate", "weighted_matrix",
 ]
 __version__ = "0.1.0"

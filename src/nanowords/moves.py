@@ -27,8 +27,8 @@ import heapq
 from dataclasses import dataclass
 from itertools import accumulate, count, islice
 
-from .errors import (BudgetInvalid, NanowordError, ParseError, PreconditionViolated,
-                     UnknownSymbol)
+from .errors import (AlphabetMismatch, BudgetInvalid, NanowordError, ParseError,
+                     PreconditionViolated, UnknownSymbol)
 from .words import Alphabet, Nanoword, _key_of
 
 # ---------------------------------------------------------------------------
@@ -50,6 +50,11 @@ class HomotopyData:
         if self.triples is None:
             return True
         return any(t[1] == b and t[2] == b for t in self.triples)
+
+
+def _check_alphabet(w: Nanoword, data: HomotopyData):
+    if w.alphabet != data.alphabet:
+        raise AlphabetMismatch(f"nanoword over {w.alphabet}, homotopy data over {data.alphabet}")
 
 
 PAIR_KINDS = ("M1", "M2", "L32")
@@ -195,6 +200,7 @@ def _match_triple(word, proj, data: HomotopyData, shape: _Shape, p, q, r) -> boo
 
 def apply_move(w: Nanoword, move: Move, data: HomotopyData) -> Nanoword:
     """Apply ``move`` to ``w`` (not canonicalized); raises if it does not fit."""
+    _check_alphabet(w, data)
     word, proj = w.word, w.proj
     n = len(word)
     k, sign, pos = move.kind, move.sign, move.positions
@@ -461,11 +467,13 @@ def _breadth(key, depth):
 _EMPTY = ((), ())  # the key of the empty nanoword
 
 
-def _check_budget(data: HomotopyData, max_states, max_length, length, insert_values):
+def _check_budget(data: HomotopyData, max_states, max_length, words, insert_values):
     """Reject a search's inputs before it expands anything."""
+    for w in words:
+        _check_alphabet(w, data)
     if max_states <= 0:
         raise BudgetInvalid("max_states must be positive")
-    if max_length < length:
+    if max_length < max(map(len, words)):
         raise BudgetInvalid("max_length below the input length")
     for v in insert_values or ():
         if v not in data.alphabet:
@@ -497,7 +505,7 @@ def search_contractible(w: Nanoword, data: HomotopyData, max_length: int | None,
     """
     if max_length is None:
         max_length = len(w) + 8
-    _check_budget(data, max_states, max_length, len(w), insert_values)
+    _check_budget(data, max_states, max_length, (w,), insert_values)
     start = w.canonical()
     front = _descend(start.key(), data, max_length, min(max_states, 50000), (), use_macros)
     if _EMPTY not in front.parents and insert_values != ():
@@ -523,7 +531,7 @@ def search_homotopic(w1: Nanoword, w2: Nanoword, data: HomotopyData,
     """
     if max_length is None:
         max_length = max(len(w1), len(w2)) + 4
-    _check_budget(data, max_states, max_length, max(len(w1), len(w2)), insert_values)
+    _check_budget(data, max_states, max_length, (w1, w2), insert_values)
     s1, s2 = w1.canonical(), w2.canonical()
     if s1.key() == s2.key():
         return Certificate(s1, s2, ())
@@ -547,7 +555,7 @@ def norm_upper_bound(w: Nanoword, data: HomotopyData, max_states: int,
     """min(length)/2 over every state reached in budget; at least the norm."""
     if max_length is None:
         max_length = len(w) + 4
-    _check_budget(data, max_states, max_length, len(w), insert_values)
+    _check_budget(data, max_states, max_length, (w,), insert_values)
     front = _descend(w.canonical().key(), data, max_length, max_states,
                      insert_values, use_macros)
     return min(len(key[0]) for key in front.parents) // 2

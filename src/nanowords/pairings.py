@@ -1,71 +1,49 @@
 """Linking forms, alpha-pairings, compression to primitive pairings.
 
-An alpha-form carries the interlacement table and a pi-valued linking
-pairing on the letters of a nanoword; the derived alpha-pairing adds a base
-point s and forgets squares.  Compression deletes annihilating elements and
-twin pairs until none remain; the primitive result is unique up to
-isomorphism and is the main length-4/6 fingerprint.
+The linking form lk_w is a pi-valued table on the letters of a nanoword;
+with the interlacement n_w it gives the alpha-pairing, which adds a base
+point s.  Compression deletes annihilating elements and twin pairs until none
+remain; the primitive result is unique up to isomorphism and is the main
+length-4/6 fingerprint.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
+from operator import add, sub
 
-from .errors import PreconditionViolated
 from .groups import PiElement
-from .words import Alphabet, Nanoword
+from .words import Alphabet, Letter, Nanoword
 from .interlacement import _classes_of, interlacement
 
 
-class AlphaForm:
-    """Letter set with skew-symmetric n (ints) and l (pi-valued) pairings,
-    each a table that reads 0 or 1 on a pair it lacks."""
-
-    def __init__(self, alphabet: Alphabet, letters, proj, n: dict, l: dict):
-        self.alphabet = alphabet
-        self.letters = tuple(letters)
-        self.proj = dict(proj)
-        self._n = dict(n)
-        self._l = dict(l)
-
-    def n(self, a, b) -> int:
-        return self._n.get((a, b), 0)
-
-    def l(self, a, b) -> PiElement:
-        return self._l.get((a, b), PiElement.identity(self.alphabet))
-
-    def check_skew(self):
-        one = PiElement.identity(self.alphabet)
-        for a in self.letters:
-            assert self.n(a, a) == 0 and self.l(a, a) == one
-            for b in self.letters:
-                assert self.n(a, b) == -self.n(b, a)
-                assert (self.l(a, b) * self.l(b, a)) == one
-
-
-def linking_form(w: Nanoword) -> AlphaForm:
-    """The (letters, n_w, lk_w) form with lk(D,E) = (DoE)(EoD)^{-1}.
+def linking_form(w: Nanoword) -> dict[tuple[Letter, Letter], PiElement]:
+    """The entries of lk_w other than the identity: lk(D,E) = (DoE)(EoD)^{-1}.
 
     DoE multiplies |F| over letters F with exactly one occurrence inside
     D's span and whose second occurrence lies inside E's span.  One pass over
-    the letters F builds DoE for every ordered pair: F multiplies |F| into
-    each pair (D, E) whose spans hold its first and its second occurrence.
+    the letters F adds the exponent vector of |F| to DoE for every ordered
+    pair (D, E) whose spans hold its first and its second occurrence; lk is
+    read only on the pairs that pass touches and their reverses.
     """
     al, letters = w.alphabet, w.letters
-    one = PiElement.identity(al)
+    zero = PiElement.identity(al).nf
     circ: dict = {}
     for f in letters:
         i_f, j_f = w.occurrences(f)
-        gen = PiElement.generator(al, w.proj[f])
+        gen = PiElement.generator(al, w.proj[f]).nf
         outer = [d for d in letters if w.occurrences(d)[0] < i_f < w.occurrences(d)[1]]
         for e in letters:
             if w.occurrences(e)[0] < j_f < w.occurrences(e)[1]:
                 for d in outer:
-                    circ[d, e] = circ.get((d, e), one) * gen
-    lk = {(d, e): circ.get((d, e), one) * circ.get((e, d), one).inverse()
-          for d in letters for e in letters}
-    return AlphaForm(al, letters, w.proj, interlacement(w), lk)
+                    circ[d, e] = tuple(map(add, circ.get((d, e), zero), gen))
+    lk = {}
+    for d, e in circ:
+        g = PiElement(al, map(sub, circ[d, e], circ.get((e, d), zero)))
+        if not g.is_identity():
+            lk[d, e], lk[e, d] = g, g.inverse()
+    return lk
 
 
 class _BasePoint:
@@ -124,31 +102,26 @@ class AlphaPairing:
         return f"AlphaPairing[{head}]\n{rows}"
 
 
-def trivial_pairing(alphabet: Alphabet) -> AlphaPairing:
-    return AlphaPairing(alphabet, (), {}, {})
-
-
-def to_pairing(f: AlphaForm) -> AlphaPairing:
-    """b(A,s) = prod_C |C|^{n(A,C)};  b(A,B) = l(A,B)^2 |A|^{n} |B|^{n}."""
-    al = f.alphabet
-    b = {}
-    for a, col in _classes_of(al, f.letters, f.proj, f._n).items():
-        b[(a, AlphaPairing.S)] = col
-        b[(AlphaPairing.S, a)] = col.inverse()
-    for a in f.letters:
-        for c in f.letters:
-            if a == c:
-                continue
-            e = f.n(a, c)
-            val = (f.l(a, c) ** 2) \
-                * (PiElement.generator(al, f.proj[a]) ** e) \
-                * (PiElement.generator(al, f.proj[c]) ** e)
-            b[(a, c)] = val
-    return AlphaPairing(al, f.letters, f.proj, b)
-
-
 def linking_pairing(w: Nanoword) -> AlphaPairing:
-    return to_pairing(linking_form(w))
+    """The alpha-pairing of w: b(A,s) = [A]_w = prod_C |C|^{n(A,C)} and
+    b(A,B) = lk(A,B)^2 |A|^{n(A,B)} |B|^{n(A,B)}, with n = n_w.
+
+    b(A,B) is built as the exponent vector 2 lk(A,B) + n(A,B)(u_|A| + u_|B|),
+    u_v the vector of the generator v, and only where n or lk is not trivial;
+    ``PiElement`` reduces it mod 2 at the fixed orbits.
+    """
+    al, proj = w.alphabet, w.proj
+    n, lk = interlacement(w), linking_form(w)
+    zero = PiElement.identity(al).nf
+    u = {a: PiElement.generator(al, proj[a]).nf for a in w.letters}
+    b = {}
+    for a, col in _classes_of(al, w.letters, proj, n).items():
+        b[a, BASEPOINT], b[BASEPOINT, a] = col, col.inverse()
+    for a, c in n.keys() | lk.keys():
+        e = n.get((a, c), 0)
+        l = lk[a, c].nf if (a, c) in lk else zero
+        b[a, c] = PiElement(al, [2 * x + e * (y + z) for x, y, z in zip(l, u[a], u[c])])
+    return AlphaPairing(al, w.letters, proj, b)
 
 
 def compress(p: AlphaPairing, rng=None) -> AlphaPairing:
@@ -239,58 +212,3 @@ def rho_ax(p: AlphaPairing) -> dict[tuple[str, PiElement], int]:
 def _rho_ax_primitive(c: AlphaPairing) -> dict[tuple[str, PiElement], int]:
     """rho_ax of a pairing that is already primitive."""
     return dict(Counter((c.proj[a], c.b(a, AlphaPairing.S)) for a in c.letters))
-
-
-# ---------------------------------------------------------------------------
-# Moves on alpha-forms (test fixtures for the homology relation)
-
-
-def form_move(f: AlphaForm, kind: str, letters: tuple) -> AlphaForm:
-    """Apply move (i)*, (ii)* or (iii)*; raises unless side conditions hold."""
-    al = f.alphabet
-    one = PiElement.identity(al)
-    if kind == "i*":
-        (a,) = letters
-        if any(f.n(a, c) for c in f.letters) or any(f.l(a, c) != one for c in f.letters):
-            raise PreconditionViolated("i*: letter is not isolated (n = 0, l = 1 required)")
-        keep = [x for x in f.letters if x != a]
-        return _restrict_form(f, keep)
-    if kind == "ii*":
-        a, b = letters
-        if f.proj[a] != al.tau(f.proj[b]):
-            raise PreconditionViolated("ii*: |A| = tau(|B|) fails")
-        for c in f.letters:
-            if f.n(a, c) != f.n(b, c):
-                raise PreconditionViolated(f"ii*: n(A,{c}) != n(B,{c})")
-            expected = f.l(b, c) * (PiElement.generator(al, f.proj[b]) ** f.n(b, c))
-            if f.l(a, c) != expected:
-                raise PreconditionViolated(f"ii*: l(A,{c}) != l(B,{c}) |B|^n(B,{c})")
-        keep = [x for x in f.letters if x not in (a, b)]
-        return _restrict_form(f, keep)
-    if kind == "iii*":
-        a, b, c = letters
-        if not (f.proj[a] == f.proj[b] == f.proj[c]):
-            raise PreconditionViolated("iii*: |A| = |B| = |C| fails")
-        if not (f.n(a, b) == 1 and f.n(b, c) == 1 and f.n(a, c) == 0):
-            raise PreconditionViolated("iii*: need n(A,B) = n(B,C) = 1, n(A,C) = 0")
-        n2 = dict(f._n)
-        l2 = dict(f._l)
-        va = PiElement.generator(al, f.proj[a])
-
-        def set_pair(x, y, nval, lval):
-            n2[(x, y)], n2[(y, x)] = nval, -nval
-            l2[(x, y)], l2[(y, x)] = lval, lval.inverse()
-
-        set_pair(a, b, 0, f.l(a, b) * va)
-        set_pair(a, c, 1, f.l(a, c) * va.inverse())
-        set_pair(b, c, 0, f.l(b, c) * va)
-        return AlphaForm(al, f.letters, f.proj, n2, l2)
-    raise ValueError(f"unknown form move {kind!r}")
-
-
-def _restrict_form(f: AlphaForm, keep) -> AlphaForm:
-    keep = tuple(keep)
-    ks = set(keep)
-    return AlphaForm(f.alphabet, keep, {x: f.proj[x] for x in keep},
-                     {k: v for k, v in f._n.items() if set(k) <= ks},
-                     {k: v for k, v in f._l.items() if set(k) <= ks})

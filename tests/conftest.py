@@ -1,3 +1,4 @@
+import itertools
 import random
 from pathlib import Path
 
@@ -66,6 +67,34 @@ def random_nanoword(alphabet: Alphabet, n_letters: int, rng: random.Random) -> N
         word[positions[2 * k + 1]] = name
         proj[name] = rng.choice(alphabet.letters)
     return Nanoword(alphabet, word, proj).canonical()
+
+
+def gauss_patterns(n_letters: int):
+    """Every Gauss word of ``n_letters`` letters in canonical form: letters
+    1, 2, ... by first occurrence, as the first half of ``Nanoword.key()``."""
+    word = [0] * (2 * n_letters)
+
+    def fill(letter):
+        if letter > n_letters:
+            yield tuple(word)
+            return
+        i = word.index(0)  # the next letter's first occurrence
+        for j in range(i + 1, len(word)):
+            if not word[j]:
+                word[i] = word[j] = letter
+                yield from fill(letter + 1)
+                word[i] = word[j] = 0
+
+    return fill(1)
+
+
+def short_nanowords(alphabet: Alphabet, max_letters: int):
+    """Every nanoword of at most ``max_letters`` letters up to isomorphism,
+    canonical, by letter count: Gauss patterns x projection rows."""
+    for n in range(max_letters + 1):
+        for pattern in gauss_patterns(n):
+            for row in itertools.product(alphabet.letters, repeat=n):
+                yield Nanoword.from_key(alphabet, (pattern, row))
 
 
 def alphabets_strategy():

@@ -3,18 +3,22 @@
 The tests check the library against these reference implementations; no
 production code calls them.  Each is the simplest correct computation, not a
 fast one: lambda by forward substitution in the relation rows, coloring
-counts by enumeration, pairing isomorphism by bijection search, and the
-skew-symmetry predicate on self-linking sections.
+counts by enumeration, pairing isomorphism by bijection search, the
+skew-symmetry predicate on self-linking sections, and the alpha-form route
+to the linking pairing (a dense lk table and b built with group products),
+with its moves (i)*, (ii)* and (iii)*.
 """
 
 from __future__ import annotations
 
+from nanowords.errors import PreconditionViolated
 from nanowords.groups import GroupRingElement, PiElement, PsiElement, psi_abelianize
+from nanowords.interlacement import _classes_of, interlacement
 from nanowords.lambdainv import iota
 from nanowords.matrices import ColoringSpec, _coloring_matrix, weighted_matrix
 from nanowords.pairings import AlphaPairing
 from nanowords.selflinking import SelfLinkSection
-from nanowords.words import Nanoword
+from nanowords.words import Alphabet, Nanoword
 
 
 def lambda_by_substitution(w: Nanoword) -> GroupRingElement:
@@ -146,3 +150,127 @@ def is_skew_symmetric_section(u: SelfLinkSection) -> bool:
             if (s % 2 if torsion else s) != 0:
                 return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# The alpha-form route to the linking pairing, and the moves on alpha-forms
+
+
+class AlphaForm:
+    """Letter set with skew-symmetric n (ints) and l (pi-valued) pairings,
+    each a table that reads 0 or 1 on a pair it lacks."""
+
+    def __init__(self, alphabet: Alphabet, letters, proj, n: dict, l: dict):
+        self.alphabet = alphabet
+        self.letters = tuple(letters)
+        self.proj = dict(proj)
+        self._n = dict(n)
+        self._l = dict(l)
+
+    def n(self, a, b) -> int:
+        return self._n.get((a, b), 0)
+
+    def l(self, a, b) -> PiElement:
+        return self._l.get((a, b), PiElement.identity(self.alphabet))
+
+    def check_skew(self):
+        one = PiElement.identity(self.alphabet)
+        for a in self.letters:
+            assert self.n(a, a) == 0 and self.l(a, a) == one
+            for b in self.letters:
+                assert self.n(a, b) == -self.n(b, a)
+                assert (self.l(a, b) * self.l(b, a)) == one
+
+
+def alpha_form(w: Nanoword) -> AlphaForm:
+    """The (letters, n_w, lk_w) form with lk(D,E) = (DoE)(EoD)^{-1}.
+
+    DoE multiplies |F| over letters F with exactly one occurrence inside
+    D's span and whose second occurrence lies inside E's span.  One pass over
+    the letters F builds DoE for every ordered pair: F multiplies |F| into
+    each pair (D, E) whose spans hold its first and its second occurrence.
+    """
+    al, letters = w.alphabet, w.letters
+    one = PiElement.identity(al)
+    circ: dict = {}
+    for f in letters:
+        i_f, j_f = w.occurrences(f)
+        gen = PiElement.generator(al, w.proj[f])
+        outer = [d for d in letters if w.occurrences(d)[0] < i_f < w.occurrences(d)[1]]
+        for e in letters:
+            if w.occurrences(e)[0] < j_f < w.occurrences(e)[1]:
+                for d in outer:
+                    circ[d, e] = circ.get((d, e), one) * gen
+    lk = {(d, e): circ.get((d, e), one) * circ.get((e, d), one).inverse()
+          for d in letters for e in letters}
+    return AlphaForm(al, letters, w.proj, interlacement(w), lk)
+
+
+def to_pairing(f: AlphaForm) -> AlphaPairing:
+    """b(A,s) = prod_C |C|^{n(A,C)};  b(A,B) = l(A,B)^2 |A|^{n} |B|^{n}."""
+    al = f.alphabet
+    b = {}
+    for a, col in _classes_of(al, f.letters, f.proj, f._n).items():
+        b[(a, AlphaPairing.S)] = col
+        b[(AlphaPairing.S, a)] = col.inverse()
+    for a in f.letters:
+        for c in f.letters:
+            if a == c:
+                continue
+            e = f.n(a, c)
+            val = (f.l(a, c) ** 2) \
+                * (PiElement.generator(al, f.proj[a]) ** e) \
+                * (PiElement.generator(al, f.proj[c]) ** e)
+            b[(a, c)] = val
+    return AlphaPairing(al, f.letters, f.proj, b)
+
+
+def form_move(f: AlphaForm, kind: str, letters: tuple) -> AlphaForm:
+    """Apply move (i)*, (ii)* or (iii)*; raises unless side conditions hold."""
+    al = f.alphabet
+    one = PiElement.identity(al)
+    if kind == "i*":
+        (a,) = letters
+        if any(f.n(a, c) for c in f.letters) or any(f.l(a, c) != one for c in f.letters):
+            raise PreconditionViolated("i*: letter is not isolated (n = 0, l = 1 required)")
+        keep = [x for x in f.letters if x != a]
+        return _restrict_form(f, keep)
+    if kind == "ii*":
+        a, b = letters
+        if f.proj[a] != al.tau(f.proj[b]):
+            raise PreconditionViolated("ii*: |A| = tau(|B|) fails")
+        for c in f.letters:
+            if f.n(a, c) != f.n(b, c):
+                raise PreconditionViolated(f"ii*: n(A,{c}) != n(B,{c})")
+            expected = f.l(b, c) * (PiElement.generator(al, f.proj[b]) ** f.n(b, c))
+            if f.l(a, c) != expected:
+                raise PreconditionViolated(f"ii*: l(A,{c}) != l(B,{c}) |B|^n(B,{c})")
+        keep = [x for x in f.letters if x not in (a, b)]
+        return _restrict_form(f, keep)
+    if kind == "iii*":
+        a, b, c = letters
+        if not (f.proj[a] == f.proj[b] == f.proj[c]):
+            raise PreconditionViolated("iii*: |A| = |B| = |C| fails")
+        if not (f.n(a, b) == 1 and f.n(b, c) == 1 and f.n(a, c) == 0):
+            raise PreconditionViolated("iii*: need n(A,B) = n(B,C) = 1, n(A,C) = 0")
+        n2 = dict(f._n)
+        l2 = dict(f._l)
+        va = PiElement.generator(al, f.proj[a])
+
+        def set_pair(x, y, nval, lval):
+            n2[(x, y)], n2[(y, x)] = nval, -nval
+            l2[(x, y)], l2[(y, x)] = lval, lval.inverse()
+
+        set_pair(a, b, 0, f.l(a, b) * va)
+        set_pair(a, c, 1, f.l(a, c) * va.inverse())
+        set_pair(b, c, 0, f.l(b, c) * va)
+        return AlphaForm(al, f.letters, f.proj, n2, l2)
+    raise ValueError(f"unknown form move {kind!r}")
+
+
+def _restrict_form(f: AlphaForm, keep) -> AlphaForm:
+    keep = tuple(keep)
+    ks = set(keep)
+    return AlphaForm(f.alphabet, keep, {x: f.proj[x] for x in keep},
+                     {k: v for k, v in f._n.items() if set(k) <= ks},
+                     {k: v for k, v in f._l.items() if set(k) <= ks})

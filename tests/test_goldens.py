@@ -7,6 +7,7 @@ rings.  Certificates depend on the search's expansion order, so pinning them
 pins that order.
 """
 
+import hashlib
 import re
 import runpy
 import sys
@@ -18,7 +19,7 @@ from nanowords.cli import main
 from nanowords.fingerprint import Fingerprint, compute_fingerprint
 from nanowords.records import parse_record
 
-from conftest import GOLDENS, golden_sections
+from conftest import ALPHABETS, GOLDENS, golden_sections, short_nanowords
 
 SCRIPT = Path(__file__).parents[1] / "scripts" / "worked_contractions.py"
 
@@ -76,6 +77,33 @@ def test_fingerprint_keys_are_pinned():
                                            .nanoword()).key()) + "\n"
                   for alphabet, body in WORDS)
     assert got == (GOLDENS / "fingerprint_keys.txt").read_text()
+
+
+# the sha256 of the sorted lines "alphabet, word key, fingerprint key" over
+# every nanoword of at most 3 letters over {a,b}, {a,A} and {a,A,c}
+SHORT_WORD_KEYS_SHA256 = "1ae419c0b14ef750f874d1c06a3aa2188fbd5cece2d237ff37b8ca223cdc50d1"
+
+
+def _short_word_keys() -> dict[str, str]:
+    """``alphabet, word key`` -> fingerprint key, over the 706 short words."""
+    return {f"{' '.join(al.letters)}, {w.key()!r}": repr(compute_fingerprint(w).key())
+            for al in (ALPHABETS[0], ALPHABETS[1], ALPHABETS[3])
+            for w in short_nanowords(al, 3)}
+
+
+def test_short_word_keys_are_pinned():
+    # short_word_keys.txt holds a 16-digit digest of each word's fingerprint
+    # key, so that a failure names the first word whose key changed
+    keys = _short_word_keys()
+    lines = sorted(f"{word}, {key}" for word, key in keys.items())
+    if hashlib.sha256("\n".join(lines).encode()).hexdigest() == SHORT_WORD_KEYS_SHA256:
+        return
+    pinned = dict(line.rsplit(", ", 1)
+                  for line in (GOLDENS / "short_word_keys.txt").read_text().splitlines())
+    for word in sorted(keys):
+        if hashlib.sha256(keys[word].encode()).hexdigest()[:16] != pinned.get(word):
+            pytest.fail(f"the fingerprint key of {word} changed: {keys[word]}")
+    pytest.fail("the short-word keys changed")
 
 
 def test_classify_table_is_pinned(tmp_path, capsys):

@@ -12,7 +12,8 @@ from nanowords import (Alphabet, HomotopyData, Move, Nanoword, apply_move,
                        search_contractible, search_homotopic, successor_keys,
                        verify_certificate)
 from nanowords import moves
-from nanowords.errors import BudgetInvalid, PreconditionViolated, UnknownSymbol
+from nanowords.errors import (AlphabetMismatch, BudgetInvalid, PreconditionViolated,
+                              UnknownSymbol)
 from nanowords.fingerprint import Fingerprint
 from nanowords.moves import (PAIR_KINDS, TRIPLE_KINDS, Certificate,
                              certificate_from_states, invert_move, parse_move)
@@ -355,6 +356,26 @@ def test_searches_check_inputs_before_expanding(al_id2, monkeypatch):
                    lambda: norm_upper_bound(aa, data, 0)):
         with pytest.raises(BudgetInvalid):
             search()
+
+
+def test_searches_and_moves_reject_a_word_over_another_alphabet(al_id2):
+    """ABAB[a,b] over two fixed points and over a<->b are different words: a
+    search must not join them, nor search one with the other's data."""
+    swapped = Alphabet(["a", "b"], {"a": "b", "b": "a"})
+    fixed = nanoword_from_pattern(al_id2, "ABAB", {"A": "a", "B": "b"})
+    free = nanoword_from_pattern(swapped, "ABAB", {"A": "a", "B": "b"})
+    data = HomotopyData(al_id2)
+    for call in (lambda: search_homotopic(fixed, free, data, None, 1000),
+                 lambda: search_homotopic(free, fixed, data, None, 1000),
+                 lambda: search_contractible(free, data, None, 1000),
+                 lambda: norm_upper_bound(free, data, 1000),
+                 lambda: apply_move(free, Move("L32", "-", (0, 2), ("a",)), data),
+                 lambda: apply_move(free, Move("M1", "+", (0,), ("a",)), data)):
+        with pytest.raises(AlphabetMismatch):
+            call()
+    # over its own alphabet's data the word contracts in one L32 move
+    cert = search_contractible(free, HomotopyData(swapped), None, 1000)
+    assert [m.format() for m in cert.moves] == ["L32- @pos=(1,3)"]
 
 
 def test_contract_interlaced_square(al_free1):

@@ -5,18 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nanowords import (Alphabet, PiElement, compress, desingularize, from_word,
-                       inverse, linking_form, linking_pairing,
+from nanowords import (Alphabet, PiElement, compress, desingularize, empty_nanoword,
+                       from_word, inverse, linking_form, linking_pairing,
                        nanoword_from_pattern, opposite, pairing_u, product,
-                       rho, rho_ax, self_link_function, to_pairing)
+                       rho, rho_ax, self_link_function)
 from nanowords.errors import PreconditionViolated
-from nanowords.pairings import (AlphaPairing, BASEPOINT, canonical_pairing_key,
-                                form_move, trivial_pairing)
+from nanowords.interlacement import interlacement
+from nanowords.pairings import AlphaPairing, BASEPOINT, canonical_pairing_key
 from nanowords.groups import parse_pi
 from nanowords.moves import HomotopyData, apply_move, Move, enumerate_moves
 
 from conftest import ALPHABETS, nanowords_strategy, random_nanoword
-from oracles import pairings_isomorphic
+from oracles import alpha_form, form_move, pairings_isomorphic, to_pairing
 
 
 def _parse_matrix(p, elems):
@@ -26,14 +26,28 @@ def _parse_matrix(p, elems):
 def test_linking_form_abacbc():
     al = Alphabet(["a", "b"])
     w = nanoword_from_pattern(al, "ABACBC", {"A": "a", "B": "b", "C": "a"})
-    f = linking_form(w)
+    lk = linking_form(w)
     one = PiElement.identity(al)
     b = parse_pi(al, "b")
-    assert f.l("A", "C") == b and f.l("C", "A") == b.inverse()
+    assert lk[("A", "C")] == b and lk[("C", "A")] == b.inverse()
     for x, y in itertools.product("ABC", repeat=2):
         if {x, y} != {"A", "C"}:
-            assert f.l(x, y) == one
-    f.check_skew()
+            assert lk.get((x, y), one) == one
+    alpha_form(w).check_skew()
+
+
+def test_linking_form_and_pairing_equal_the_alpha_form_route():
+    """The sparse lk table and the one-pass pairing against the dense
+    alpha-form route of the oracles, over every test alphabet."""
+    rng = random.Random(36)
+    for al in ALPHABETS:
+        for _ in range(30):
+            w = random_nanoword(al, rng.randrange(0, 9), rng)
+            f = alpha_form(w)
+            lk = linking_form(w)
+            assert lk == {k: v for k, v in f._l.items() if not v.is_identity()}
+            assert all(lk[e, d] == v.inverse() for (d, e), v in lk.items())
+            assert linking_pairing(w)._b == to_pairing(f)._b
 
 
 def test_linking_form_case_formulas():
@@ -42,7 +56,8 @@ def test_linking_form_case_formulas():
     for al in ALPHABETS:
         for _ in range(25):
             w = random_nanoword(al, rng.randrange(2, 5), rng)
-            f = linking_form(w)
+            lk = linking_form(w)
+            one = PiElement.identity(al)
             occ = {x: w.occurrences(x) for x in w.letters}
 
             def pieces(cond):
@@ -56,14 +71,14 @@ def test_linking_form_case_formulas():
                 i_d, j_d = occ[d]
                 i_e, j_e = occ[e]
                 if j_d < i_e:  # D D E E
-                    assert f.l(d, e) == pieces(
+                    assert lk.get((d, e), one) == pieces(
                         lambda i, j: i_d < i < j_d and i_e < j < j_e)
                 elif i_d < i_e and j_e < j_d:  # D E E D
                     pos = pieces(lambda i, j: i_d < i < i_e < j < j_e)
                     neg = pieces(lambda i, j: i_e < i < j_e < j < j_d)
-                    assert f.l(d, e) == pos * neg.inverse()
+                    assert lk.get((d, e), one) == pos * neg.inverse()
                 elif i_d < i_e < j_d < j_e:  # D E D E
-                    assert f.l(d, e) == pieces(
+                    assert lk.get((d, e), one) == pieces(
                         lambda i, j: (i_d < i < i_e < j < j_d)
                         or (i_e < i < j_d < j < j_e)
                         or (i_d < i < i_e and j_d < j < j_e))
@@ -160,15 +175,16 @@ def test_pairing_matrices_of_length5_desingularizations():
     ], al)
 
     # the abaab linking form matrices, rows/cols A1, A2, A3, B
-    f = linking_form(w)
+    n, lk = interlacement(w), linking_form(w)
+    one = PiElement.identity(al)
     n_expected = [[0, -1, 0, 0], [1, 0, -1, 1], [0, 1, 0, 1], [0, -1, -1, 0]]
     lk_expected = [["1", "1", "a^-1", "1"], ["1", "1", "1", "a"],
                    ["a", "1", "1", "a"], ["1", "a^-1", "a^-1", "1"]]
     order = (a1, a2, a3, bb)
     for i, x in enumerate(order):
         for j, y in enumerate(order):
-            assert f.n(x, y) == n_expected[i][j]
-            assert f.l(x, y) == parse_pi(al, lk_expected[i][j])
+            assert n.get((x, y), 0) == n_expected[i][j]
+            assert lk.get((x, y), one) == parse_pi(al, lk_expected[i][j])
 
 
 def test_pairing_classifies_length_four():
@@ -376,11 +392,11 @@ def test_form_moves():
         for move, nxt in enumerate_moves(w, data, insert_values=(), use_macros=False):
             if move.kind != "M3" or move.sign != "-":
                 continue
-            f = linking_form(w)
+            f = alpha_form(w)
             p, q, r = move.positions
             a, b, c = w.word[p], w.word[p + 1], w.word[q + 1]
             moved = form_move(f, "iii*", (a, b, c))
-            target = linking_form(apply_move(w, move, data))
+            target = alpha_form(apply_move(w, move, data))
             for x in w.letters:
                 for y in w.letters:
                     assert moved.n(x, y) == target.n(x, y)
@@ -388,16 +404,16 @@ def test_form_moves():
 
     # (i)* requires an isolated letter
     w = nanoword_from_pattern(al, "AABB", {"A": "a", "B": "b"})
-    f = linking_form(w)
+    f = alpha_form(w)
     f2 = form_move(f, "i*", ("A",))
     assert f2.letters == ("B",)
     with pytest.raises(PreconditionViolated):
-        form_move(linking_form(nanoword_from_pattern(
+        form_move(alpha_form(nanoword_from_pattern(
             al, "ABAB", {"A": "a", "B": "b"})), "i*", ("A",))
 
     # (ii)* deletion mirrors twin deletion after to_pairing
     w3 = nanoword_from_pattern(al, "ABBA", {"A": "a", "B": "a"})
-    f3 = linking_form(w3)
+    f3 = alpha_form(w3)
     moved = form_move(f3, "ii*", ("A", "B"))
     assert moved.letters == ()
     p3 = to_pairing(f3)
@@ -428,9 +444,10 @@ def test_form_operations_multiplicativity():
 
 
 def test_trivial_pairing(al_id2):
-    assert to_pairing(linking_form(
-        nanoword_from_pattern(al_id2, "", {}))).letters == ()
-    assert rho(trivial_pairing(al_id2)) == 0
+    # the pairing of the empty nanoword is the trivial pairing
+    p = linking_pairing(empty_nanoword(al_id2))
+    assert p.letters == ()
+    assert rho(p) == 0
 
 
 def test_primitive_pairing_pins_the_norm():
