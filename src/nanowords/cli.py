@@ -19,11 +19,13 @@ from .interlacement import covering, letter_classes
 from .keis import char_sequence, format_charseq
 from .lambdainv import lambda_invariant, lambda_split, psi_expand
 from .matrices import ColoringSpec, count_colorings, nabla
-from .moves import (Certificate, HomotopyData, norm_upper_bound, parse_move,
+from .moves import (Certificate, HomotopyData, _check_budget, norm_upper_bound, parse_move,
                     search_contractible, search_homotopic, verify_certificate)
 from .records import parse_file, read_text
 from .selflinking import norm_lower_bound
 from .words import empty_nanoword, format_nanoword
+
+SHORT_SEARCH_STATES = 1000  # homotopic's first search costs less than the fields past gamma
 
 
 class _Out:
@@ -99,18 +101,28 @@ def cmd_contract(args, out: _Out) -> int:
 
 
 def cmd_homotopic(args, out: _Out) -> int:
+    """Cheapest proof first: gamma, a short search, the fields, the full search.
+    A search's budget decides only when it stops, so the short one finds the
+    full one's certificate or none: the verdict is that of the fields first."""
     rec1, w1 = _load_nanoword(args.input1)
     rec2, w2 = _load_nanoword(args.input2)
     if rec1.alphabet != rec2.alphabet:
         raise NanowordError("the two records use different alphabets")
-    # computes fields only up to the first that separates
-    diff = Fingerprint(w1).first_difference(Fingerprint(w2))
+    data = HomotopyData(rec1.alphabet)
+    max_length = max(len(w1), len(w2)) + 4 if args.max_length is None else args.max_length
+    _check_budget(data, args.max_states, max_length, (w1, w2), None)
+    fp1, fp2 = Fingerprint(w1), Fingerprint(w2)
+    short = min(SHORT_SEARCH_STATES, args.max_states)
+    cert = None
+    if fp1.field("gamma")[1] == fp2.field("gamma")[1]:
+        cert = search_homotopic(w1, w2, data, max_length, short)
+    diff = None if cert is not None else fp1.first_difference(fp2)
+    if diff is None and cert is None and short < args.max_states:
+        cert = search_homotopic(w1, w2, data, max_length, args.max_states)
     if diff is not None:
         out.emit({"verdict": "NON-HOMOTOPIC", "separated_by": diff},
                  [f"NON-HOMOTOPIC (separated by {diff})"])
         return 0
-    data = HomotopyData(rec1.alphabet)
-    cert = search_homotopic(w1, w2, data, args.max_length, args.max_states)
     if cert is None:
         out.emit({"verdict": "UNKNOWN"}, ["UNKNOWN (equal fingerprints, no certificate)"])
         return 2

@@ -389,8 +389,11 @@ def verify_certificate(cert: Certificate, data: HomotopyData) -> bool:
     """Whether the moves of ``cert``, replayed from its start, end at its end.
 
     A move that does not apply raises PreconditionViolated carrying the
-    move's index in ``cert.moves``.
+    move's index in ``cert.moves``; a start or end over another alphabet
+    than ``data``'s raises AlphabetMismatch.
     """
+    _check_alphabet(cert.start, data)
+    _check_alphabet(cert.end, data)
     cur = cert.start.canonical()
     try:
         for index, move in enumerate(cert.moves):

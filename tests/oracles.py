@@ -6,16 +6,20 @@ fast one: lambda by forward substitution in the relation rows, coloring
 counts by enumeration, pairing isomorphism by bijection search, the
 skew-symmetry predicate on self-linking sections, and the alpha-form route
 to the linking pairing (a dense lk table and b built with group products),
-with its moves (i)*, (ii)* and (iii)*.
+with its moves (i)*, (ii)* and (iii)*, and the homotopy decision that
+compares every field before it searches.
 """
 
 from __future__ import annotations
 
-from nanowords.errors import PreconditionViolated
+from nanowords.cli import _load_nanoword
+from nanowords.errors import NanowordError, PreconditionViolated
+from nanowords.fingerprint import Fingerprint
 from nanowords.groups import GroupRingElement, PiElement, PsiElement, psi_abelianize
 from nanowords.interlacement import _classes_of, interlacement
 from nanowords.lambdainv import iota
 from nanowords.matrices import ColoringSpec, _coloring_matrix, weighted_matrix
+from nanowords.moves import HomotopyData, search_homotopic
 from nanowords.pairings import AlphaPairing
 from nanowords.selflinking import SelfLinkSection
 from nanowords.words import Alphabet, Nanoword
@@ -274,3 +278,33 @@ def _restrict_form(f: AlphaForm, keep) -> AlphaForm:
     return AlphaForm(f.alphabet, keep, {x: f.proj[x] for x in keep},
                      {k: v for k, v in f._n.items() if set(k) <= ks},
                      {k: v for k, v in f._l.items() if set(k) <= ks})
+
+
+# ---------------------------------------------------------------------------
+# The homotopy decision, fingerprint first
+
+
+def cmd_homotopic_fingerprint_first(args, out) -> int:
+    """``nanowords homotopic`` deciding in its first order: every field up to
+    the first that separates, then one search at the full budget.  Patched
+    over ``nanowords.cli.cmd_homotopic``, ``main`` runs it."""
+    rec1, w1 = _load_nanoword(args.input1)
+    rec2, w2 = _load_nanoword(args.input2)
+    if rec1.alphabet != rec2.alphabet:
+        raise NanowordError("the two records use different alphabets")
+    diff = Fingerprint(w1).first_difference(Fingerprint(w2))
+    if diff is not None:
+        out.emit({"verdict": "NON-HOMOTOPIC", "separated_by": diff},
+                 [f"NON-HOMOTOPIC (separated by {diff})"])
+        return 0
+    data = HomotopyData(rec1.alphabet)
+    cert = search_homotopic(w1, w2, data, args.max_length, args.max_states)
+    if cert is None:
+        out.emit({"verdict": "UNKNOWN"}, ["UNKNOWN (equal fingerprints, no certificate)"])
+        return 2
+    if args.cert:
+        with open(args.cert, "w", encoding="utf-8") as fh:
+            fh.write(cert.format())
+    out.emit({"verdict": "HOMOTOPIC", "moves": [m.format() for m in cert.moves]},
+             ["HOMOTOPIC", *[m.format() for m in cert.moves]])
+    return 0

@@ -1,13 +1,20 @@
+import itertools
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nanowords.cli import build_parser, main
+from nanowords import Alphabet, HomotopyData, enumerate_moves
+from nanowords import cli
+from nanowords.cli import SHORT_SEARCH_STATES, build_parser, main
 from nanowords.errors import ParseError
 from nanowords.moves import PAIR_KINDS, TRIPLE_KINDS, parse_move
 from nanowords.records import parse_file, parse_record
+
+from conftest import ALPHABETS, random_nanoword
+from oracles import cmd_homotopic_fingerprint_first
 
 ABAB_FREE = """\
 alphabet: a A b B
@@ -28,6 +35,13 @@ alphabet: a b
 involution: a<->a b<->b
 word: A A B B
 proj: A=a B=b
+"""
+
+ABAB_M1 = """\
+alphabet: a b
+involution: a<->a b<->b
+word: A B C C A B
+proj: A=a B=b C=b
 """
 
 PLAIN = """\
@@ -156,12 +170,16 @@ def test_cli_contract_with_no_insert_letters(tmp_path, capsys):
     (["homotopic", "{aa}", "{aa}", "--max-length", "0"], "max_length below the input length"),
     (["classify", "nanowords4", "{aa}", "--max-length", "0"],
      "max_length below the input length"),
+    # gamma separates ABAB from AABB, and the budget is still checked first
+    (["homotopic", "{abab}", "{aabb}", "--max-length", "0"], "max_length below the input length"),
+    (["homotopic", "{abab}", "{aabb}", "--max-states", "0"], "max_states must be positive"),
 ])
 def test_cli_search_rejects_bad_inputs(tmp_path, capsys, argv, message):
     """Bad insert letters and budgets, an explicit 0 included, fail before the
     search, whether or not it would need insertions."""
     paths = {"aa": _write(tmp_path, "aa.rec", "alphabet: a b\nword: A A\nproj: A=a\n"),
-             "abab": _write(tmp_path, "abab.rec", ABAB_ID)}
+             "abab": _write(tmp_path, "abab.rec", ABAB_ID),
+             "aabb": _write(tmp_path, "aabb.rec", AABB_ID)}
     assert main([arg.format(**paths) for arg in argv]) == 1
     err = capsys.readouterr().err
     assert err == f"error: {message}\n"
@@ -174,15 +192,102 @@ def test_cli_homotopic_non_homotopic(tmp_path, capsys):
     assert "NON-HOMOTOPIC" in capsys.readouterr().out
 
 
-def test_cli_homotopic_stops_at_the_first_separating_field(tmp_path, capsys, monkeypatch):
+def _forbid_fields_past_gamma(monkeypatch):
     def unreachable(*args):
         raise AssertionError("a field past gamma was computed")
-    for name in ("nabla", "lambda_invariant", "count_colorings"):
+    for name in ("_mu_of", "self_link_function", "linking_pairing", "count_colorings",
+                 "nabla", "lambda_invariant", "char_sequence"):
         monkeypatch.setattr(f"nanowords.fingerprint.{name}", unreachable)
+
+
+def test_cli_homotopic_stops_at_the_first_separating_field(tmp_path, capsys, monkeypatch):
+    _forbid_fields_past_gamma(monkeypatch)
     p1 = _write(tmp_path, "w1.rec", ABAB_ID)
     p2 = _write(tmp_path, "w2.rec", AABB_ID)
     assert main(["homotopic", p1, p2]) == 0
     assert capsys.readouterr().out == "NON-HOMOTOPIC (separated by gamma)\n"
+
+
+def test_cli_homotopic_joined_by_the_short_search_computes_no_field_past_gamma(
+        tmp_path, capsys, monkeypatch):
+    _forbid_fields_past_gamma(monkeypatch)
+    p1 = _write(tmp_path, "w1.rec", ABAB_ID)
+    p2 = _write(tmp_path, "w2.rec", ABAB_M1)
+    assert main(["homotopic", p1, p2]) == 0
+    assert capsys.readouterr().out == "HOMOTOPIC\nM1+ @pos=3 insert=(b)\n"
+
+
+@pytest.mark.parametrize("states", [300, SHORT_SEARCH_STATES, 3000, None])
+def test_cli_homotopic_searches_again_only_past_the_short_budget(tmp_path, capsys, monkeypatch,
+                                                                 states):
+    """The Gauss word 1213 2434 and the empty word agree on every field and
+    no search within 14 letters joins them: the full search runs after the
+    short one only when --max-states exceeds the short budget."""
+    budgets = []
+    search = cli.search_homotopic
+
+    def spy(w1, w2, data, max_length, max_states):
+        budgets.append(max_states)
+        return search(w1, w2, data, max_length, max_states)
+
+    monkeypatch.setattr(cli, "search_homotopic", spy)
+    g = _write(tmp_path, "g.rec", "alphabet: c\nword: 1 2 1 3 2 4 3 4\nproj: 1=c 2=c 3=c 4=c\n")
+    e = _write(tmp_path, "e.rec", "alphabet: c\nword:\nproj:\n")
+    argv = ["homotopic", g, e, "--max-length", "14"]
+    full = 200000 if states is None else states
+    assert main(argv + ([] if states is None else ["--max-states", str(states)])) == 2
+    assert capsys.readouterr().out == "UNKNOWN (equal fingerprints, no certificate)\n"
+    assert budgets == sorted({min(SHORT_SEARCH_STATES, full), full})
+
+
+# {a,A,c}, {a,A,b,B}, {a,b}, a<->b and {c}
+SWEEP_ALPHABETS = [ALPHABETS[3], ALPHABETS[2], ALPHABETS[0],
+                   Alphabet(["a", "b"], {"a": "b", "b": "a"}), Alphabet(["c"])]
+
+
+def _record_of(w) -> str:
+    al = w.alphabet
+    return (f"alphabet: {' '.join(al.letters)}\n"
+            f"involution: {' '.join(f'{a}<->{al.tau(a)}' for a in al.letters)}\n"
+            f"word: {' '.join(w.word)}\n"
+            f"proj: {' '.join(f'{x}={w.proj[x]}' for x in w.letters)}\n")
+
+
+def _perturbed(w, rng):
+    """``w`` after one or two random moves within 4 letters."""
+    data = HomotopyData(w.alphabet)
+    for _ in range(rng.randint(1, 2)):
+        options = enumerate_moves(w, data, insert_values=(rng.choice(w.alphabet.letters),),
+                                  max_length=8, use_macros=True)
+        if options:
+            w = rng.choice(options)[1]
+    return w
+
+
+def test_cli_homotopic_equals_the_fingerprint_first_oracle(tmp_path, capsys, monkeypatch):
+    """On 300 seeded pairs of 0-4 letters, perturbed and independent, at the
+    default budget and at --max-states 300 (below the short search's), the
+    exit code and the output, text and json-lines, equal those of the
+    decision that compares every field before it searches."""
+    rng = random.Random(37)
+    decisions = (cli.cmd_homotopic, cmd_homotopic_fingerprint_first)
+    verdicts = set()
+    cases = itertools.product(range(15), SWEEP_ALPHABETS, (False, True),
+                              ([], ["--max-states", "300"]))
+    for _, al, independent, budget in cases:
+        w1 = random_nanoword(al, rng.randint(0, 4), rng)
+        w2 = random_nanoword(al, rng.randint(0, 4), rng) if independent else _perturbed(w1, rng)
+        p1 = _write(tmp_path, "w1.rec", _record_of(w1))
+        p2 = _write(tmp_path, "w2.rec", _record_of(w2))
+        for fmt in ("text", "json-lines"):
+            runs = []
+            for decide in decisions:
+                monkeypatch.setattr(cli, "cmd_homotopic", decide)
+                code = main(["--format", fmt, "homotopic", p1, p2, *budget])
+                runs.append((code, capsys.readouterr().out))
+            assert runs[0] == runs[1], (fmt, budget, _record_of(w1), _record_of(w2))
+        verdicts.add(json.loads(runs[0][1])["verdict"])
+    assert verdicts == {"HOMOTOPIC", "NON-HOMOTOPIC", "UNKNOWN"}
 
 
 def test_cli_homotopic_certificate(tmp_path, capsys):
@@ -210,6 +315,18 @@ def test_cli_missing_certificate_is_clean_error(tmp_path, capsys):
     p1 = _write(tmp_path, "w.rec", ABAB_ID)
     assert main(["verify-cert", p1, str(tmp_path / "nope.cert")]) == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_cli_verify_cert_rejects_a_target_over_another_alphabet(tmp_path, capsys):
+    start = _write(tmp_path, "w.rec", ABAB_ID)
+    target = _write(tmp_path, "t.rec", "alphabet: a b\ninvolution: a<->b\n"
+                                       "word: A B A B\nproj: A=a B=b\n")
+    cert = _write(tmp_path, "c.cert", "# no moves\n")
+    assert main(["verify-cert", start, cert, "--target", target]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: nanoword over Alphabet(a b; a<->b; alpha0=a), homotopy data "
+                            "over Alphabet(a b; a<->a b<->b; alpha0=a b)\n")
 
 
 def test_cli_covering(tmp_path, capsys):

@@ -378,6 +378,20 @@ def test_searches_and_moves_reject_a_word_over_another_alphabet(al_id2):
     assert [m.format() for m in cert.moves] == ["L32- @pos=(1,3)"]
 
 
+def test_verify_certificate_rejects_a_word_over_another_alphabet(al_id2):
+    """A certificate over a<->b replayed with the data of the fixed {a,b}
+    is an AlphabetMismatch, empty or not, and so is an end over another
+    alphabet than the start's."""
+    swapped = Alphabet(["a", "b"], {"a": "b", "b": "a"})
+    free = nanoword_from_pattern(swapped, "ABAB", {"A": "a", "B": "b"})
+    fixed = nanoword_from_pattern(al_id2, "ABAB", {"A": "a", "B": "b"})
+    contraction = search_contractible(free, HomotopyData(swapped), None, 1000)
+    assert verify_certificate(contraction, HomotopyData(swapped))
+    for cert in (Certificate(free, free, ()), contraction, Certificate(fixed, free, ())):
+        with pytest.raises(AlphabetMismatch):
+            verify_certificate(cert, HomotopyData(al_id2))
+
+
 def test_contract_interlaced_square(al_free1):
     # ABAB with |B| = tau(|A|) contracts (needs the derived macro or inserts)
     data = HomotopyData(al_free1)
@@ -586,6 +600,28 @@ def test_traced_moves_round_trip(monkeypatch):
         assert type(m) is Move
         inserts = m.sign == "+" and m.kind in PAIR_KINDS
         assert parse_move(m.format()) == (m if inserts else Move(m.kind, m.sign, m.positions))
+
+
+def test_a_short_homotopic_search_finds_the_full_searchs_certificate_or_none():
+    """The search is deterministic and its budget decides only when it
+    stops: at 1,000 states it returns the certificate that it returns at
+    200,000, or None.  The pairs are words of 0-4 letters and their images
+    under one to three random moves."""
+    rng = random.Random(37)
+    outcomes = set()
+    for i in range(80):
+        al = ALPHABETS[i % len(ALPHABETS)]
+        data = HomotopyData(al)
+        w1 = w2 = random_nanoword(al, rng.randint(0, 4), rng)
+        for _ in range(rng.randint(1, 3)):
+            options = enumerate_moves(w2, data, insert_values=(rng.choice(al.letters),),
+                                      use_macros=True)
+            w2 = rng.choice(options)[1]
+        short = search_homotopic(w1, w2, data, None, 1000)
+        full = search_homotopic(w1, w2, data, None, 200000)
+        assert short is None or short.moves == full.moves
+        outcomes.add(short is None)
+    assert outcomes == {False, True}
 
 
 def test_isomorphic_inputs_give_empty_certificate(al_id2):
