@@ -19,7 +19,7 @@ from .interlacement import covering, letter_classes
 from .keis import char_sequence, format_charseq
 from .lambdainv import lambda_invariant, lambda_split, psi_expand
 from .matrices import ColoringSpec, count_colorings, nabla
-from .moves import (Certificate, HomotopyData, _check_budget, norm_upper_bound, parse_move,
+from .moves import (Certificate, HomotopyData, homotopic_budget, norm_upper_bound, parse_move,
                     search_contractible, search_homotopic, verify_certificate)
 from .records import parse_file, read_text
 from .selflinking import norm_lower_bound
@@ -101,21 +101,18 @@ def cmd_contract(args, out: _Out) -> int:
 
 
 def cmd_homotopic(args, out: _Out) -> int:
-    """Cheapest proof first: gamma, a short search, the fields, the full search.
-    A search's budget decides only when it stops, so the short one finds the
-    full one's certificate or none: the verdict is that of the fields first."""
+    """Cheapest proof first: gamma, a short search, the fields, the full search. A budget
+    decides only when a search stops, so the verdict is that of the fields first."""
     rec1, w1 = _load_nanoword(args.input1)
     rec2, w2 = _load_nanoword(args.input2)
     if rec1.alphabet != rec2.alphabet:
         raise NanowordError("the two records use different alphabets")
     data = HomotopyData(rec1.alphabet)
-    max_length = max(len(w1), len(w2)) + 4 if args.max_length is None else args.max_length
-    _check_budget(data, args.max_states, max_length, (w1, w2), None)
+    max_length = homotopic_budget(w1, w2, data, args.max_length, args.max_states)
     fp1, fp2 = Fingerprint(w1), Fingerprint(w2)
     short = min(SHORT_SEARCH_STATES, args.max_states)
-    cert = None
-    if fp1.field("gamma")[1] == fp2.field("gamma")[1]:
-        cert = search_homotopic(w1, w2, data, max_length, short)
+    gamma_agrees = fp1.field("gamma")[1] == fp2.field("gamma")[1]
+    cert = search_homotopic(w1, w2, data, max_length, short) if gamma_agrees else None
     diff = None if cert is not None else fp1.first_difference(fp2)
     if diff is None and cert is None and short < args.max_states:
         cert = search_homotopic(w1, w2, data, max_length, args.max_states)

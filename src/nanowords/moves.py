@@ -388,9 +388,8 @@ class Certificate:
 def verify_certificate(cert: Certificate, data: HomotopyData) -> bool:
     """Whether the moves of ``cert``, replayed from its start, end at its end.
 
-    A move that does not apply raises PreconditionViolated carrying the
-    move's index in ``cert.moves``; a start or end over another alphabet
-    than ``data``'s raises AlphabetMismatch.
+    A move that does not apply raises PreconditionViolated carrying its index
+    in ``cert.moves``; a start or end over another alphabet, AlphabetMismatch.
     """
     _check_alphabet(cert.start, data)
     _check_alphabet(cert.end, data)
@@ -506,8 +505,7 @@ def search_contractible(w: Nanoword, data: HomotopyData, max_length: int | None,
     rarely need insertions once the derived macros are available);
     insertions join in a second pass.
     """
-    if max_length is None:
-        max_length = len(w) + 8
+    max_length = len(w) + 8 if max_length is None else max_length
     _check_budget(data, max_states, max_length, (w,), insert_values)
     start = w.canonical()
     front = _descend(start.key(), data, max_length, min(max_states, 50000), (), use_macros)
@@ -517,6 +515,13 @@ def search_contractible(w: Nanoword, data: HomotopyData, max_length: int | None,
         return None
     return Certificate(start, Nanoword.from_key(start.alphabet, _EMPTY),
                        tuple(front.trace(_EMPTY)))
+
+
+def homotopic_budget(w1, w2, data, max_length, max_states, insert_values=None) -> int:
+    """The ``max_length`` search_homotopic uses, once its inputs pass its checks."""
+    max_length = max(len(w1), len(w2)) + 4 if max_length is None else max_length
+    _check_budget(data, max_states, max_length, (w1, w2), insert_values)
+    return max_length
 
 
 def search_homotopic(w1: Nanoword, w2: Nanoword, data: HomotopyData,
@@ -532,9 +537,7 @@ def search_homotopic(w1: Nanoword, w2: Nanoword, data: HomotopyData,
     restricted insert set the search goes on until both sides are exhausted.
     ``max_length`` None means max(len(w1), len(w2)) + 4.
     """
-    if max_length is None:
-        max_length = max(len(w1), len(w2)) + 4
-    _check_budget(data, max_states, max_length, (w1, w2), insert_values)
+    max_length = homotopic_budget(w1, w2, data, max_length, max_states, insert_values)
     s1, s2 = w1.canonical(), w2.canonical()
     if s1.key() == s2.key():
         return Certificate(s1, s2, ())
