@@ -7,7 +7,8 @@ Three families are enumerated and partitioned:
 * words5       -- multiplicity-one-free words of length <= 5 in the alphabet.
 
 For each family the predicted partition comes from the classification
-theorems.  ``classify`` checks each predicted class in item order, and the
+theorems.  ``classify`` checks each predicted class in item order, comparing
+keys lazily with ``Fingerprint.first_difference``, as ``homotopic`` does.  The
 first check that fails decides its row:
 
 1. all members share one fingerprint key, else DISAGREES;
@@ -28,7 +29,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import UnknownFamily
-from .fingerprint import compute_fingerprint
+from .fingerprint import Fingerprint
 from .moves import HomotopyData, search_contractible, search_homotopic
 from .words import Alphabet, Nanoword, desingularize, from_word, nanoword_from_pattern
 
@@ -183,11 +184,7 @@ def classify(kind: str, alphabet: Alphabet, max_length: int | None = None,
         raise UnknownFamily(f"unknown family {kind!r}; pick one of {sorted(FAMILIES)}")
     items = FAMILIES[kind](alphabet)
     data = HomotopyData(alphabet)
-
-    keys = {it.name: compute_fingerprint(it.nanoword).key() for it in items}
-    buckets: dict = {}
-    for it in items:
-        buckets.setdefault(keys[it.name], []).append(it)
+    fps = {it.name: Fingerprint(it.nanoword) for it in items}
     classes: dict = {}
     for it in items:
         classes.setdefault(it.predicted, []).append(it)
@@ -204,14 +201,15 @@ def classify(kind: str, alphabet: Alphabet, max_length: int | None = None,
     rows = []
     for label, members in classes.items():
         names = [it.name for it in members]
+        first = fps[names[0]]
         status, detail = "AGREES", ""
-        if len({keys[n] for n in names}) > 1:
+        if any(first.first_difference(fps[n]) is not None for n in names[1:]):
             status, detail = "DISAGREES", "fingerprints split a predicted class"
         elif not joined(label, members):
             status, detail = "UNKNOWN", "search budget exhausted"
         else:
-            shared = sorted(it.name for it in buckets[keys[names[0]]]
-                            if it.predicted != label)
+            shared = sorted(it.name for it in items if it.predicted != label
+                            and first.first_difference(fps[it.name]) is None)
             if shared:
                 status, detail = "UNKNOWN", f"fingerprint shared with {','.join(shared)}"
         rows.append(ClassRow(label, names, status, detail))

@@ -206,7 +206,8 @@ def cmd_classify(args, out: _Out) -> int:
                       max_length=args.max_length, max_states=args.max_states)
     lines = result.format()
     out.emit({"kind": args.family, "agrees": result.agrees,
-              "rows": [(str(r.label), r.status, sorted(r.members)) for r in result.rows]},
+              "rows": [(str(r.label), r.status, sorted(r.members), r.detail)
+                       for r in result.rows]},
              lines)
     if result.agrees:
         return 0

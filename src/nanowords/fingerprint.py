@@ -165,7 +165,7 @@ class Fingerprint:
 
 
 def compute_fingerprint(w: Nanoword, betas=None) -> Fingerprint:
-    """A fingerprint with every field computed (classify buckets on full keys)."""
+    """A fingerprint with every field computed."""
     fp = Fingerprint(w, betas)
     fp.key()
     return fp

@@ -6,20 +6,22 @@ fast one: lambda by forward substitution in the relation rows, coloring
 counts by enumeration, pairing isomorphism by bijection search, the
 skew-symmetry predicate on self-linking sections, and the alpha-form route
 to the linking pairing (a dense lk table and b built with group products),
-with its moves (i)*, (ii)* and (iii)*, and the homotopy decision that
-compares every field before it searches.
+with its moves (i)*, (ii)* and (iii)*, the homotopy decision that
+compares every field before it searches, and the classification that
+computes every item's full fingerprint key and buckets the items on it.
 """
 
 from __future__ import annotations
 
+from nanowords.classify import FAMILIES, ZERO, ClassificationResult, ClassRow
 from nanowords.cli import _load_nanoword
-from nanowords.errors import NanowordError, PreconditionViolated
-from nanowords.fingerprint import Fingerprint
+from nanowords.errors import NanowordError, PreconditionViolated, UnknownFamily
+from nanowords.fingerprint import Fingerprint, compute_fingerprint
 from nanowords.groups import GroupRingElement, PiElement, PsiElement, psi_abelianize
 from nanowords.interlacement import _classes_of, interlacement
 from nanowords.lambdainv import iota
 from nanowords.matrices import ColoringSpec, _coloring_matrix, weighted_matrix
-from nanowords.moves import HomotopyData, search_homotopic
+from nanowords.moves import HomotopyData, search_contractible, search_homotopic
 from nanowords.pairings import AlphaPairing
 from nanowords.selflinking import SelfLinkSection
 from nanowords.words import Alphabet, Nanoword
@@ -308,3 +310,51 @@ def cmd_homotopic_fingerprint_first(args, out) -> int:
     out.emit({"verdict": "HOMOTOPIC", "moves": [m.format() for m in cert.moves]},
              ["HOMOTOPIC", *[m.format() for m in cert.moves]])
     return 0
+
+
+# ---------------------------------------------------------------------------
+# Classification on full fingerprint keys
+
+
+def classify_by_full_keys(kind: str, alphabet: Alphabet, max_length: int | None = None,
+                          max_states: int = 100000) -> ClassificationResult:
+    """``classify`` with every field of every item computed up front: the
+    three checks compare full keys, and the items sharing a key are looked
+    up in one bucket per key."""
+    if kind not in FAMILIES:
+        raise UnknownFamily(f"unknown family {kind!r}; pick one of {sorted(FAMILIES)}")
+    items = FAMILIES[kind](alphabet)
+    data = HomotopyData(alphabet)
+
+    keys = {it.name: compute_fingerprint(it.nanoword).key() for it in items}
+    buckets: dict = {}
+    for it in items:
+        buckets.setdefault(keys[it.name], []).append(it)
+    classes: dict = {}
+    for it in items:
+        classes.setdefault(it.predicted, []).append(it)
+
+    def joined(label, members) -> bool:
+        # all() stops at the first failed search
+        if label == ZERO:
+            return all(search_contractible(it.nanoword, data, max_length, max_states)
+                       is not None for it in members)
+        return all(search_homotopic(one.nanoword, two.nanoword, data, max_length,
+                                    max_states) is not None
+                   for one, two in zip(members, members[1:]))
+
+    rows = []
+    for label, members in classes.items():
+        names = [it.name for it in members]
+        status, detail = "AGREES", ""
+        if len({keys[n] for n in names}) > 1:
+            status, detail = "DISAGREES", "fingerprints split a predicted class"
+        elif not joined(label, members):
+            status, detail = "UNKNOWN", "search budget exhausted"
+        else:
+            shared = sorted(it.name for it in buckets[keys[names[0]]]
+                            if it.predicted != label)
+            if shared:
+                status, detail = "UNKNOWN", f"fingerprint shared with {','.join(shared)}"
+        rows.append(ClassRow(label, names, status, detail))
+    return ClassificationResult(kind, rows)

@@ -413,6 +413,16 @@ def test_cli_classify(tmp_path, capsys):
     assert "AGREES" in out and "nanowords4" in out
 
 
+def test_cli_classify_json_lines_rows_carry_their_detail(tmp_path, capsys):
+    path = _write(tmp_path, "al.rec", ALPHA_ONLY)
+    assert main(["--format", "json-lines", "classify", "nanowords4", path,
+                 "--max-states", "1"]) == 2
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert [(label, status, detail) for label, status, _, detail in rows] == [
+        ("('zero',)", "UNKNOWN", "search budget exhausted"),
+        ("('abab', 'a', 'b')", "AGREES", ""), ("('abab', 'b', 'a')", "AGREES", "")]
+
+
 def test_cli_json_lines(tmp_path, capsys):
     path = _write(tmp_path, "w.rec", ABAB_ID)
     assert main(["--format", "json-lines", "colorings", path,

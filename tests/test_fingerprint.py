@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 import nanowords.classify as classify_module
 from nanowords import (Alphabet, Nanoword, compute_fingerprint, fingerprint, interlacement,
                        mu, nanoword_from_pattern)
@@ -8,6 +10,7 @@ from nanowords.fingerprint import (FIELD_ORDER, Fingerprint, default_betas,
                                   default_coloring_specs, format_fingerprint)
 
 from conftest import ALPHABETS, random_nanoword
+from oracles import classify_by_full_keys
 
 interlacement_gamma = interlacement.gamma
 
@@ -37,12 +40,22 @@ def test_pairing_is_compared_up_to_isomorphism(al_id2):
     assert compute_fingerprint(w).first_difference(compute_fingerprint(v)) == "pairing"
 
 
+def _shared_key_family(al):
+    # one nanoword under two predicted labels
+    w = nanoword_from_pattern(al, "ABAB", {"A": "a", "B": "b"})
+    return [Item("one", w, ("x",)), Item("two", w, ("y",))]
+
+
+def _split_class_family(al):
+    # AABB[a,a] is contractible and ABAB[a,b] is not: gamma tells them apart
+    return [Item("AABB[a,a]", nanoword_from_pattern(al, "AABB", {"A": "a", "B": "a"}), ("x",)),
+            Item("ABAB[a,b]", nanoword_from_pattern(al, "ABAB", {"A": "a", "B": "b"}), ("x",))]
+
+
 def test_classify_names_a_fingerprint_shared_across_predicted_classes(al_id2, monkeypatch):
-    # one nanoword under two predicted labels: one bucket, and no certificate
-    # can tell the classes apart, so each is UNKNOWN and names the other
-    w = nanoword_from_pattern(al_id2, "ABAB", {"A": "a", "B": "b"})
-    monkeypatch.setitem(FAMILIES, "pair",
-                        lambda al: [Item("one", w, ("x",)), Item("two", w, ("y",))])
+    # the two classes share a key, and no certificate can tell them apart,
+    # so each is UNKNOWN and names the other
+    monkeypatch.setitem(FAMILIES, "pair", _shared_key_family)
     rows = classify("pair", al_id2).rows
     assert {(r.members[0], r.status, r.detail) for r in rows} == {
         ("one", "UNKNOWN", "fingerprint shared with two"),
@@ -71,15 +84,45 @@ def test_classify_stops_a_class_at_its_first_failed_search(al_id2, monkeypatch):
 
 
 def test_classify_reports_a_predicted_class_that_fingerprints_split(al_id2, monkeypatch):
-    # AABB[a,a] is contractible and ABAB[a,b] is not: gamma tells them apart
-    items = [Item("AABB[a,a]", nanoword_from_pattern(al_id2, "AABB", {"A": "a", "B": "a"}), ("x",)),
-             Item("ABAB[a,b]", nanoword_from_pattern(al_id2, "ABAB", {"A": "a", "B": "b"}), ("x",))]
-    monkeypatch.setitem(FAMILIES, "split", lambda al: items)
+    monkeypatch.setitem(FAMILIES, "split", _split_class_family)
     searches = _count_calls(monkeypatch, classify_module, "search_homotopic")
     [row] = classify("split", al_id2).rows
     assert (row.members, row.status, row.detail) == (
         ["AABB[a,a]", "ABAB[a,b]"], "DISAGREES", "fingerprints split a predicted class")
     assert searches == []
+
+
+# {a,b}, {a,A}, {a,A,c}, a<->b and {c}
+CLASSIFY_ALPHABETS = [ALPHABETS[0], ALPHABETS[1], ALPHABETS[3],
+                      Alphabet(["a", "b"], {"a": "b", "b": "a"}), Alphabet(["c"])]
+
+
+def _rows(result):
+    return [(r.label, r.members, r.status, r.detail) for r in result.rows]
+
+
+@pytest.mark.parametrize("budget", [{}, {"max_states": 1}], ids=["default", "max_states=1"])
+@pytest.mark.parametrize("kind", sorted(FAMILIES))
+def test_classify_matches_the_full_key_route(kind, budget):
+    for al in CLASSIFY_ALPHABETS:
+        assert _rows(classify(kind, al, **budget)) == _rows(classify_by_full_keys(kind, al, **budget))
+
+
+@pytest.mark.parametrize("family", [_shared_key_family, _split_class_family],
+                         ids=["shared key", "split class"])
+def test_classify_matches_the_full_key_route_on_synthetic_families(al_id2, monkeypatch, family):
+    monkeypatch.setitem(FAMILIES, "synthetic", family)
+    assert (_rows(classify("synthetic", al_id2))
+            == _rows(classify_by_full_keys("synthetic", al_id2)))
+
+
+def test_classify_computes_nabla_only_where_a_comparison_reaches_it(al_mixed, monkeypatch):
+    # nanowords6 over {a,A,c} has 135 items, and a field before nabla tells
+    # most of them apart; the full-key route computes nabla for all of them
+    calls = _count_calls(monkeypatch, fingerprint, "nabla")
+    classify("nanowords6", al_mixed)
+    items = len(FAMILIES["nanowords6"](al_mixed))
+    assert 0 < len({w.key() for w, _ in calls}) < items / 2
 
 
 def test_a_fingerprint_computes_gamma_once(monkeypatch):

@@ -72,7 +72,7 @@ def test_invariants_stats_go_to_stderr(tmp_path, capsys):
 
 
 def test_fingerprint_keys_are_pinned():
-    # classify buckets on these keys and the benchmark digest hashes them
+    # the fingerprint-sweep benchmark digest hashes these keys
     got = "".join(repr(compute_fingerprint(parse_record(HEADERS[alphabet] + body)
                                            .nanoword()).key()) + "\n"
                   for alphabet, body in WORDS)
@@ -106,11 +106,22 @@ def test_short_word_keys_are_pinned():
     pytest.fail("the short-word keys changed")
 
 
-def test_classify_table_is_pinned(tmp_path, capsys):
+# the four tables of scripts/classification_tables.py and the benchmark
+CLASSIFY_TABLES = {
+    ("nanowords4", "fixed2"): "classify_nanowords4.txt",
+    ("nanowords4", "free2"): "classify_nanowords4_free2.txt",
+    ("nanowords6", "free2"): "classify_nanowords6_free2.txt",
+    ("words5", "fixed2"): "classify_words5_fixed2.txt",
+}
+
+
+@pytest.mark.parametrize("family, alphabet", CLASSIFY_TABLES,
+                         ids=[" ".join(run) for run in CLASSIFY_TABLES])
+def test_classify_table_is_pinned(tmp_path, capsys, family, alphabet):
     path = tmp_path / "al.rec"
-    path.write_text(HEADERS["fixed2"])
-    got = _run(capsys, ["classify", "nanowords4", str(path)])
-    assert got == (GOLDENS / "classify_nanowords4.txt").read_text()
+    path.write_text(HEADERS[alphabet])
+    got = _run(capsys, ["classify", family, str(path)])
+    assert got == (GOLDENS / CLASSIFY_TABLES[family, alphabet]).read_text()
 
 
 CERT_RECORDS = {
