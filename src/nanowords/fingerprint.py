@@ -16,11 +16,11 @@ from __future__ import annotations
 from time import perf_counter
 from typing import Callable, NamedTuple
 
-from .groups import PiTildeElement
+from .groups import GroupRingElement, PiTildeElement, PsiAbElement, psi_abelianize
 from .interlacement import _mu_of, gamma
 from .keis import char_sequence, format_charseq
 from .lambdainv import lambda_invariant, lambda_split, psi_expand
-from .matrices import ColoringSpec, count_colorings, nabla
+from .matrices import ColoringSpec, count_colorings, nabla, sigma
 from .pairings import _rho_ax_primitive, canonical_pairing_key, compress, linking_pairing
 from .selflinking import format_section_line, self_link_function
 from .words import Nanoword
@@ -73,6 +73,26 @@ def _report_lambda(lam, al) -> list[str]:
                                    for (x, y), c in psi)]
 
 
+def _nablas(fp) -> dict:
+    """nabla for every beta of ``fp``, one elimination per complementary pair.
+
+    The pair (empty, alpha) is read off lambda: nabla^+_alpha = q(lambda) and
+    nabla^-_alpha = 1.  Any other beta runs ``nabla``, and its complement
+    alpha minus beta follows by ``sigma`` with the signs swapped.
+    """
+    al = fp.nanoword.alphabet
+    alpha, one = frozenset(al.letters), GroupRingElement.of(PsiAbElement.identity(al))
+    q = fp.value("lambda").map_terms(psi_abelianize)
+    known = {alpha: {"+": q, "-": one}, frozenset(): {"+": one, "-": sigma(q)}}
+    for beta in map(frozenset, fp.betas):
+        if beta not in known:
+            pair = known.get(alpha - beta)
+            known[beta] = (nabla(fp.nanoword, beta) if pair is None else
+                           {"+": sigma(pair["-"]), "-": sigma(pair["+"])})
+    return {(tuple(sorted(beta)), eps): v for beta in fp.betas
+            for eps, v in known[frozenset(beta)].items()}
+
+
 # weakest first; separation reports name the first row that differs
 _ROWS = (
     _Row("gamma", lambda fp: gamma(fp.nanoword), lambda g: g.sort_key(),
@@ -104,8 +124,7 @@ _ROWS = (
          lambda c, al: [f"colorings mod {k[1]} beta=[{' '.join(k[0])}]: "
                         + " / ".join(" ".join(map(str, row)) for row in mat)
                         for k, mat in sorted(c.items())]),
-    _Row("nabla", lambda fp: {(tuple(sorted(beta)), eps): v for beta in fp.betas
-                              for eps, v in nabla(fp.nanoword, beta).items()},
+    _Row("nabla", lambda fp: _nablas(fp),
          lambda d: tuple((k, v.key()) for k, v in sorted(d.items())),
          lambda d, al: [f"nabla{eps}_[{' '.join(beta) or 'empty'}] = {v.format()}"
                         for (beta, eps), v in sorted(d.items())]),

@@ -8,7 +8,9 @@ act on the unknowns only.  The reduced system d y = b' then has the same
 solvability as a x = b and, mod m, as many solutions.  Every right-hand side
 a caller needs is known before the reduction starts, so no transform is
 kept (Kannan and Bachem reduce the augmented matrix the same way).  Counting
-mod m reduces over Z/m, where no coefficient grows past m.
+mod m reduces over Z/m, where no coefficient grows past m, and first solves
+every unknown it can on a unit pivot (``unit_pivots``), so the Smith form
+sees only the block that has no unit left.
 """
 
 from __future__ import annotations
@@ -79,6 +81,55 @@ def smith_normal_form(a: Matrix, unknowns: int, modulus: int | None = None) -> M
     return d
 
 
+def unit_pivots(rows: list, pivotal, minus_inverse, reduce) -> list[tuple]:
+    """Sparse elimination of ``rows`` (``{column: entry}``) on unit pivots.
+
+    Only columns in ``pivotal`` may pivot.  ``minus_inverse(v)`` is -v^-1
+    for a unit v and None otherwise; ``reduce(x)`` is the normal form of x,
+    None for zero.  Among the unit entries, the least Markowitz fill
+    (r-1)(c-1) goes first.  Pivot (i, j, v) solves column j from row i,
+    subtracts that from every other row and leaves ``rows[i]`` None, so the
+    rows still there form the Schur complement.  Returns the pivots in order.
+    """
+    cols: dict = {}
+    for i, row in enumerate(rows):
+        for j in row:
+            cols.setdefault(j, set()).add(i)
+    live, pivots = set(range(len(rows))), []
+    while True:
+        best = None
+        for i in live:
+            row = rows[i]
+            rest = len(row) - 1
+            for j, v in row.items():
+                if j in pivotal:
+                    fill = rest * (len(cols[j]) - 1)
+                    if (best is None or fill < best[0]) and (inv := minus_inverse(v)) is not None:
+                        best = (fill, i, j, v, inv)
+            if best is not None and best[0] == 0:
+                break
+        if best is None:
+            return pivots
+        _, i, j, v, inv = best
+        pivots.append((i, j, v))
+        pivot_row, rows[i] = rows[i], None
+        live.discard(i)
+        del pivot_row[j]
+        for r in cols.pop(j) - {i}:
+            target = rows[r]
+            factor = target.pop(j) * inv
+            for k, x in pivot_row.items():
+                new = reduce(target[k] + factor * x if k in target else factor * x)
+                if new is None:
+                    target.pop(k, None)
+                    cols[k].discard(r)
+                else:
+                    target[k] = new
+                    cols[k].add(r)
+        for k in pivot_row:
+            cols[k].discard(i)
+
+
 def solve_integer(a: Matrix, b: list[int]) -> bool:
     """Does a x = b have an integer solution x?
 
@@ -94,23 +145,33 @@ def solve_integer(a: Matrix, b: list[int]) -> bool:
 class ModularCounter:
     """Counts solutions of a x = sum_t c[t] rhs[t] (mod m) for many c.
 
-    ``rhs`` is a list of columns, one entry per row of ``a``.  The Smith form
-    of [a | rhs] over Z/m is computed once.  Row i of it, with pivot d_i (0
-    past the diagonal), admits c iff gcd(d_i, m) divides its carried
-    combination; the count of a consistent c is the same product of gcds
-    over the unknowns.
+    ``rhs`` is a list of columns, one entry per row of ``a``.  Unit pivots
+    mod m solve one unknown from one row each and carry the right-hand
+    sides, which changes no count; the Smith form over Z/m of the block left
+    is computed once.  Row i of it, with pivot d_i (0 past the diagonal),
+    admits c iff gcd(d_i, m) divides its carried combination; the count of a
+    consistent c is the same product of gcds over the unknowns left, where
+    an unknown in no row left has d = 0 and counts m.
     """
 
     def __init__(self, a: Matrix, m: int, rhs: Matrix):
         if m < 2:
             raise ValueError("modulus must be >= 2")
-        cols = len(a[0]) if a else 0
-        aug = [row + [col[i] for col in rhs] for i, row in enumerate(a)]
-        d = smith_normal_form(aug, cols, m)
-        diagonal = [d[i][i] if i < len(d) else 0 for i in range(cols)]
+        n = len(a[0]) if a else 0
+        rows = [{j: x % m for j, x in enumerate(row + [col[i] for col in rhs]) if x % m}
+                for i, row in enumerate(a)]
+        pivots = unit_pivots(rows, range(n),
+                             lambda v: -pow(v, -1, m) % m if gcd(v, m) == 1 else None,
+                             lambda x: x % m or None)
+        left = [row for row in rows if row]
+        used = sorted({j for row in left for j in row if j < n})
+        k = len(used)
+        d = smith_normal_form([[row.get(j, 0) for j in used + [*range(n, n + len(rhs))]]
+                               for row in left], k, m)
+        diagonal = [d[i][i] if i < len(d) else 0 for i in range(k)]
+        diagonal += [0] * (n - len(pivots) - k)  # unknowns in no row left
         self.solutions = prod(gcd(x, m) for x in diagonal)
-        self.rows = [(gcd(diagonal[i] if i < cols else 0, m), row[cols:])
-                     for i, row in enumerate(d)]
+        self.rows = [(gcd(diagonal[i] if i < k else 0, m), row[k:]) for i, row in enumerate(d)]
 
     def count(self, c: list[int]) -> int:
         for g, carried in self.rows:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .errors import AlphabetMismatch, EmptyNanoword, InvalidSpec
 from .groups import GroupRingElement, PsiAbElement, PsiElement
-from .intlinalg import ModularCounter, count_mod_prime
+from .intlinalg import ModularCounter, count_mod_prime, unit_pivots
 from .words import Alphabet, Nanoword
 
 
@@ -149,78 +149,46 @@ def _det(entries: dict, size: int, one, columns=None):
     return det
 
 
+def _minus_inverse(v: GroupRingElement) -> GroupRingElement | None:
+    """-v^-1 for a unit monomial v = +-g, None for any other entry."""
+    if len(v.terms) == 1:
+        (g, c), = v.items()
+        if c in (1, -1):
+            return GroupRingElement.of(g.inverse(), -c)
+    return None
+
+
 def _eliminate(entries: dict, size: int, scale: GroupRingElement) -> dict:
     """Both maximal minors of the size x (size + 1) matrix ``entries`` over
     Z[Psi^ab], times ``scale``: "+" drops the last column, "-" the first.
 
-    Pivots are unit monomials u = +-g in the interior columns 1 .. size - 1,
-    least Markowitz fill (r-1)(c-1) first.  The Schur complement subtracts
-    M[r][j] u^-1 M[i][c] with u^-1 = +-g^-1, so nothing is divided, and column
-    by column it is the Schur complement of both square matrices at once.  A
-    pivot at position (i, j) of the remaining block contributes (-1)^(i+j) u
-    to "+"; without the first column it sits one place further left, so the
-    two signs differ by (-1)^(number of pivots).  A row left empty makes both
-    minors 0; the k x (k + 1) block left when no interior entry is a unit goes
-    to the cofactor expansion, once per minor.
+    ``unit_pivots`` pivots on unit monomials u = +-g in the interior columns
+    1 .. size - 1.  The Schur complement subtracts M[r][j] u^-1 M[i][c] with
+    u^-1 = +-g^-1, so nothing is divided, and column by column it is the
+    Schur complement of both square matrices at once.  A pivot at position
+    (i, j) of the remaining block contributes (-1)^(i+j) u to "+"; without
+    the first column it sits one place further left, so the two signs differ
+    by (-1)^(number of pivots).  A row left empty makes both minors 0; the
+    k x (k + 1) block left when no interior entry is a unit goes to the
+    cofactor expansion, once per minor.
     """
-    rows: list[dict] = [{} for _ in range(size)]
-    cols: list[set] = [set() for _ in range(size + 1)]
+    rows: list = [{} for _ in range(size)]
     for (i, j), v in entries.items():
         rows[i][j] = v
-        cols[j].add(i)
-    live_rows, live_cols = set(range(size)), set(range(size + 1))
-    pivots = 0
-    while True:
-        best = None
-        for i in live_rows:
-            row = rows[i]
-            if not row:
-                zero = GroupRingElement.zero(scale.alphabet)
-                return {"+": zero, "-": zero}
-            rest = len(row) - 1
-            for j, v in row.items():
-                if len(v.terms) == 1 and 0 < j < size:
-                    fill = rest * (len(cols[j]) - 1)
-                    if best is None or fill < best[0]:
-                        (c,) = v.terms.values()
-                        if c in (1, -1):
-                            best = (fill, i, j, v)
-            if best is not None and best[0] == 0:
-                break
-        if best is None:
-            break
-        _, i, j, unit = best
-        position = sum(1 for r in live_rows if r < i) + sum(1 for k in live_cols if k < j)
+    pivots = unit_pivots(rows, range(1, size), _minus_inverse,
+                         lambda x: x if x.terms else None)
+    live_rows = [r for r in range(size) if rows[r] is not None]
+    if not all(rows[r] for r in live_rows):
+        zero = GroupRingElement.zero(scale.alphabet)
+        return {"+": zero, "-": zero}
+    for t, (i, j, unit) in enumerate(pivots):  # (i, j) in the block left by the pivots before
+        position = i + j - sum((r < i) + (k < j) for r, k, _ in pivots[:t])
         scale = scale * (-unit if position % 2 else unit)
-        pivots += 1
-        (g, c), = unit.items()
-        minus_inverse = GroupRingElement.of(g.inverse(), -c)
-        pivot_row = rows[i]
-        del pivot_row[j]
-        cols[j].discard(i)
-        for r in cols[j]:
-            target = rows[r]
-            factor = target.pop(j) * minus_inverse
-            for k, v in pivot_row.items():
-                new = factor * v
-                if k in target:
-                    new = target[k] + new
-                if new.terms:
-                    target[k] = new
-                    cols[k].add(r)
-                else:
-                    target.pop(k, None)
-                    cols[k].discard(r)
-        for k in pivot_row:
-            cols[k].discard(i)
-        live_rows.discard(i)
-        live_cols.discard(j)
-    row_at = {r: n for n, r in enumerate(sorted(live_rows))}
-    col_at = {k: n for n, k in enumerate(sorted(live_cols))}
-    block = {(row_at[r], col_at[k]): v for r in live_rows for k, v in rows[r].items()}
-    k, one = len(row_at), GroupRingElement.of(scale.group.identity(scale.alphabet))
+    col_at = {k: n for n, k in enumerate(sorted(set(range(size + 1)) - {j for _, j, _ in pivots}))}
+    block = {(n, col_at[k]): v for n, r in enumerate(live_rows) for k, v in rows[r].items()}
+    k, one = len(live_rows), GroupRingElement.of(scale.group.identity(scale.alphabet))
     return {"+": scale * _det(block, k, one),
-            "-": (-scale if pivots % 2 else scale) * _det(block, k, one, range(1, k + 1))}
+            "-": (-scale if len(pivots) % 2 else scale) * _det(block, k, one, range(1, k + 1))}
 
 
 def nabla(w: Nanoword, beta) -> dict[str, GroupRingElement]:
@@ -240,6 +208,16 @@ def nabla(w: Nanoword, beta) -> dict[str, GroupRingElement]:
         assert s in (1, -1), "augmentation of nabla must be a sign"
         out[eps] = raw if s == 1 else -raw
     return out
+
+
+def sigma(x: GroupRingElement) -> GroupRingElement:
+    """Swap the exponents of a and a. on every orbit, then invert the monomial.
+
+    It turns nabla(w, beta) into nabla(w, alpha minus beta) with the signs
+    swapped: nabla^-+ of the complement is sigma of nabla^+- of beta.
+    """
+    return x.map_terms(lambda g: PsiAbElement(
+        g.alphabet, [-e for r, rb in zip(g.nf[::2], g.nf[1::2]) for e in (rb, r)]))
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import pytest
 
 import nanowords.classify as classify_module
 from nanowords import (Alphabet, Nanoword, compute_fingerprint, fingerprint, interlacement,
-                       mu, nanoword_from_pattern)
+                       matrices, mu, nabla, nanoword_from_pattern)
 from nanowords.classify import FAMILIES, Item, classify
 from nanowords.fingerprint import (FIELD_ORDER, Fingerprint, default_betas,
                                   default_coloring_specs, format_fingerprint)
@@ -21,6 +21,43 @@ def test_default_betas_are_orbit_unions(al_mixed):
     for beta in betas:
         assert all(al_mixed.tau(a) in beta for a in beta)
     assert len(betas) == 4
+
+
+# {a,b}, {a,A}, {a,A,b,B}, {a,A,c}, {c}, {a,b,c} and four orbits
+NABLA_ALPHABETS = [*ALPHABETS, Alphabet(["c"]), Alphabet(["a", "b", "c"]),
+                   Alphabet(["a", "A", "b", "B", "c", "d"],
+                            {"a": "A", "A": "a", "b": "B", "B": "b", "c": "c", "d": "d"})]
+
+
+def test_nabla_row_equals_the_per_beta_elimination():
+    """The row reads the ends off lambda and each complement off sigma; on
+    seeded words of 0-12 letters it equals ``nabla(w, beta)`` at every beta."""
+    rng = random.Random(67)
+    for al in NABLA_ALPHABETS:
+        for n in [*range(13)] * 2:
+            fp = Fingerprint(random_nanoword(al, n, rng))
+            assert fp.value("nabla") == {(tuple(sorted(beta)), eps): v
+                                         for beta in default_betas(al)
+                                         for eps, v in nabla(fp.nanoword, beta).items()}
+
+
+def test_nabla_row_eliminates_once_per_complementary_pair(monkeypatch):
+    """Orbit unions pair up with their complements and (empty, alpha) needs
+    no elimination: 1 at two orbits, 3 at three, none at one or at four."""
+    calls = []
+    eliminate = matrices._eliminate
+
+    def spy(*args):
+        calls.append(args)
+        return eliminate(*args)
+
+    monkeypatch.setattr(matrices, "_eliminate", spy)
+    rng = random.Random(69)
+    for al, expected in zip(NABLA_ALPHABETS, (1, 0, 1, 1, 0, 3, 0)):
+        for _ in range(3):
+            calls.clear()
+            Fingerprint(random_nanoword(al, rng.randrange(1, 7), rng)).value("nabla")
+            assert len(calls) == expected, al.letters
 
 
 def test_fingerprint_separates_and_names_field(al_id2):
@@ -246,9 +283,10 @@ def _long_word(index):
 
 
 def test_long_word_contract():
-    """Full fingerprints of 16-24-letter words finish; nabla_alpha obeys the
-    c07 identities, the Z/m coloring counts equal the prime-field route and
-    lambda passes its ring-map checks and equals the substitution route."""
+    """Full fingerprints of 16-24-letter words finish; nabla_alpha, by the
+    elimination and in the row, obeys the c07 identities, the Z/m coloring
+    counts equal the prime-field route and lambda passes its ring-map checks
+    and equals the substitution route."""
     from nanowords import GroupRingElement, PsiAbElement, lambda_checks
     from oracles import lambda_by_substitution, q_ab
     from nanowords.matrices import count_colorings_prime
@@ -257,10 +295,11 @@ def test_long_word_contract():
         al = w.alphabet
         assert 16 <= len(w.letters) <= 24
         fp = compute_fingerprint(w)
-        nablas = fp.value("nabla")
         alpha = tuple(sorted(al.letters))
-        assert nablas[(alpha, "-")] == GroupRingElement.of(PsiAbElement.identity(al))
-        assert nablas[(alpha, "+")] == q_ab(fp.value("lambda"))
+        eliminated = nabla(w, set(alpha))
+        assert eliminated == {eps: fp.value("nabla")[(alpha, eps)] for eps in "+-"}
+        assert eliminated["-"] == GroupRingElement.of(PsiAbElement.identity(al))
+        assert eliminated["+"] == q_ab(fp.value("lambda"))
         for spec in default_coloring_specs(al):
             assert fp.value("colorings")[spec.key()] == count_colorings_prime(w, spec)
         assert all(lambda_checks(w).values())

@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import Counter
 from math import gcd
@@ -14,6 +15,7 @@ from nanowords.lambdainv import bar, lambda_invariant
 from nanowords.fingerprint import default_betas
 from nanowords.matrices import _det, _eliminate, _entries, count_colorings_prime
 from nanowords.groups import PsiAbElement, PsiElement, psi_abelianize
+from nanowords import intlinalg
 from nanowords.intlinalg import ModularCounter, smith_normal_form
 from nanowords.words import Nanoword
 
@@ -431,6 +433,63 @@ def test_smith_form_mod_m_counts_like_brute_force():
             for l in range(m):
                 b = tuple((k * e + l * f) % m for e, f in zip(*pins))
                 assert counter.count([k, l]) == table[b]
+
+
+def _assert_counts_like_brute_force(a, m, pins):
+    """ModularCounter(a, m, pins) counts a x = k pins[0] + l pins[1] as
+    enumerating every x does."""
+    cols = len(a[0])
+    table = Counter(tuple(sum(r[c] * x[c] for c in range(cols)) % m for r in a)
+                    for x in itertools.product(range(m), repeat=cols))
+    counter = ModularCounter(a, m, pins)
+    for k in range(m):
+        for l in range(m):
+            b = tuple((k * e + l * f) % m for e, f in zip(*pins))
+            assert counter.count([k, l]) == table[b]
+
+
+@pytest.mark.parametrize("case", ["every row", "every column", "nothing"])
+def test_modular_counter_around_the_unit_pivots(case, monkeypatch):
+    """The unit pivots mod m eliminate every row (each has a unit in a column
+    of its own, and some unknowns are left in no row), every column (an
+    identity block over rows of non-units) or nothing (no unit entry at a
+    composite m); the counts equal enumeration in each case, and the Smith
+    form sees only the block left."""
+    shapes = []
+    form = intlinalg.smith_normal_form
+
+    def spy(a, unknowns, modulus=None):
+        shapes.append((len(a), unknowns))
+        return form(a, unknowns, modulus)
+
+    monkeypatch.setattr(intlinalg, "smith_normal_form", spy)
+    rng = random.Random(41)
+    for _ in range(20):
+        m = rng.choice([4, 6, 8, 9])
+        units = [v for v in range(1, m) if gcd(v, m) == 1]
+        non_units = [v for v in range(m) if gcd(v, m) > 1]
+        rows = rng.randrange(1, 4)
+        if case == "every row":
+            a = [[rng.choice(units) if j == i else 0 for j in range(rows)]
+                 + [rng.randrange(m) for _ in range(rng.randrange(1, 5 - rows))]
+                 for i in range(rows)]
+        elif case == "every column":
+            a = [[rng.choice(units) if j == i else 0 for j in range(rows)] for i in range(rows)]
+            a += [[rng.choice(non_units) for _ in range(rows)] for _ in range(rng.randrange(1, 3))]
+        else:
+            cols = rng.randrange(1, 4)
+            a = [[rng.choice(non_units) for _ in range(cols)] for _ in range(rows)]
+        pins = [[rng.randrange(m) for _ in a] for _ in range(2)]
+        shapes.clear()
+        _assert_counts_like_brute_force(a, m, pins)
+        (rows_left, unknowns_left), = shapes
+        if case == "every row":
+            assert rows_left == 0
+        elif case == "every column":
+            assert unknowns_left == 0
+        else:
+            assert rows_left == sum(any([*row, p, q]) for row, p, q in zip(a, *pins))
+            assert unknowns_left == sum(any(col) for col in zip(*a))
 
 
 def _random_units(al, m, rng):
