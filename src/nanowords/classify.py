@@ -17,8 +17,7 @@ first check that fails decides its row:
    The class stops searching at its first failed search, and the row is
    UNKNOWN (search budget exhausted);
 3. no item of another class has the same key, else UNKNOWN, since no
-   computed invariant separates the two classes.  Only the items that share
-   the class's gamma key are compared.
+   computed invariant separates the two classes.
 
 A class that passes all three AGREES.  Budget exhaustion yields UNKNOWN
 cells, never a wrong verdict, and any DISAGREES row is a defect.
@@ -187,10 +186,8 @@ def classify(kind: str, alphabet: Alphabet, max_length: int | None = None,
     data = HomotopyData(alphabet)
     fps = {it.name: Fingerprint(it.nanoword) for it in items}
     classes: dict = {}
-    by_gamma: dict = {}  # check 3's candidates: a differing gamma separates
     for it in items:
         classes.setdefault(it.predicted, []).append(it)
-        by_gamma.setdefault(fps[it.name].field("gamma")[1], []).append(it)
 
     def joined(label, members) -> bool:
         # all() stops at the first failed search
@@ -211,8 +208,7 @@ def classify(kind: str, alphabet: Alphabet, max_length: int | None = None,
         elif not joined(label, members):
             status, detail = "UNKNOWN", "search budget exhausted"
         else:
-            shared = sorted(it.name for it in by_gamma[first.field("gamma")[1]]
-                            if it.predicted != label
+            shared = sorted(it.name for it in items if it.predicted != label
                             and first.first_difference(fps[it.name]) is None)
             if shared:
                 status, detail = "UNKNOWN", f"fingerprint shared with {','.join(shared)}"

@@ -19,8 +19,8 @@ from .interlacement import covering, letter_classes
 from .keis import char_sequence, format_charseq
 from .lambdainv import lambda_invariant, lambda_split, psi_expand
 from .matrices import ColoringSpec, count_colorings, nabla
-from .moves import (Certificate, HomotopyData, _meet, homotopic_budget, norm_upper_bound,
-                    parse_move, search_contractible, search_homotopic, verify_certificate)
+from .moves import (Certificate, HomotopyData, homotopic_budget, norm_upper_bound, parse_move,
+                    search_contractible, search_homotopic, verify_certificate)
 from .records import parse_file, read_text
 from .selflinking import norm_lower_bound
 from .words import empty_nanoword, format_nanoword
@@ -102,8 +102,7 @@ def cmd_contract(args, out: _Out) -> int:
 
 def cmd_homotopic(args, out: _Out) -> int:
     """Cheapest proof first: gamma, a short search, the fields, the full search. A budget
-    decides only when a search stops, so the verdict is that of the fields first, and a
-    short search that exhausted a side leaves the full search nothing to find."""
+    decides only when a search stops, so the verdict is that of the fields first."""
     rec1, w1 = _load_nanoword(args.input1)
     rec2, w2 = _load_nanoword(args.input2)
     if rec1.alphabet != rec2.alphabet:
@@ -113,9 +112,9 @@ def cmd_homotopic(args, out: _Out) -> int:
     fp1, fp2 = Fingerprint(w1), Fingerprint(w2)
     short = min(SHORT_SEARCH_STATES, args.max_states)
     gamma_agrees = fp1.field("gamma")[1] == fp2.field("gamma")[1]
-    cert, closed = _meet(w1, w2, data, max_length, short) if gamma_agrees else (None, False)
+    cert = search_homotopic(w1, w2, data, max_length, short) if gamma_agrees else None
     diff = None if cert is not None else fp1.first_difference(fp2)
-    if diff is None and cert is None and not closed and short < args.max_states:
+    if diff is None and cert is None and short < args.max_states:
         cert = search_homotopic(w1, w2, data, max_length, args.max_states)
     if diff is not None:
         out.emit({"verdict": "NON-HOMOTOPIC", "separated_by": diff},

@@ -20,7 +20,7 @@ from .groups import GroupRingElement, PiTildeElement, PsiAbElement, psi_abeliani
 from .interlacement import _mu_of, gamma
 from .keis import char_sequence, format_charseq
 from .lambdainv import lambda_invariant, lambda_split, psi_expand
-from .matrices import ColoringSpec, count_colorings, nabla, sigma
+from .matrices import ColoringSpec, check_beta, count_colorings, nabla, sigma
 from .pairings import _rho_ax_primitive, canonical_pairing_key, compress, linking_pairing
 from .selflinking import format_section_line, self_link_function
 from .words import Nanoword
@@ -81,6 +81,8 @@ def _nablas(fp) -> dict:
     alpha minus beta follows by ``sigma`` with the signs swapped.
     """
     al = fp.nanoword.alphabet
+    for beta in fp.betas:
+        check_beta(al, beta)  # as nabla does, also for the betas it skips
     alpha, one = frozenset(al.letters), GroupRingElement.of(PsiAbElement.identity(al))
     q = fp.value("lambda").map_terms(psi_abelianize)
     known = {alpha: {"+": q, "-": one}, frozenset(): {"+": one, "-": sigma(q)}}

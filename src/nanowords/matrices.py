@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import AlphabetMismatch, EmptyNanoword, InvalidSpec
+from .errors import AlphabetMismatch, EmptyNanoword, InvalidSpec, UnknownSymbol
 from .groups import GroupRingElement, PsiAbElement, PsiElement
 from .intlinalg import ModularCounter, count_mod_prime, unit_pivots
 from .words import Alphabet, Nanoword
@@ -36,9 +36,15 @@ class WeightedMatrix:
         return self.entries.get((i, j), GroupRingElement.zero(self.alphabet))
 
 
-def is_tau_invariant(alphabet: Alphabet, beta) -> bool:
+def check_beta(alphabet: Alphabet, beta) -> None:
+    """Raise ``UnknownSymbol`` on the least letter of ``beta`` outside the
+    alphabet, else ``InvalidSpec`` unless ``beta`` is tau-invariant."""
     beta = set(beta)
-    return all(alphabet.tau(a) in beta for a in beta)
+    unknown = sorted(beta - set(alphabet.letters))
+    if unknown:
+        raise UnknownSymbol(f"{unknown[0]!r} is not an alphabet letter")
+    if any(alphabet.tau(a) not in beta for a in beta):
+        raise InvalidSpec("beta must be tau-invariant")
 
 
 def _relation_rows(w: Nanoword, beta, units, one) -> list[dict]:
@@ -48,8 +54,7 @@ def _relation_rows(w: Nanoword, beta, units, one) -> list[dict]:
     is its unit.  Entries keep the order they are written in; adjacent
     occurrences make two of them share a column, where they add up.
     """
-    if not is_tau_invariant(w.alphabet, beta):
-        raise InvalidSpec("beta must be tau-invariant")
+    check_beta(w.alphabet, beta)
     minus_one = -one
     rows = []
     for x in w.letters:
@@ -239,8 +244,7 @@ class ColoringSpec:
         if modulus < 2:
             raise InvalidSpec("modulus must be >= 2")
         beta = frozenset(beta)
-        if not is_tau_invariant(alphabet, beta):
-            raise InvalidSpec("beta must be tau-invariant")
+        check_beta(alphabet, beta)
         p = dict(p) if p else {a: 1 for a in alphabet.letters}
         p_bullet = dict(p_bullet) if p_bullet else {a: 1 for a in alphabet.letters}
         for fn, name in ((p, "p"), (p_bullet, "p.")):

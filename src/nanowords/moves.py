@@ -537,29 +537,22 @@ def search_homotopic(w1: Nanoword, w2: Nanoword, data: HomotopyData,
     restricted insert set the search goes on until both sides are exhausted.
     ``max_length`` None means max(len(w1), len(w2)) + 4.
     """
-    return _meet(w1, w2, data, max_length, max_states, insert_values, use_macros)[0]
-
-
-def _meet(w1, w2, data, max_length, max_states, insert_values=None,
-          use_macros=True) -> tuple[Certificate | None, bool]:
-    """``search_homotopic``'s certificate or None, and whether the search
-    stopped because a side was exhausted: then no budget finds more."""
     max_length = homotopic_budget(w1, w2, data, max_length, max_states, insert_values)
     s1, s2 = w1.canonical(), w2.canonical()
     if s1.key() == s2.key():
-        return Certificate(s1, s2, ()), False
+        return Certificate(s1, s2, ())
     f1 = _Frontier(s1.key(), _breadth, data, insert_values, max_length, use_macros)
     f2 = _Frontier(s2.key(), _breadth, data, insert_values, max_length, use_macros)
     while len(f1.parents) + len(f2.parents) < max_states:
         # the side with the smaller live heap, the first side on a tie
         side, other = sorted((f1, f2), key=lambda f: (not f.heap, len(f.heap)))
         if not side.heap or (insert_values is None and not other.heap):
-            return None, True
+            return None
         for nxt in side.expand():
             if nxt in other.parents:
                 back = [invert_move(m) for m in reversed(f2.trace(nxt))]
-                return Certificate(s1, s2, tuple(f1.trace(nxt) + back)), False
-    return None, False
+                return Certificate(s1, s2, tuple(f1.trace(nxt) + back))
+    return None
 
 
 def norm_upper_bound(w: Nanoword, data: HomotopyData, max_states: int,

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nanowords import Alphabet, HomotopyData, enumerate_moves
-from nanowords import cli, moves
+from nanowords import cli
 from nanowords.cli import SHORT_SEARCH_STATES, build_parser, main
 from nanowords.errors import ParseError
 from nanowords.moves import PAIR_KINDS, TRIPLE_KINDS, parse_move
@@ -133,6 +133,21 @@ def test_cli_invariants_beta_flag(tmp_path, capsys):
     assert "nabla+_[A a]" in out and "nabla+_[A B a b]" not in out
 
 
+@pytest.mark.parametrize("beta, message", [
+    ("z", "'z' is not an alphabet letter"),          # its complement is alpha
+    ("a,A,b,B,z", "'z' is not an alphabet letter"),  # its complement is empty
+    ("a,b,z", "'z' is not an alphabet letter"),      # the letters are checked first
+    ("a", "beta must be tau-invariant"),
+])
+def test_cli_invariants_rejects_bad_betas(tmp_path, capsys, beta, message):
+    """Every --beta is checked, also one whose nabla the row would read off
+    its complement's."""
+    path = _write(tmp_path, "w.rec", ABAB_FREE)
+    assert main(["invariants", path, "--beta", beta]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and "nabla" not in captured.out
+
+
 def test_cli_contract_and_verify(tmp_path, capsys):
     path = _write(tmp_path, "w.rec", AABB_ID)
     cert = str(tmp_path / "c.cert")
@@ -222,22 +237,15 @@ def test_cli_homotopic_searches_again_only_past_the_short_budget(tmp_path, capsy
                                                                  states):
     """The Gauss word 1213 2434 and the empty word agree on every field and
     no search within 14 letters joins them: the full search runs after the
-    short one only when --max-states exceeds the short budget.  The short
-    search runs through ``moves._meet``, which also says whether a side was
-    exhausted, so both entries are spied on."""
+    short one only when --max-states exceeds the short budget."""
     budgets = []
+    search = cli.search_homotopic
 
-    def spy_on(name):
-        search = getattr(cli, name)
+    def spy(w1, w2, data, max_length, max_states):
+        budgets.append(max_states)
+        return search(w1, w2, data, max_length, max_states)
 
-        def spy(w1, w2, data, max_length, max_states):
-            budgets.append(max_states)
-            return search(w1, w2, data, max_length, max_states)
-
-        monkeypatch.setattr(cli, name, spy)
-
-    spy_on("search_homotopic")
-    spy_on("_meet")
+    monkeypatch.setattr(cli, "search_homotopic", spy)
     g = _write(tmp_path, "g.rec", "alphabet: c\nword: 1 2 1 3 2 4 3 4\nproj: 1=c 2=c 3=c 4=c\n")
     e = _write(tmp_path, "e.rec", "alphabet: c\nword:\nproj:\n")
     argv = ["homotopic", g, e, "--max-length", "14"]
@@ -245,31 +253,6 @@ def test_cli_homotopic_searches_again_only_past_the_short_budget(tmp_path, capsy
     assert main(argv + ([] if states is None else ["--max-states", str(states)])) == 2
     assert capsys.readouterr().out == "UNKNOWN (equal fingerprints, no certificate)\n"
     assert budgets == sorted({min(SHORT_SEARCH_STATES, full), full})
-
-
-def test_cli_homotopic_skips_the_full_search_after_an_exhausted_side(tmp_path, capsys,
-                                                                    monkeypatch):
-    """Within 8 letters the Gauss word 1213 2434 has no move, so the short
-    search exhausts its side: the decision expands exactly as often as one
-    search and still says UNKNOWN."""
-    expansions = []
-    expand = moves._Frontier.expand
-
-    def spy(self):
-        expansions.append(len(self.parents))
-        return expand(self)
-
-    monkeypatch.setattr(moves._Frontier, "expand", spy)
-    g = _write(tmp_path, "g.rec", "alphabet: c\nword: 1 2 1 3 2 4 3 4\nproj: 1=c 2=c 3=c 4=c\n")
-    e = _write(tmp_path, "e.rec", "alphabet: c\nword:\nproj:\n")
-    (_, w1), (_, w2) = (cli._load_nanoword(p) for p in (g, e))
-    assert moves.search_homotopic(w1, w2, HomotopyData(w1.alphabet), 8, 200000) is None
-    one_search = len(expansions)
-    assert one_search > 0
-    expansions.clear()
-    assert main(["homotopic", g, e, "--max-length", "8"]) == 2
-    assert capsys.readouterr().out == "UNKNOWN (equal fingerprints, no certificate)\n"
-    assert len(expansions) == one_search
 
 
 # {a,A,c}, {a,A,b,B}, {a,b}, a<->b and {c}
