@@ -35,10 +35,10 @@ def main() -> int:
     for kind, alphabet, note in RUNS:
         if args.family and kind != args.family:
             continue
-        t0 = time.time()
+        t0 = time.perf_counter()
         result = classify(kind, alphabet, max_states=args.max_states)
         print(f"== {kind} over {{{' '.join(alphabet.letters)}}} ({note}), "
-              f"{time.time() - t0:.1f}s ==")
+              f"{time.perf_counter() - t0:.1f}s ==")
         for line in result.format():
             print(line)
         print()

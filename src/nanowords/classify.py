@@ -7,17 +7,21 @@ Three families are enumerated and partitioned:
 * words5       -- multiplicity-one-free words of length <= 5 in the alphabet.
 
 For each family the predicted partition comes from the classification
-theorems.  ``classify`` checks each predicted class in item order, comparing
-keys lazily with ``Fingerprint.first_difference``, as ``homotopic`` does.  The
-first check that fails decides its row:
+theorems.  ``classify`` first buckets the items by fingerprint key with one
+partition refinement (``fingerprint.partition``): every bucket of two or more
+items is split field by field, weakest first, so a field is computed only
+for the items that all earlier fields left tied with another.  Then it checks
+each predicted class in item order, and the first check that fails decides
+its row:
 
-1. all members share one fingerprint key, else DISAGREES;
+1. all members sit in one bucket, i.e. share one fingerprint key, else
+   DISAGREES;
 2. certificates join the class: each member of the contractible class
    contracts, or each member of another class is homotopic to the next.
    The class stops searching at its first failed search, and the row is
    UNKNOWN (search budget exhausted);
-3. no item of another class has the same key, else UNKNOWN, since no
-   computed invariant separates the two classes.
+3. the class's bucket holds no item of another class, else UNKNOWN, since
+   no computed invariant separates the two classes.
 
 A class that passes all three AGREES.  Budget exhaustion yields UNKNOWN
 cells, never a wrong verdict, and any DISAGREES row is a defect.
@@ -29,7 +33,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import UnknownFamily
-from .fingerprint import Fingerprint
+from .fingerprint import Fingerprint, partition
 from .moves import HomotopyData, search_contractible, search_homotopic
 from .words import Alphabet, Nanoword, desingularize, from_word, nanoword_from_pattern
 
@@ -184,7 +188,8 @@ def classify(kind: str, alphabet: Alphabet, max_length: int | None = None,
         raise UnknownFamily(f"unknown family {kind!r}; pick one of {sorted(FAMILIES)}")
     items = FAMILIES[kind](alphabet)
     data = HomotopyData(alphabet)
-    fps = {it.name: Fingerprint(it.nanoword) for it in items}
+    buckets = partition({it.name: Fingerprint(it.nanoword) for it in items})
+    bucket_of = {name: bucket for bucket in buckets for name in bucket}
     classes: dict = {}
     for it in items:
         classes.setdefault(it.predicted, []).append(it)
@@ -201,15 +206,15 @@ def classify(kind: str, alphabet: Alphabet, max_length: int | None = None,
     rows = []
     for label, members in classes.items():
         names = [it.name for it in members]
-        first = fps[names[0]]
+        bucket = bucket_of[names[0]]
         status, detail = "AGREES", ""
-        if any(first.first_difference(fps[n]) is not None for n in names[1:]):
+        if any(bucket_of[n] is not bucket for n in names[1:]):
             status, detail = "DISAGREES", "fingerprints split a predicted class"
         elif not joined(label, members):
             status, detail = "UNKNOWN", "search budget exhausted"
         else:
-            shared = sorted(it.name for it in items if it.predicted != label
-                            and first.first_difference(fps[it.name]) is None)
+            # check 1 put every member in this bucket; the rest are other classes'
+            shared = sorted(set(bucket) - set(names))
             if shared:
                 status, detail = "UNKNOWN", f"fingerprint shared with {','.join(shared)}"
         rows.append(ClassRow(label, names, status, detail))

@@ -8,7 +8,8 @@ each separated pair.
 One table, ``_ROWS``, drives everything: each row computes, keys and reports
 one field, and fingerprints compare by the keys alone.  A ``Fingerprint``
 computes a field the first time it is used, so a comparison stops at the
-first field that separates.
+first field that separates, and ``partition`` groups many fingerprints by
+key computing each field only where earlier fields tie.
 """
 
 from __future__ import annotations
@@ -142,6 +143,31 @@ FIELD_ORDER = tuple(_BY_NAME)
 # the report prints lambda before nabla and the colorings
 _REPORT_ORDER = ("gamma", "gamma_prime", "gamma_tilde", "mu", "selflink", "rho",
                  "rho_ax", "pairing", "lambda", "nabla", "colorings", "charseq")
+
+
+def partition(fingerprints: dict) -> list[list]:
+    """The names of ``fingerprints`` (name -> Fingerprint) in one bucket per
+    full fingerprint key.
+
+    One bucket starts with every name, and each field in ``FIELD_ORDER``
+    splits every bucket of two or more by that field's key; a bucket of one
+    stops.  So a field is computed only for the fingerprints that all earlier
+    fields left tied with another (partition refinement, after Paige and
+    Tarjan).  Each bucket lists its names in input order.
+    """
+    buckets = [list(fingerprints)]
+    for field in FIELD_ORDER:
+        split = []
+        for bucket in buckets:
+            if len(bucket) < 2 or field not in fingerprints[bucket[0]].names:
+                split.append(bucket)
+                continue
+            parts: dict = {}
+            for name in bucket:
+                parts.setdefault(fingerprints[name].field(field)[1], []).append(name)
+            split.extend(parts.values())
+        buckets = split
+    return buckets
 
 
 class Fingerprint:

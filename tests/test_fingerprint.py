@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -7,7 +8,7 @@ from nanowords import (Alphabet, Nanoword, compute_fingerprint, fingerprint, int
                        matrices, mu, nabla, nanoword_from_pattern)
 from nanowords.classify import FAMILIES, Item, classify
 from nanowords.fingerprint import (FIELD_ORDER, Fingerprint, default_betas,
-                                  default_coloring_specs, format_fingerprint)
+                                  default_coloring_specs, format_fingerprint, partition)
 
 from conftest import ALPHABETS, random_nanoword
 from oracles import classify_by_full_keys
@@ -153,13 +154,78 @@ def test_classify_matches_the_full_key_route_on_synthetic_families(al_id2, monke
             == _rows(classify_by_full_keys("synthetic", al_id2)))
 
 
-def test_classify_computes_nabla_only_where_a_comparison_reaches_it(al_mixed, monkeypatch):
+def _perturbed(items, how, rng):
+    """``items`` with wrong predictions: two classes merged, one class split,
+    or one item moved to another class; None where there is no second class."""
+    labels = list(dict.fromkeys(it.predicted for it in items))
+    predicted = {it.name: it.predicted for it in items}
+    if how == "split":
+        label = rng.choice([lab for lab in labels
+                            if sum(it.predicted == lab for it in items) > 1])
+        members = [it.name for it in items if it.predicted == label]
+        for name in rng.sample(members, rng.randrange(1, len(members))):
+            predicted[name] = ("split",)
+    elif len(labels) < 2:
+        return None
+    elif how == "merge":
+        keep, gone = rng.sample(labels, 2)
+        predicted.update((it.name, keep) for it in items if it.predicted == gone)
+    else:
+        moved = rng.choice(items)
+        predicted[moved.name] = rng.choice([lab for lab in labels if lab != moved.predicted])
+    return [Item(it.name, it.nanoword, predicted[it.name]) for it in items]
+
+
+def test_classify_matches_the_full_key_route_on_wrong_predictions(monkeypatch):
+    """Seeded wrong predictions reach every verdict, and on each the rows
+    equal the full-key rows."""
+    outcomes = set()
+    cases = itertools.product(({}, {"max_states": 1}), ("nanowords4", "nanowords6"),
+                              CLASSIFY_ALPHABETS, ("merge", "split", "move"))
+    for seed, (budget, kind, al, how) in enumerate(cases):
+        items = _perturbed(FAMILIES[kind](al), how, random.Random(seed))
+        if items is None:
+            continue
+        monkeypatch.setitem(FAMILIES, "perturbed", lambda al, items=items: items)
+        rows = _rows(classify("perturbed", al, **budget))
+        assert rows == _rows(classify_by_full_keys("perturbed", al, **budget)), (seed, kind, how)
+        outcomes |= {(status, detail.split(" with ")[0]) for _, _, status, detail in rows}
+    assert outcomes == {("AGREES", ""), ("DISAGREES", "fingerprints split a predicted class"),
+                        ("UNKNOWN", "fingerprint shared"), ("UNKNOWN", "search budget exhausted")}
+
+
+# the most first computations of each field that classify may make on
+# nanowords6 over {a,A,b,B}: 320 items, and past selflink only the few that
+# every earlier field leaves tied
+_NANOWORDS6_FREE2_WORK = {
+    **dict.fromkeys(("gamma", "gamma_prime", "gamma_tilde", "mu", "selflink"), 320),
+    "rho": 108, "pairing": 108, "rho_ax": 104,
+    **dict.fromkeys(("colorings", "nabla", "lambda", "charseq"), 84)}
+
+
+def test_classify_computes_nabla_only_where_a_comparison_reaches_it(al_free2, al_mixed,
+                                                                     monkeypatch):
     # nanowords6 over {a,A,c} has 135 items, and a field before nabla tells
     # most of them apart; the full-key route computes nabla for all of them
     calls = _count_calls(monkeypatch, fingerprint, "nabla")
-    classify("nanowords6", al_mixed)
+    differences = _count_calls(monkeypatch, Fingerprint, "first_difference")
+    computed = []
+    field = Fingerprint.field
+
+    def spy(fp, name):
+        if name not in fp.fields:
+            computed.append(name)
+        return field(fp, name)
+
+    monkeypatch.setattr(Fingerprint, "field", spy)
+    for al, bounds in ((al_free2, _NANOWORDS6_FREE2_WORK), (al_mixed, {"nabla": 47})):
+        computed.clear()
+        classify("nanowords6", al)
+        assert all(computed.count(name) <= bound for name, bound in bounds.items()), \
+            {name: computed.count(name) for name in bounds}
     items = len(FAMILIES["nanowords6"](al_mixed))
-    assert 0 < len({w.key() for w, _ in calls}) < items / 2
+    assert 0 < len({w.key() for w, _ in calls if w.alphabet is al_mixed}) < items / 2
+    assert differences == []
 
 
 def test_a_fingerprint_computes_gamma_once(monkeypatch):
@@ -200,6 +266,21 @@ def test_lazy_comparison_matches_the_eager_one():
             # nothing past the separating field, except the pairing behind rho
             upto = FIELD_ORDER[:FIELD_ORDER.index(eager) + 1] if eager else FIELD_ORDER
             assert set(lazy.fields) <= {*upto, "pairing"}
+
+
+def test_partition_buckets_by_full_key():
+    """Seeded words, with repeats and Gauss words under new projections: the
+    refinement's buckets are the full-key buckets, in input order."""
+    rng = random.Random(12)
+    for al in ALPHABETS:
+        words = [random_nanoword(al, rng.randrange(0, 5), rng) for _ in range(12)]
+        words += [Nanoword(al, w.word, {x: rng.choice(al.letters) for x in w.letters})
+                  for w in words] + words[:3]
+        by_key: dict = {}
+        for i, w in enumerate(words):
+            by_key.setdefault(compute_fingerprint(w).key(), []).append(i)
+        buckets = partition({i: Fingerprint(w) for i, w in enumerate(words)})
+        assert sorted(buckets) == sorted(by_key.values())
 
 
 def test_fingerprint_key_is_isomorphism_invariant():
