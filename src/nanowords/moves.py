@@ -15,10 +15,15 @@ search trees shallow; they can be switched off):
 * LIII xAByACzCBt <-> xBAyCAzBCt      when (|A|, tau|B|, tau|C|) in S
 
 Search is deterministic: states are canonical keys (``Nanoword.key()``),
-expanded in a fixed priority order, and budget exhaustion yields Unknown
-(never a disproof).  Moves are applied to the key directly, and successors are
-made one at a time as plain (kind, sign, positions, values) records; a ``Move``
-is built only for a certificate's path, and a ``Nanoword`` only for its end.
+expanded in a fixed order, and budget exhaustion yields Unknown (never a
+disproof).  The two-sided homotopy search expands breadth-first layers, each
+sorted once by (length, key); the one-sided searches (contraction, the norm
+bound) pop a shortest-first heap.  Moves are applied to the key directly:
+a pair deletion is looked up in the table of each letter's two positions,
+and a deletion's key is renamed in place, since first occurrences keep their
+order.  Successors are made one at a time as plain (kind, sign, positions,
+values) records; a ``Move`` is built only for a certificate's path, and a
+``Nanoword`` only for its end.
 """
 
 from __future__ import annotations
@@ -272,6 +277,20 @@ def invert_move(move: Move) -> Move:
     return Move(move.kind, sign, pos, move.values)
 
 
+def _drop_letters(seq, row, lo, hi):
+    """The key of ``seq``: a canonical word with the projection row ``row``,
+    less both entries of its letters ``lo`` < ``hi`` (``hi`` past every letter
+    to drop ``lo`` alone).  First occurrences keep their order, so each
+    letter left is renamed down by the number of dropped letters below it."""
+    return (tuple([x - (x > lo) - (x > hi) for x in seq]),
+            row[:lo - 1] + row[lo:hi - 1] + row[hi:])
+
+
+# the triple shapes that ``successor_keys`` tries, with their anchors, by use_macros
+_SHAPES = {macros: [(shape, *shape.anchors) for shape in _TRIPLE_SHAPES.values()
+                    if macros or shape.kind == "M3"] for macros in (False, True)}
+
+
 def successor_keys(key, data: HomotopyData,
                    insert_values: tuple[str, ...] | None = None,
                    max_length: int | None = None,
@@ -291,38 +310,45 @@ def successor_keys(key, data: HomotopyData,
     proj = (None,) + row            # proj[x] for the letters 1..m of ``word``
     n = len(word)
     tau = data.alphabet.tau
-
-    for i in range(n - 1):
-        if word[i] == word[i + 1]:
-            yield ("M1", "-", (i,), (proj[word[i]],)), _key_of(word[:i] + word[i + 2:], proj)
-    for i in range(n - 1):
-        a, b = word[i], word[i + 1]
-        if a == b or proj[b] != tau(proj[a]):
-            continue
-        for j in range(i + 2, n - 1):
-            pair = (word[j], word[j + 1])
-            if pair == (b, a):
-                yield (("M2", "-", (i, j), (proj[a],)),
-                       _key_of(word[:i] + word[i + 2:j] + word[j + 2:], proj))
-            if use_macros and pair == (a, b) and data.second_gate(proj[b]):
-                yield (("L32", "-", (i, j), (proj[a],)),
-                       _key_of(word[:i] + word[i + 2:j] + word[j + 2:], proj))
-
-    # a triple move's first site fixes the other two through the second
-    # occurrences of its letters: one candidate per first site and shape
+    # other[i] is the position of the other occurrence of word[i]
     other = [0] * n
     first: dict = {}
     for i, x in enumerate(word):
         j = first.setdefault(x, i)
         other[i], other[j] = j, i
-    shapes = [(shape, *shape.anchors) for shape in _TRIPLE_SHAPES.values()
-              if use_macros or shape.kind == "M3"]
+
+    past = len(row) + 1
+    for i in range(n - 1):
+        if word[i] == word[i + 1]:
+            yield (("M1", "-", (i,), (proj[word[i]],)),
+                   _drop_letters(word[:i] + word[i + 2:], row, word[i], past))
+    # the pair AB at i is deleted by M2 with BA, or by L32 with AB, at the
+    # other occurrences of its letters, after i + 1
+    for i in range(n - 3):
+        oa, ob = other[i], other[i + 1]
+        if oa == ob + 1 and ob > i + 1:
+            kind, j = "M2", ob
+        elif ob == oa + 1 and oa > i + 1 and use_macros:
+            kind, j = "L32", oa
+        else:
+            continue
+        a, b = word[i], word[i + 1]
+        if proj[b] == tau(proj[a]) and (kind == "M2" or data.second_gate(proj[b])):
+            yield ((kind, "-", (i, j), (proj[a],)),
+                   _drop_letters(word[:i] + word[i + 2:j] + word[j + 2:], row, *sorted((a, b))))
+
+    # a triple move's first site fixes the other two through the second
+    # occurrences of its letters, which come after it: one candidate per first
+    # site and shape; the third letter fills the free entries of the second
+    # and third sites
     hits = []
     for p in range(n - 5):
         anchor = (other[p], other[p + 1])
-        for order, (shape, s1, o1, s2, o2) in enumerate(shapes):
+        if anchor[0] < p or anchor[1] < p:
+            continue
+        for order, (shape, s1, o1, s2, o2) in enumerate(_SHAPES[bool(use_macros)]):
             q, r = anchor[s1] - o1, anchor[s2] - o2
-            if (p + 1 < q and q + 1 < r and r + 1 < n
+            if (p + 1 < q and q + 1 < r and r + 1 < n and word[q + 1 - o1] == word[r + 1 - o2]
                     and _match_triple(word, proj, data, shape, p, q, r)):
                 hits.append((p, q, r, order, shape))
     for p, q, r, _, shape in sorted(hits):
@@ -333,29 +359,35 @@ def successor_keys(key, data: HomotopyData,
     if not values:
         return
     # ``word`` is canonical, so the letters before position i are 1..top[i];
-    # letters inserted at i take the next names and later letters shift up
+    # letters inserted at i take the next names and later letters shift up,
+    # so the shifted word and the rows change only with top[i]
     top = list(accumulate(word, max, initial=0))
     if max_length is None or n + 2 <= max_length:
+        t = None
         for i in range(n + 1):
-            t = top[i]
-            pattern = word[:i] + (t + 1, t + 1) + tuple(x + 1 if x > t else x
-                                                         for x in word[i:])
-            for v in values:
-                yield ("M1", "+", (i,), (v,)), (pattern, row[:t] + (v,) + row[t:])
+            if top[i] != t:
+                t = top[i]
+                shifted = tuple([x + 1 if x > t else x for x in word])
+                rows = [((v,), row[:t] + (v,) + row[t:]) for v in values]
+            pos, pattern = (i,), shifted[:i] + (t + 1, t + 1) + shifted[i:]
+            for vs, vrow in rows:
+                yield ("M1", "+", pos, vs), (pattern, vrow)
     if max_length is None or n + 4 <= max_length:
         pairs = [(v, tau(v), use_macros and data.second_gate(tau(v))) for v in values]
+        t = None
         for i in range(n + 1):
-            t = top[i]
-            lifted = tuple(x + 2 if x > t else x for x in word)
-            head = word[:i] + (t + 1, t + 2)
-            rows = [(v, row[:t] + (v, tv) + row[t:], l32) for v, tv, l32 in pairs]
+            if top[i] != t:
+                t = top[i]
+                lifted = tuple([x + 2 if x > t else x for x in word])
+                rows = [((v,), row[:t] + (v, tv) + row[t:], l32) for v, tv, l32 in pairs]
+            head = lifted[:i] + (t + 1, t + 2)
             for j in range(i, n + 1):
-                middle, tail = head + lifted[i:j], lifted[j:]
+                pos, middle, tail = (i, j), head + lifted[i:j], lifted[j:]
                 m2 = middle + (t + 2, t + 1) + tail
-                for v, vrow, l32 in rows:
-                    yield ("M2", "+", (i, j), (v,)), (m2, vrow)
+                for vs, vrow, l32 in rows:
+                    yield ("M2", "+", pos, vs), (m2, vrow)
                     if l32:
-                        yield ("L32", "+", (i, j), (v,)), (middle + (t + 1, t + 2) + tail, vrow)
+                        yield ("L32", "+", pos, vs), (middle + (t + 1, t + 2) + tail, vrow)
 
 
 def enumerate_moves(w: Nanoword, data: HomotopyData,
@@ -428,24 +460,24 @@ def certificate_from_states(states, data: HomotopyData,
 
 
 class _Frontier:
-    """Visited keys, each with its (parent, move record, depth), and a heap
-    of keys to expand; ``priority`` maps (key, depth) to a sortable key.  The
-    other arguments are those of ``successor_keys``."""
+    """Visited keys, each with its (parent, move record, depth), and the keys
+    left to expand, which ``len`` counts; a subclass orders them by its
+    ``_push`` and ``_pop``.  The other arguments are those of
+    ``successor_keys``."""
 
-    def __init__(self, start, priority, data, insert_values, max_length, use_macros):
-        self.priority = priority
+    def __init__(self, start, data, insert_values, max_length, use_macros):
         self.successor_args = (data, insert_values, max_length, use_macros)
         self.parents: dict = {start: (None, None, 0)}
-        self.heap = [(priority(start, 0), start)]
 
     def expand(self):
-        """Pop the best key; record and yield each successor not seen before."""
-        key = heapq.heappop(self.heap)[1]
+        """Pop the next key; record and yield each successor not seen before."""
+        key = self._pop()
         depth = self.parents[key][2] + 1
+        parents, push = self.parents, self._push
         for record, nxt in successor_keys(key, *self.successor_args):
-            if nxt not in self.parents:
-                self.parents[nxt] = (key, record, depth)
-                heapq.heappush(self.heap, (self.priority(nxt, depth), nxt))
+            if nxt not in parents:
+                parents[nxt] = (key, record, depth)
+                push(nxt, depth)
                 yield nxt
 
     def trace(self, key) -> list[Move]:
@@ -458,12 +490,44 @@ class _Frontier:
         return moves[::-1]
 
 
-def _greedy(key, depth):
-    return (len(key[0]), depth, key)
+class _Greedy(_Frontier):
+    """Shortest first: a heap on (length, depth, key).  A successor can be
+    shorter than the key it comes from, so the order is not known ahead."""
+
+    def __init__(self, start, *args):
+        super().__init__(start, *args)
+        self.heap = [(len(start[0]), 0, start)]
+
+    def __len__(self):
+        return len(self.heap)
+
+    def _pop(self):
+        return heapq.heappop(self.heap)[2]
+
+    def _push(self, key, depth):
+        heapq.heappush(self.heap, (len(key[0]), depth, key))
 
 
-def _breadth(key, depth):
-    return (depth, len(key[0]), key)
+class _Layers(_Frontier):
+    """Breadth first: depth by depth, each depth by (length, key).  Every
+    successor is one deeper than the key it comes from, so a depth's keys are
+    all known, and sorted once, when the first of them is popped."""
+
+    def __init__(self, start, *args):
+        super().__init__(start, *args)
+        self.layer, self.next = [start], []   # ``layer`` in reverse order
+
+    def __len__(self):
+        return len(self.layer) + len(self.next)
+
+    def _pop(self):
+        if not self.layer:
+            self.layer = sorted(self.next, key=lambda key: (len(key[0]), key), reverse=True)
+            self.next = []
+        return self.layer.pop()
+
+    def _push(self, key, depth):
+        self.next.append(key)
 
 
 _EMPTY = ((), ())  # the key of the empty nanoword
@@ -485,8 +549,8 @@ def _check_budget(data: HomotopyData, max_states, max_length, words, insert_valu
 def _descend(start, data, max_length, max_states, insert_values, use_macros) -> _Frontier:
     """Shortest-first search from the key ``start`` until it reaches the empty
     word, visits ``max_states`` keys or runs out of frontier."""
-    front = _Frontier(start, _greedy, data, insert_values, max_length, use_macros)
-    while _EMPTY not in front.parents and front.heap and len(front.parents) < max_states:
+    front = _Greedy(start, data, insert_values, max_length, use_macros)
+    while _EMPTY not in front.parents and front and len(front.parents) < max_states:
         for nxt in front.expand():
             if not nxt[0]:
                 break
@@ -541,12 +605,12 @@ def search_homotopic(w1: Nanoword, w2: Nanoword, data: HomotopyData,
     s1, s2 = w1.canonical(), w2.canonical()
     if s1.key() == s2.key():
         return Certificate(s1, s2, ())
-    f1 = _Frontier(s1.key(), _breadth, data, insert_values, max_length, use_macros)
-    f2 = _Frontier(s2.key(), _breadth, data, insert_values, max_length, use_macros)
+    f1 = _Layers(s1.key(), data, insert_values, max_length, use_macros)
+    f2 = _Layers(s2.key(), data, insert_values, max_length, use_macros)
     while len(f1.parents) + len(f2.parents) < max_states:
-        # the side with the smaller live heap, the first side on a tie
-        side, other = sorted((f1, f2), key=lambda f: (not f.heap, len(f.heap)))
-        if not side.heap or (insert_values is None and not other.heap):
+        # the side with fewer keys left to expand, the first side on a tie
+        side, other = sorted((f1, f2), key=lambda f: (not f, len(f)))
+        if not side or (insert_values is None and not other):
             return None
         for nxt in side.expand():
             if nxt in other.parents:

@@ -7,12 +7,16 @@ counts by enumeration, pairing isomorphism by bijection search, the
 skew-symmetry predicate on self-linking sections, and the alpha-form route
 to the linking pairing (a dense lk table and b built with group products),
 with its moves (i)*, (ii)* and (iii)*, the homotopy decision that
-compares every field before it searches, and the classification that
-computes every item's full fingerprint key and buckets the items on it.
+compares every field before it searches, the classification that
+computes every item's full fingerprint key and buckets the items on it, and
+the homotopy search on one heap per side.
 """
 
 from __future__ import annotations
 
+import heapq
+
+from nanowords import moves
 from nanowords.classify import FAMILIES, ZERO, ClassificationResult, ClassRow
 from nanowords.cli import _load_nanoword
 from nanowords.errors import NanowordError, PreconditionViolated, UnknownFamily
@@ -21,7 +25,8 @@ from nanowords.groups import GroupRingElement, PiElement, PsiElement, psi_abelia
 from nanowords.interlacement import _classes_of, interlacement
 from nanowords.lambdainv import iota
 from nanowords.matrices import ColoringSpec, _coloring_matrix, weighted_matrix
-from nanowords.moves import HomotopyData, search_contractible, search_homotopic
+from nanowords.moves import (Certificate, HomotopyData, Move, homotopic_budget, invert_move,
+                             search_contractible, search_homotopic)
 from nanowords.pairings import AlphaPairing
 from nanowords.selflinking import SelfLinkSection
 from nanowords.words import Alphabet, Nanoword
@@ -358,3 +363,45 @@ def classify_by_full_keys(kind: str, alphabet: Alphabet, max_length: int | None 
                 status, detail = "UNKNOWN", f"fingerprint shared with {','.join(shared)}"
         rows.append(ClassRow(label, names, status, detail))
     return ClassificationResult(kind, rows)
+
+
+# ---------------------------------------------------------------------------
+# The homotopy search on heaps
+
+
+def search_homotopic_by_heaps(w1: Nanoword, w2: Nanoword, data: HomotopyData,
+                              max_length: int | None, max_states: int, insert_values=None,
+                              use_macros: bool = True) -> Certificate | None:
+    """``search_homotopic`` with each side's keys to expand on a heap on
+    (depth, length, key): the side with the smaller heap expands its least
+    key.  The successors come from ``moves.successor_keys``, looked up at
+    call time, so a patched binding sees this search's expansions."""
+    max_length = homotopic_budget(w1, w2, data, max_length, max_states, insert_values)
+    s1, s2 = w1.canonical(), w2.canonical()
+    if s1.key() == s2.key():
+        return Certificate(s1, s2, ())
+    sides = [({s.key(): (None, None)}, [(0, len(s.key()[0]), s.key())]) for s in (s1, s2)]
+
+    def trace(parents, key):
+        out = []
+        while parents[key][0] is not None:
+            key, record = parents[key]
+            out.append(Move(*record))
+        return out[::-1]
+
+    while sum(len(parents) for parents, _ in sides) < max_states:
+        (parents, heap), (others, other_heap) = sorted(sides, key=lambda s: (not s[1], len(s[1])))
+        if not heap or (insert_values is None and not other_heap):
+            return None
+        depth, _, key = heapq.heappop(heap)
+        for record, nxt in moves.successor_keys(key, data, insert_values, max_length,
+                                                use_macros):
+            if nxt in parents:
+                continue
+            parents[nxt] = (key, record)
+            heapq.heappush(heap, (depth + 1, len(nxt[0]), nxt))
+            if nxt in others:
+                (first, _), (second, _) = sides
+                back = [invert_move(m) for m in reversed(trace(second, nxt))]
+                return Certificate(s1, s2, tuple(trace(first, nxt) + back))
+    return None

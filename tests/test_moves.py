@@ -20,6 +20,7 @@ from nanowords.moves import (PAIR_KINDS, TRIPLE_KINDS, Certificate,
 
 from conftest import (ALPHABETS, golden_sections, nanowords_strategy,
                       random_nanoword)
+from oracles import search_homotopic_by_heaps
 
 
 def test_enumerate_m1(al_id2):
@@ -481,7 +482,7 @@ def test_insertion_chain_replays(al_free1):
 
 def test_exhausted_component_ends_the_search(al_free1, monkeypatch):
     """With every insertion allowed, each move's inverse is a move within
-    ``max_length``, so a side whose heap empties is a whole component and the
+    ``max_length``, so a side whose frontier empties is a whole component and the
     search stops there: the states it expands depend on ``max_length`` only,
     not on ``max_states``.  With restricted insertions it goes on."""
     al = Alphabet(["c"])
@@ -560,8 +561,9 @@ def test_search_stops_drawing_successors_at_the_meet(al_free1, monkeypatch):
     assert drawn < len(list(real(key, *args)))
     # drawing the first of three deletions makes one key, not all three
     made = []
-    key_of = moves._key_of
-    monkeypatch.setattr(moves, "_key_of", lambda seq, proj: made.append(seq) or key_of(seq, proj))
+    drop = moves._drop_letters
+    monkeypatch.setattr(moves, "_drop_letters",
+                        lambda seq, *args: made.append(seq) or drop(seq, *args))
     first = next(iter(real(nanoword_from_pattern(al_free1, "AABBCC", proj).key(), data)))
     assert first[0] == ("M1", "-", (0,), ("a",)) and len(made) == 1
 
@@ -622,6 +624,51 @@ def test_a_short_homotopic_search_finds_the_full_searchs_certificate_or_none():
         assert short is None or short.moves == full.moves
         outcomes.add(short is None)
     assert outcomes == {False, True}
+
+
+def test_layers_expand_in_the_order_of_one_heap_per_side(monkeypatch):
+    """The breadth-first layers expand the keys that heaps on (depth, length,
+    key) expand, in the same order, and end with the same certificate or
+    None: on words of 0-4 letters and their images under one to three random
+    moves, with every insertion, with none and at 50 states, and on the
+    three blind-spot words against the empty word."""
+    expanded = []
+    real = moves.successor_keys
+
+    def counted(key, *args):
+        expanded.append(key)
+        return real(key, *args)
+
+    monkeypatch.setattr(moves, "successor_keys", counted)
+
+    def runs(*args):
+        """Whether both searches answer None, after checking they agree."""
+        both = []
+        for search in (search_homotopic, search_homotopic_by_heaps):
+            expanded.clear()
+            cert = search(*args)
+            both.append((list(expanded), cert and (cert.start, cert.end, cert.moves)))
+        assert both[0] == both[1]
+        return both[0][1] is None
+
+    rng = random.Random(43)
+    outcomes = set()
+    for i in range(80):
+        al = ALPHABETS[i % len(ALPHABETS)]
+        data = HomotopyData(al)
+        w1 = w2 = random_nanoword(al, rng.randint(0, 4), rng)
+        for _ in range(rng.randint(1, 3)):
+            options = enumerate_moves(w2, data, insert_values=(rng.choice(al.letters),),
+                                      use_macros=True)
+            w2 = rng.choice(options)[1]
+        for insert_values, max_states in ((None, 2000), ((), 2000), (None, 50)):
+            outcomes.add(runs(w1, w2, data, None, max_states, insert_values))
+    assert outcomes == {False, True}
+    al = Alphabet(["c"])
+    empty = Nanoword(al, (), {})
+    for pattern in ("12132434", "12134324", "12313424"):
+        w = nanoword_from_pattern(al, pattern, dict.fromkeys("1234", "c"))
+        assert runs(w, empty, HomotopyData(al), 12, 10 ** 4)
 
 
 def test_isomorphic_inputs_give_empty_certificate(al_id2):
