@@ -7,24 +7,27 @@ Three families are enumerated and partitioned:
 * words5       -- multiplicity-one-free words of length <= 5 in the alphabet.
 
 For each family the predicted partition comes from the classification
-theorems.  ``classify`` first buckets the items by fingerprint key with one
-partition refinement (``fingerprint.partition``): every bucket of two or more
-items is split field by field, weakest first, so a field is computed only
-for the items that all earlier fields left tied with another.  Then it checks
-each predicted class in item order, and the first check that fails decides
-its row:
+theorems.  ``classify`` first buckets the items with one partition
+refinement (``fingerprint.partition``) labelled by predicted class: a bucket
+is split field by field, weakest first, only while it holds two classes.
+Then it checks each predicted class in item order, and the first check that
+fails decides its row:
 
-1. all members sit in one bucket, i.e. share one fingerprint key, else
-   DISAGREES;
+1. all members sit in one bucket, else DISAGREES;
 2. certificates join the class: each member of the contractible class
    contracts, or each member of another class is homotopic to the next.
    The class stops searching at its first failed search, and the row is
-   UNKNOWN (search budget exhausted);
-3. the class's bucket holds no item of another class, else UNKNOWN, since
-   no computed invariant separates the two classes.
+   DISAGREES if the members' full keys differ, else UNKNOWN (search budget
+   exhausted);
+3. the class's bucket, a full-key bucket if it holds two classes, holds no
+   item of another class, else UNKNOWN, since no computed invariant
+   separates the two classes.
 
 A class that passes all three AGREES.  Budget exhaustion yields UNKNOWN
-cells, never a wrong verdict, and any DISAGREES row is a defect.
+cells, never a wrong verdict, and any DISAGREES row is a defect.  The
+trade: members that certificates join are compared only on the fields their
+bucket needed, so the rows equal the full-key rows while the invariants are
+invariant, which the tests check.
 """
 
 from __future__ import annotations
@@ -188,7 +191,8 @@ def classify(kind: str, alphabet: Alphabet, max_length: int | None = None,
         raise UnknownFamily(f"unknown family {kind!r}; pick one of {sorted(FAMILIES)}")
     items = FAMILIES[kind](alphabet)
     data = HomotopyData(alphabet)
-    buckets = partition({it.name: Fingerprint(it.nanoword) for it in items})
+    fps = {it.name: Fingerprint(it.nanoword) for it in items}
+    buckets = partition(fps, {it.name: it.predicted for it in items})
     bucket_of = {name: bucket for bucket in buckets for name in bucket}
     classes: dict = {}
     for it in items:
@@ -204,14 +208,17 @@ def classify(kind: str, alphabet: Alphabet, max_length: int | None = None,
                    for one, two in zip(members, members[1:]))
 
     rows = []
+    split = "DISAGREES", "fingerprints split a predicted class"
     for label, members in classes.items():
         names = [it.name for it in members]
         bucket = bucket_of[names[0]]
         status, detail = "AGREES", ""
         if any(bucket_of[n] is not bucket for n in names[1:]):
-            status, detail = "DISAGREES", "fingerprints split a predicted class"
+            status, detail = split
         elif not joined(label, members):
-            status, detail = "UNKNOWN", "search budget exhausted"
+            # only the full keys tell a split class from an exhausted budget
+            status, detail = (split if len(partition({n: fps[n] for n in names})) > 1
+                              else ("UNKNOWN", "search budget exhausted"))
         else:
             # check 1 put every member in this bucket; the rest are other classes'
             shared = sorted(set(bucket) - set(names))

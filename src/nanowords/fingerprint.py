@@ -9,7 +9,7 @@ One table, ``_ROWS``, drives everything: each row computes, keys and reports
 one field, and fingerprints compare by the keys alone.  A ``Fingerprint``
 computes a field the first time it is used, so a comparison stops at the
 first field that separates, and ``partition`` groups many fingerprints by
-key computing each field only where earlier fields tie.
+key computing each field only where earlier fields leave two labels tied.
 """
 
 from __future__ import annotations
@@ -145,21 +145,23 @@ _REPORT_ORDER = ("gamma", "gamma_prime", "gamma_tilde", "mu", "selflink", "rho",
                  "rho_ax", "pairing", "lambda", "nabla", "colorings", "charseq")
 
 
-def partition(fingerprints: dict) -> list[list]:
-    """The names of ``fingerprints`` (name -> Fingerprint) in one bucket per
-    full fingerprint key.
+def partition(fingerprints: dict, labels: dict | None = None) -> list[list]:
+    """The names of ``fingerprints`` (name -> Fingerprint) in buckets, each in
+    input order.
 
     One bucket starts with every name, and each field in ``FIELD_ORDER``
-    splits every bucket of two or more by that field's key; a bucket of one
-    stops.  So a field is computed only for the fingerprints that all earlier
-    fields left tied with another (partition refinement, after Paige and
-    Tarjan).  Each bucket lists its names in input order.
+    splits every bucket that holds two ``labels`` (name -> label; by default
+    each name is its own) by that field's key.  So a field is computed only
+    where earlier fields leave two labels tied (partition refinement, after
+    Paige and Tarjan), and a final bucket of two labels is a full-key bucket.
     """
-    buckets = [list(fingerprints)]
+    labels = dict(zip(fingerprints, fingerprints)) if labels is None else labels
+    buckets = [list(fingerprints)] if fingerprints else []
     for field in FIELD_ORDER:
         split = []
         for bucket in buckets:
-            if len(bucket) < 2 or field not in fingerprints[bucket[0]].names:
+            if (field not in fingerprints[bucket[0]].names
+                    or len({labels[name] for name in bucket}) < 2):
                 split.append(bucket)
                 continue
             parts: dict = {}

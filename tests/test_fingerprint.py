@@ -6,11 +6,11 @@ import pytest
 import nanowords.classify as classify_module
 from nanowords import (Alphabet, Nanoword, compute_fingerprint, fingerprint, interlacement,
                        matrices, mu, nabla, nanoword_from_pattern)
-from nanowords.classify import FAMILIES, Item, classify
+from nanowords.classify import FAMILIES, ZERO, Item, classify
 from nanowords.fingerprint import (FIELD_ORDER, Fingerprint, default_betas,
                                   default_coloring_specs, format_fingerprint, partition)
 
-from conftest import ALPHABETS, random_nanoword
+from conftest import ALPHABETS, random_nanoword, short_nanowords
 from oracles import classify_by_full_keys
 
 interlacement_gamma = interlacement.gamma
@@ -122,12 +122,59 @@ def test_classify_stops_a_class_at_its_first_failed_search(al_id2, monkeypatch):
 
 
 def test_classify_reports_a_predicted_class_that_fingerprints_split(al_id2, monkeypatch):
+    # a lone class leaves its bucket unsplit: one search fails, and the full
+    # keys then tell the split class from an exhausted budget
     monkeypatch.setitem(FAMILIES, "split", _split_class_family)
     searches = _count_calls(monkeypatch, classify_module, "search_homotopic")
     [row] = classify("split", al_id2).rows
     assert (row.members, row.status, row.detail) == (
         ["AABB[a,a]", "ABAB[a,b]"], "DISAGREES", "fingerprints split a predicted class")
+    assert len(searches) == 1
+
+
+def _split_beside_a_class_family(al):
+    # ABBA[a,a] holds the first bucket at two classes, and gamma splits it
+    return [*_split_class_family(al),
+            Item("ABBA[a,a]", nanoword_from_pattern(al, "ABBA", {"A": "a", "B": "a"}), ("y",))]
+
+
+def test_classify_splits_a_class_without_searching_where_another_class_shares_its_bucket(
+        al_id2, monkeypatch):
+    monkeypatch.setitem(FAMILIES, "split beside", _split_beside_a_class_family)
+    searches = _count_calls(monkeypatch, classify_module, "search_homotopic")
+    rows = classify("split beside", al_id2).rows
+    assert [(r.members, r.status, r.detail) for r in rows] == [
+        (["AABB[a,a]", "ABAB[a,b]"], "DISAGREES", "fingerprints split a predicted class"),
+        (["ABBA[a,a]"], "UNKNOWN", "fingerprint shared with AABB[a,a]")]
     assert searches == []
+
+
+def _late_split_family(al):
+    # the two "x" words tie on every field before the pairing, and gamma
+    # tells both from the empty word
+    return [Item("w", Nanoword(al, "1 2 3 1 3 4 2 4".split(),
+                               {"1": "b", "2": "a", "3": "b", "4": "a"}), ("x",)),
+            Item("v", Nanoword(al, "1 2 3 4 4 5 1 3 2 5".split(),
+                               {"1": "b", "2": "b", "3": "a", "4": "b", "5": "a"}), ("x",)),
+            Item("empty", Nanoword(al, (), {}), ZERO)]
+
+
+def test_classify_decides_a_failed_search_on_the_full_keys(al_id2, monkeypatch):
+    """The labelled refinement stops once gamma leaves class "x" alone in its
+    bucket, so it never reaches the pairing that separates the class; the
+    failed search sends the class to its full keys, and the row is
+    DISAGREES, as on the full-key route."""
+    items = _late_split_family(al_id2)
+    fps = {it.name: Fingerprint(it.nanoword) for it in items}
+    buckets = partition(fps, {it.name: it.predicted for it in items})
+    assert sorted(buckets) == [["empty"], ["w", "v"]]
+    computed = set(fps["w"].fields) | set(fps["v"].fields)
+    assert fps["w"].first_difference(fps["v"]) == "pairing" and "pairing" not in computed
+    monkeypatch.setitem(FAMILIES, "late split", _late_split_family)
+    budget = {"max_states": 2000}
+    rows = _rows(classify("late split", al_id2, **budget))
+    assert rows[0] == (("x",), ["w", "v"], "DISAGREES", "fingerprints split a predicted class")
+    assert rows == _rows(classify_by_full_keys("late split", al_id2, **budget))
 
 
 # {a,b}, {a,A}, {a,A,c}, a<->b and {c}
@@ -146,8 +193,9 @@ def test_classify_matches_the_full_key_route(kind, budget):
         assert _rows(classify(kind, al, **budget)) == _rows(classify_by_full_keys(kind, al, **budget))
 
 
-@pytest.mark.parametrize("family", [_shared_key_family, _split_class_family],
-                         ids=["shared key", "split class"])
+@pytest.mark.parametrize("family", [_shared_key_family, _split_class_family,
+                                    _split_beside_a_class_family, _late_split_family],
+                         ids=["shared key", "split class", "split beside a class", "late split"])
 def test_classify_matches_the_full_key_route_on_synthetic_families(al_id2, monkeypatch, family):
     monkeypatch.setitem(FAMILIES, "synthetic", family)
     assert (_rows(classify("synthetic", al_id2))
@@ -195,18 +243,24 @@ def test_classify_matches_the_full_key_route_on_wrong_predictions(monkeypatch):
 
 
 # the most first computations of each field that classify may make on
-# nanowords6 over {a,A,b,B}: 320 items, and past selflink only the few that
-# every earlier field leaves tied
-_NANOWORDS6_FREE2_WORK = {
-    **dict.fromkeys(("gamma", "gamma_prime", "gamma_tilde", "mu", "selflink"), 320),
-    "rho": 108, "pairing": 108, "rho_ax": 104,
-    **dict.fromkeys(("colorings", "nabla", "lambda", "charseq"), 84)}
+# nanowords6: 320 items over {a,A,b,B} and 135 over {a,A,c}, and past
+# selflink only the few that every earlier field leaves tied with another
+# predicted class
+_NANOWORDS6_WORK = {
+    "a A b B": {**dict.fromkeys(("gamma", "gamma_prime", "gamma_tilde", "mu", "selflink"), 320),
+                "rho": 32, "pairing": 32, "rho_ax": 28,
+                **dict.fromkeys(("colorings", "nabla", "lambda", "charseq"), 0)},
+    "a A c": {**dict.fromkeys(("gamma", "gamma_prime", "gamma_tilde", "mu", "selflink"), 135),
+              "rho": 26, "pairing": 26, "rho_ax": 24, "colorings": 12,
+              **dict.fromkeys(("nabla", "lambda"), 0)},
+}
 
 
-def test_classify_computes_nabla_only_where_a_comparison_reaches_it(al_free2, al_mixed,
+def test_classify_computes_nabla_only_where_a_comparison_reaches_it(al_free2, al_mixed, al_id2,
                                                                      monkeypatch):
-    # nanowords6 over {a,A,c} has 135 items, and a field before nabla tells
-    # most of them apart; the full-key route computes nabla for all of them
+    # a field before nabla leaves no two classes of nanowords6 tied; in
+    # words5 over {a,b} a few items reach nabla, where the full-key route
+    # computes it for all of them
     calls = _count_calls(monkeypatch, fingerprint, "nabla")
     differences = _count_calls(monkeypatch, Fingerprint, "first_difference")
     computed = []
@@ -218,13 +272,16 @@ def test_classify_computes_nabla_only_where_a_comparison_reaches_it(al_free2, al
         return field(fp, name)
 
     monkeypatch.setattr(Fingerprint, "field", spy)
-    for al, bounds in ((al_free2, _NANOWORDS6_FREE2_WORK), (al_mixed, {"nabla": 47})):
+    for al in (al_free2, al_mixed):
         computed.clear()
         classify("nanowords6", al)
+        bounds = _NANOWORDS6_WORK[" ".join(al.letters)]
         assert all(computed.count(name) <= bound for name, bound in bounds.items()), \
             {name: computed.count(name) for name in bounds}
-    items = len(FAMILIES["nanowords6"](al_mixed))
-    assert 0 < len({w.key() for w, _ in calls if w.alphabet is al_mixed}) < items / 2
+    assert calls == []
+    classify("words5", al_id2)
+    items = len(FAMILIES["words5"](al_id2))
+    assert 0 < len({w.key() for w, _ in calls}) <= 10 < items / 2
     assert differences == []
 
 
@@ -270,17 +327,41 @@ def test_lazy_comparison_matches_the_eager_one():
 
 def test_partition_buckets_by_full_key():
     """Seeded words, with repeats and Gauss words under new projections: the
-    refinement's buckets are the full-key buckets, in input order."""
+    refinement's buckets are the full-key buckets, in input order.  Under
+    seeded labels each bucket holds the words that share its first word's
+    keys on the fewest leading fields that leave one label, or on every
+    field if none does: a bucket of two labels is a full-key bucket, and a
+    bucket of one label is split no further."""
     rng = random.Random(12)
+    seen = set()
     for al in ALPHABETS:
         words = [random_nanoword(al, rng.randrange(0, 5), rng) for _ in range(12)]
         words += [Nanoword(al, w.word, {x: rng.choice(al.letters) for x in w.letters})
                   for w in words] + words[:3]
+        keys = [compute_fingerprint(w).key() for w in words]
         by_key: dict = {}
-        for i, w in enumerate(words):
-            by_key.setdefault(compute_fingerprint(w).key(), []).append(i)
+        for i, key in enumerate(keys):
+            by_key.setdefault(key, []).append(i)
         buckets = partition({i: Fingerprint(w) for i, w in enumerate(words)})
         assert sorted(buckets) == sorted(by_key.values())
+        # labels by gamma, by gamma and one more field, and at random
+        for labels in ({i: key[:1] for i, key in enumerate(keys)},
+                       {i: (key[:1], key[rng.randrange(1, len(key))]) for i, key in enumerate(keys)},
+                       {i: rng.choice("xy") for i in range(len(words))}):
+            buckets = partition({i: Fingerprint(w) for i, w in enumerate(words)}, labels)
+            assert sorted(i for bucket in buckets for i in bucket) == list(range(len(words)))
+            for bucket in buckets:
+                for depth in range(len(keys[0]) + 1):
+                    tied = [i for i, key in enumerate(keys)
+                            if key[:depth] == keys[bucket[0]][:depth]]
+                    if len({labels[i] for i in tied}) < 2:
+                        break
+                assert bucket == tied
+                seen.add((len({labels[i] for i in bucket}), len({keys[i] for i in bucket})))
+    # both kinds of final bucket occur: two labels on one full key, and one
+    # label on two full keys
+    assert {(2, 1), (1, 2)} <= seen
+    assert partition({}) == [] and partition({}, {}) == []
 
 
 def test_fingerprint_key_is_isomorphism_invariant():
@@ -340,6 +421,29 @@ def test_fingerprint_invariance_on_longer_words():
             _, cur = options[rng.randrange(len(options))]
             diff = base.first_difference(compute_fingerprint(cur))
             assert diff is None, f"field {diff} changed along a move from {w}"
+
+
+@pytest.mark.parametrize("alphabets, letters, count", [((1, 0, 3), 3, 1898), ((0,), 4, 5508)],
+                         ids=["3 letters over {a,A} {a,b} {a,A,c}", "4 letters over {a,b}"])
+def test_every_move_on_short_words_joins_equal_keys(alphabets, letters, count):
+    """Every move with macros, within twice ``letters`` positions, from every
+    nanoword of at most ``letters`` letters: 1,898 moves at 3 letters and
+    5,508 at 4.  Keys are cached per canonical key."""
+    from nanowords.moves import HomotopyData, successor_keys
+    moves = 0
+    for al in (ALPHABETS[i] for i in alphabets):
+        data, keys = HomotopyData(al), {}
+
+        def key(k):
+            if k not in keys:
+                keys[k] = compute_fingerprint(Nanoword.from_key(al, k)).key()
+            return keys[k]
+
+        for w in short_nanowords(al, letters):
+            for record, nxt in successor_keys(w.key(), data, None, 2 * letters, use_macros=True):
+                assert key(nxt) == key(w.key()), (w, record)
+                moves += 1
+    assert moves == count
 
 
 # 16-24 letters over {a, A, b, B} and {a, A, c}: two words on which the
